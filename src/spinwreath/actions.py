@@ -109,16 +109,6 @@ def regular_action(h: FiniteGroup) -> GroupAction:
                        name=f"{h.name}-regular")
 
 
-def action_from_permutations(h: FiniteGroup, perms: Sequence[Sequence[int]],
-                             name="action", *, allow_non_faithful=False
-                             ) -> GroupAction:
-    action = GroupAction(h_group=h, omega_size=len(perms[0]),
-                         act=tuple(tuple(p) for p in perms), name=name)
-    if not allow_non_faithful:
-        action.require_faithful()
-    return action
-
-
 @dataclass(frozen=True)
 class WreathContext:
     """A full puzzle instance: switches G at |Omega| positions spun by H."""
@@ -273,10 +263,6 @@ def wreath_identity(ctx: WreathContext) -> WreathElement:
     return WreathElement(ctx=ctx, base=0, spin=0)
 
 
-def act_on_base(ctx: WreathContext, h: int, k: int) -> int:
-    return ctx.k_act(h, k)
-
-
 def wreath_multiply(a: WreathElement, b: WreathElement) -> WreathElement:
     a.ctx.require_same(b.ctx)
     ctx = a.ctx
@@ -290,7 +276,3 @@ def wreath_inverse(a: WreathElement) -> WreathElement:
     hinv = ctx.action.h_group.inv[a.spin]
     return WreathElement(ctx=ctx, base=ctx.k_act(hinv, ctx.k_inv(a.base)),
                          spin=hinv)
-
-
-def projection(a: WreathElement) -> int:
-    return a.base

@@ -52,8 +52,10 @@ def exact_expected_moves(ctx: WreathContext, strategy: Strategy,
     """
     adversary = adversary if adversary is not None else uniform_adversary(ctx)
     initial = initial if initial is not None else uniform_initial(ctx)
-    assert sum(adversary.values()) == 1
-    assert sum(initial.values()) == 1
+    if sum(adversary.values()) != 1:
+        raise ValueError("adversary probabilities must sum to 1")
+    if sum(initial.values()) != 1:
+        raise ValueError("initial probabilities must sum to 1")
     win = ctx.win_set
     dist: Dict[int, Fraction] = dict(initial)
     absorbed: List[Tuple[int, Fraction]] = []

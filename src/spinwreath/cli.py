@@ -17,8 +17,9 @@ from .actions import WreathContext
 from .decision import (decide_existence, find_nonexistence_certificate,
                        min_spin_period, render_certificate,
                        validate_certificate)
-from .errors import (BudgetExceeded, FileFormatInvalid, ParseError,
-                     SpinWreathError, UnknownGroupFamily)
+from .errors import (BudgetExceeded, CertificateRejected, FileFormatInvalid,
+                     LiftedStrategyFailedVerification, NoStrategyWithinDepth,
+                     ParseError, SpinWreathError, UnknownGroupFamily)
 from .groups import normal_subgroups, subgroup_as_group
 from .puzzle_parser import parse_expr, build_context
 from .strategies import Strategy, verify, verify_naive
@@ -150,7 +151,6 @@ def _construct(args, ctx: WreathContext) -> Strategy:
         return synthesize_by_search(ctx, max_depth=args.depth,
                                     budget=args.budget,
                                     spin_period=args.spin_period)
-    assert method == "decompose"
     for sub in reversed(normal_subgroups(ctx.g_group)):
         if 1 < len(sub.members) < ctx.g_group.order:
             n_group = subgroup_as_group(sub)
@@ -170,7 +170,9 @@ def _cmd_construct(args, started) -> int:
     ctx = _load_context(args)
     strat = _construct(args, ctx)
     report = verify(ctx, strat, spin_period=args.spin_period)
-    assert report.valid
+    if not report.valid:
+        raise LiftedStrategyFailedVerification(
+            f"--method {args.method} gave a strategy that failed verification")
     _write_strategy(args, strat)
     payload = {"context": ctx.name, "method": args.method,
                "strategy": _strategy_payload(strat),
@@ -286,8 +288,9 @@ def _cmd_certify(args, started) -> int:
                      payload={"context": ctx.name},
                      human=f"{ctx.name}: no nonexistence certificate found",
                      exit_code=EXIT_UNKNOWN, started=started)
-    validated = validate_certificate(ctx, cert, search_budget=args.budget)
-    assert validated
+    if not validate_certificate(ctx, cert, search_budget=args.budget):
+        raise CertificateRejected(
+            f"the validator rejected the certificate found for {ctx.name}")
     text = render_certificate(cert)
     return _emit(args, verdict="no",
                  payload={"context": ctx.name, "certificate": text,
@@ -418,6 +421,12 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
+        return EXIT_UNKNOWN
+    except NoStrategyWithinDepth as exc:
+        print(f"no strategy: {exc}", file=sys.stderr)
+        return EXIT_NO if exc.exhausted else EXIT_UNKNOWN
+    except CertificateRejected as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN
     except SpinWreathError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,12 +9,14 @@ independent checker that re-establishes every hypothesis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
 from . import groups
 from .actions import GroupAction, WreathContext
-from .errors import BudgetExceeded
+from .errors import (BaseCaseVerificationFailed, BudgetExceeded,
+                     NoStrategyWithinDepth, SpinWreathError)
 from .groups import (
     FiniteGroup,
     Homomorphism,
@@ -310,12 +312,7 @@ def _validate_node(g: FiniteGroup, action: GroupAction, cert: Certificate,
 
     if isinstance(cert, ExhaustiveBeliefSearch):
         ctx = WreathContext(g_group=g, action=action, allow_non_faithful=True)
-        stats = SearchStats()
-        try:
-            path = search_belief_path(ctx, budget=search_budget, stats=stats)
-        except BudgetExceeded:
-            return False
-        return path is None and stats.exhausted
+        return _belief_graph_has_no_empty_set(ctx, search_budget)
 
     if isinstance(cert, SwitchQuotient):
         phi = cert.phi
@@ -347,6 +344,37 @@ def _validate_node(g: FiniteGroup, action: GroupAction, cert: Certificate,
         return _validate_node(g, sub_action, cert.child, search_budget)
 
     return False
+
+
+def _belief_graph_has_no_empty_set(ctx: WreathContext, budget: int) -> bool:
+    """Breadth-first reachability over belief masks, built from k_mul and
+    k_act alone so that it shares no code with the search that made the leaf.
+
+    False when some move sequence empties the belief set, or when more than
+    ``budget`` distinct belief sets were seen.
+    """
+    k, win = ctx.k_size, ctx.win_set
+    orbit = [sum(1 << u for u in {ctx.k_act(h, t) for h in range(ctx.h_order)})
+             for t in range(k)]
+    start = sum(1 << s for s in range(k) if s not in win)
+    seen, queue = {start}, deque([start])
+    while queue:
+        mask = queue.popleft()
+        members = [s for s in range(k) if (mask >> s) & 1]
+        for move in range(k):
+            new = 0
+            for s in members:
+                t = ctx.k_mul(s, move)
+                if t not in win:
+                    new |= orbit[t]
+            if new == 0:
+                return False
+            if new not in seen:
+                seen.add(new)
+                queue.append(new)
+        if len(seen) > budget:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +417,7 @@ def decide_existence(ctx: WreathContext,
                 strat = construct_pgroup(ctx)
                 return DecisionResult(verdict="yes", strategy=strat,
                                       message="p-group construction")
-            except Exception:
+            except SpinWreathError:
                 pass  # fall through to search
 
     stats = SearchStats()
@@ -403,13 +431,16 @@ def decide_existence(ctx: WreathContext,
                               message="belief search budget exceeded")
     if path is not None:
         strat = Strategy(ctx=ctx, moves=path)
-        report = verify(ctx, strat, spin_period=spin_period)
-        assert report.valid
+        if not verify(ctx, strat, spin_period=spin_period).valid:
+            raise BaseCaseVerificationFailed(
+                "belief search produced an invalid strategy")
         return DecisionResult(verdict="yes", strategy=strat,
                               states_explored=stats.states_explored,
                               conjectural=conjectural,
                               message="belief search found a strategy")
-    assert stats.exhausted
+    if not stats.exhausted:
+        raise NoStrategyWithinDepth(
+            "belief search stopped without exhausting the belief graph")
     cert = ExhaustiveBeliefSearch(context_label=ctx.name,
                                   states_explored=stats.states_explored)
     return DecisionResult(verdict="no", certificate=cert,

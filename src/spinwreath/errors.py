@@ -105,6 +105,10 @@ class NoStrategyWithinDepth(SpinWreathError):
         self.exhausted = exhausted
 
 
+class CertificateRejected(SpinWreathError):
+    """A nonexistence certificate failed independent validation."""
+
+
 # -- analysis ---------------------------------------------------------------
 
 class ContextTooSmall(SpinWreathError):
@@ -121,10 +125,6 @@ class ParseError(SpinWreathError):
 
 
 class UnknownGroupFamily(SpinWreathError):
-    pass
-
-
-class ActionFileInvalid(SpinWreathError):
     pass
 
 

@@ -86,9 +86,6 @@ class Subgroup:
     def order(self) -> int:
         return len(self.members)
 
-    def index_in_parent(self) -> int:
-        return self.parent.order // len(self.members)
-
 
 @dataclass(frozen=True)
 class Homomorphism:
@@ -305,25 +302,6 @@ def loop5() -> FiniteGroup:
     ]
     return from_table(table, loop_mode=True,
                       labels=("1", "a", "b", "c", "d"), name="L5")
-
-
-def make_group(kind: str, *args) -> FiniteGroup:
-    """String-keyed constructor used by file loaders and the CLI."""
-    if kind == "cyclic":
-        return cyclic(*args)
-    if kind == "symmetric":
-        return symmetric(*args)
-    if kind == "alternating":
-        return alternating(*args)
-    if kind == "dihedral":
-        return dihedral(*args)
-    if kind == "trivial":
-        return trivial()
-    if kind == "direct_product":
-        return direct_product(*args)
-    if kind == "from_table":
-        return from_table(*args)
-    raise ValueError(f"unknown group kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -3,20 +3,22 @@
 Verification runs the belief-state semantics: starting from every possibly
 unsolved configuration, each move shrinks (or spreads) the set of states the
 switches could still occupy given that the light has not turned on.  The
-strategy is valid exactly when the belief set ends empty.  A naive oracle
-that enumerates every adversary spin sequence is kept alongside for
+strategy is valid exactly when the belief set ends empty.  ``verify`` makes
+one belief step per move and nothing else; the per-initial-state diagnostic
+``VerificationReport.solved_at`` is computed on first read, at any |K|, by
+stepping each singleton belief through the same moves.  A naive oracle that
+enumerates every adversary spin sequence is kept alongside for
 cross-validation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .actions import WreathContext
 from .errors import BudgetExceeded, ContextMismatch
-
-SOLVED_AT_CAP = 4096  # per-initial-state diagnostics only below this k_size
 
 
 @dataclass(frozen=True)
@@ -112,26 +114,38 @@ def belief_step(ctx: WreathContext, state: BeliefState, move: int,
 
 
 def _is_h_closed(ctx: WreathContext, mask: int) -> bool:
-    orbit = ctx.orbit_masks if ctx.k_size <= 4096 else None
-    if orbit is not None:
-        return all(orbit[s] & ~mask == 0 for s in _bits(mask))
-    return all(
-        (mask >> ctx.k_act(h, s)) & 1
-        for s in _bits(mask)
-        for h in range(ctx.h_order)
-    )
+    orbit = ctx.orbit_masks
+    return all(orbit[s] & ~mask == 0 for s in _bits(mask))
 
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """Verdict of ``verify``; ``solved_at`` is computed on first read."""
+
     valid: bool
     length: int
     residual: frozenset
     minimal: bool
-    solved_at: Optional[Dict[int, Optional[int]]] = None
+    ctx: WreathContext = field(repr=False, compare=False)
+    strategy: Strategy = field(repr=False, compare=False)
+    spin_period: Optional[int] = field(default=None, compare=False)
+
+    @cached_property
+    def solved_at(self) -> Dict[int, Optional[int]]:
+        """First move after which each unsolved initial state is solved.
+
+        State s is solved at move i when the belief set started from {s}
+        alone is empty after i steps; None when the strategy never empties it.
+        """
+        out: Dict[int, Optional[int]] = {}
+        for s in _bits(initial_belief(self.ctx).mask):
+            used, mask = _run_belief(self.ctx, 1 << s, self.strategy.moves,
+                                     self.spin_period)
+            out[s] = None if mask else used
+        return out
 
     def worst_case_steps(self) -> Optional[int]:
-        if not self.valid or self.solved_at is None:
+        if not self.valid:
             return None
         return max((v for v in self.solved_at.values() if v is not None),
                    default=0)
@@ -143,6 +157,21 @@ def minimal_length_bound(ctx: WreathContext) -> int:
     return -(-unsolved // len(ctx.win_set))
 
 
+def _run_belief(ctx: WreathContext, mask: int, moves: Sequence[int],
+                spin_period: Optional[int]) -> Tuple[int, int]:
+    """Step a belief mask through the moves; return (moves made, final mask).
+
+    Stops at the first move after which the mask is empty.
+    """
+    i = 0
+    for i, move in enumerate(moves, start=1):
+        mask = _step_mask(ctx, mask, move,
+                          spin=spin_period is None or i % spin_period == 0)
+        if not mask:
+            break
+    return i, mask
+
+
 def verify(ctx: WreathContext, strategy: Strategy,
            *, spin_period: Optional[int] = None) -> VerificationReport:
     """Belief-state verification; O(N * |K| * |H|).
@@ -152,46 +181,17 @@ def verify(ctx: WreathContext, strategy: Strategy,
     """
     if strategy.ctx.k_size != ctx.k_size:
         raise ContextMismatch("strategy was built for a different context")
-    track = ctx.k_size <= SOLVED_AT_CAP
-    state = initial_belief(ctx)
-    # origins[s] = bitmask of initial states that could currently occupy s
-    origins: Dict[int, int] = {s: 1 << s for s in _bits(state.mask)} if track else {}
-    solved_at: Dict[int, Optional[int]] = (
-        {s: None for s in _bits(state.mask)} if track else {}
-    )
-    win = ctx.win_set
-    for i, move in enumerate(strategy.moves, start=1):
-        spin = spin_period is None or i % spin_period == 0
-        state = belief_step(ctx, state, move, spin=spin)
-        if track:
-            new_origins: Dict[int, int] = {}
-            for s, mask in origins.items():
-                t = ctx.k_mul(s, move)
-                if t in win:
-                    continue
-                if spin:
-                    for h in range(ctx.h_order):
-                        u = ctx.k_act(h, t)
-                        new_origins[u] = new_origins.get(u, 0) | mask
-                else:
-                    new_origins[t] = new_origins.get(t, 0) | mask
-            origins = new_origins
-            alive = 0
-            for mask in origins.values():
-                alive |= mask
-            for s in list(solved_at):
-                if solved_at[s] is None and not (alive >> s) & 1:
-                    solved_at[s] = i
-        if state.mask == 0:
-            break
-    # consume remaining moves for the step count only; belief stays empty
-    valid = state.mask == 0
+    _, mask = _run_belief(ctx, initial_belief(ctx).mask, strategy.moves,
+                          spin_period)
+    valid = mask == 0
     return VerificationReport(
         valid=valid,
         length=len(strategy),
-        residual=state.members,
+        residual=frozenset(_bits(mask)),
         minimal=valid and len(strategy) == minimal_length_bound(ctx),
-        solved_at=solved_at if track else None,
+        ctx=ctx,
+        strategy=strategy,
+        spin_period=spin_period,
     )
 
 

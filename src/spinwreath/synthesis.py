@@ -113,7 +113,6 @@ def covering_walk(g: FiniteGroup, gens: Sequence[int],
 
 def _hamiltonian_walk(g, gens, budget):
     order = g.order
-    nodes = [0]
 
     def dfs(current, visited, steps):
         nonlocal nodes_left
@@ -138,7 +137,6 @@ def _hamiltonian_walk(g, gens, budget):
         return None
 
     nodes_left = budget
-    _ = nodes
     return dfs(0, {0}, [])
 
 
@@ -323,7 +321,6 @@ def _prime_base_strategy(ctx: WreathContext) -> Strategy:
     powers = [0]
     for _ in range(p - 1):
         powers.append(g.mul[powers[-1]][gen])
-    val_of = {e: v for v, e in enumerate(powers)}
 
     act = ctx.action.act
     h_inv = ctx.action.h_group.inv
@@ -373,7 +370,6 @@ def _prime_base_strategy(ctx: WreathContext) -> Strategy:
     moves = tuple(
         ctx.encode([powers[c] for c in v]) for v in vec_moves
     )
-    _ = val_of
     return Strategy(ctx=ctx, moves=moves)
 
 
@@ -425,7 +421,7 @@ def search_belief_path(ctx: WreathContext, *, max_depth: Optional[int] = None,
     """
     import sys
 
-    from .strategies import _bits, _step_mask, initial_belief
+    from .strategies import _step_mask, initial_belief
 
     if sys.getrecursionlimit() < 100000:
         sys.setrecursionlimit(100000)
@@ -503,7 +499,6 @@ def search_belief_path(ctx: WreathContext, *, max_depth: Optional[int] = None,
         failed[key0] = None if (remaining is None or complete) else remaining
         return False
 
-    _ = _bits
     if dfs(start, 0, max_depth):
         return tuple(path)
     stats.exhausted = max_depth is None

@@ -33,6 +33,11 @@ def test_expectation_is_eight_even_against_a_biased_spinner():
     assert report.absorbed_probability == 1
     assert report.expected_moves() == Fraction(8)
     assert report.adversary_model == "custom"
+    # weights that do not sum to 1 are rejected even under python -O
+    with pytest.raises(ValueError):
+        analysis.exact_expected_moves(ctx, strat, adversary={1: Fraction(2)})
+    with pytest.raises(ValueError):
+        analysis.exact_expected_moves(ctx, strat, initial={1: Fraction(1, 2)})
 
 
 def test_empty_strategy_absorbs_nothing():

@@ -92,6 +92,17 @@ def test_construct_involution_failure_is_a_usage_error(capsys):
     assert "verification" in err
 
 
+def test_construct_search_failure_exit_codes(capsys):
+    # an exhausted search proves "no" (3); a depth-limited one knows nothing (4)
+    code, _, err = run(capsys, "construct", "S3 wr C2", "--method", "search")
+    assert code == 3
+    assert "no strategy" in err
+    code, _, err = run(capsys, "construct", "Z2 wr C4", "--method", "search",
+                       "--depth", "2")
+    assert code == 4
+    assert "no strategy" in err
+
+
 def test_enumerate_palindromic_s3(capsys):
     code, out, _ = run(capsys, "enumerate", "S3 wr 1", "--length", "5",
                        "--palindromic", "--json")
@@ -132,6 +143,17 @@ def test_certify(capsys):
     code, out, _ = run(capsys, "certify", "Z2 wr C2")
     assert code == 4
     assert "no nonexistence certificate" in out
+
+
+def test_certify_rejected_certificate_is_not_reported_valid(capsys,
+                                                             monkeypatch):
+    from spinwreath import cli
+
+    monkeypatch.setattr(cli, "validate_certificate", lambda *a, **k: False)
+    code, out, err = run(capsys, "certify", "Z6 wr C3", "--json")
+    assert code == 4
+    assert out == ""
+    assert "rejected" in err
 
 
 def test_min_spin_period(capsys):

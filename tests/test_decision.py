@@ -102,6 +102,20 @@ def test_exhaustive_leaf_certificate_validates():
     assert validate_certificate(ctx, result.certificate)
 
 
+def test_forged_exhaustive_leaf_is_rejected(monkeypatch):
+    # a belief search that wrongly claims exhaustion must not get its
+    # forged "no" past the validator: Z2 wr C4 has a strategy
+    def claims_exhaustion(ctx, *, stats=None, **kwargs):
+        if stats is not None:
+            stats.exhausted = True
+        return None
+
+    monkeypatch.setattr(decision, "search_belief_path", claims_exhaustion)
+    ctx = ctx_of(z(2), 4)
+    forged = ExhaustiveBeliefSearch(context_label=ctx.name, states_explored=1)
+    assert not validate_certificate(ctx, forged)
+
+
 def test_s3_with_two_swapped_positions_has_no_strategy():
     # nonabelian switches break the interchangeable-pair construction; the
     # belief graph is small enough to exhaust outright
@@ -110,6 +124,9 @@ def test_s3_with_two_swapped_positions_has_no_strategy():
                               try_construction=False)
     assert result.verdict == "no"
     assert isinstance(result.certificate, ExhaustiveBeliefSearch)
+    # the leaf check reaches 704 belief sets, so a smaller budget rejects it
+    assert validate_certificate(ctx, result.certificate)
+    assert not validate_certificate(ctx, result.certificate, search_budget=100)
 
 
 # -- the combined engine -----------------------------------------------------

@@ -111,8 +111,38 @@ def test_oracle_equivalence_exhaustive_z2c2():
         assert verify(ctx, strat).valid == verify_naive(ctx, strat)
 
 
-@pytest.mark.parametrize("g_order,n,seed", [(2, 3, 101), (3, 2, 202)])
-def test_oracle_equivalence_random(g_order, n, seed):
+def _solved_at_brute_force(ctx, moves, spin_period):
+    """First i by which every spin sequence has put s in the win set."""
+    def spins(i):
+        if spin_period is None or i % spin_period == 0:
+            return range(ctx.h_order)
+        return (0,)
+
+    def worst_hit(s, i):
+        # latest move at which s, about to face move i, is solved on some
+        # spin path; None if some path leaves it unsolved after every move
+        if i > len(moves):
+            return None
+        t = ctx.k_mul(s, moves[i - 1])
+        if t in ctx.win_set:
+            return i
+        worst = i
+        for h in spins(i):
+            hit = worst_hit(ctx.k_act(h, t), i + 1)
+            if hit is None:
+                return None
+            worst = max(worst, hit)
+        return worst
+
+    return {s: worst_hit(s, 1)
+            for s in range(ctx.k_size) if s not in ctx.win_set}
+
+
+@pytest.mark.parametrize("g_order,n,seed,spin_period",
+                         [(2, 3, 101, None), (3, 2, 202, None),
+                          (2, 3, 303, 2)],
+                         ids=["2-3-101", "3-2-202", "2-3-303-period2"])
+def test_oracle_equivalence_random(g_order, n, seed, spin_period):
     ctx = WreathContext(g_group=groups.cyclic(g_order),
                         action=cyclic_rotation_action(n))
     rng = random.Random(seed)
@@ -122,7 +152,11 @@ def test_oracle_equivalence_random(g_order, n, seed):
         strat = Strategy(ctx=ctx,
                          moves=tuple(rng.randrange(ctx.k_size)
                                      for _ in range(length)))
-        assert verify(ctx, strat).valid == verify_naive(ctx, strat)
+        report = verify(ctx, strat, spin_period=spin_period)
+        assert report.valid == verify_naive(ctx, strat,
+                                            spin_period=spin_period)
+        assert report.solved_at == _solved_at_brute_force(
+            ctx, strat.moves, spin_period)
         agreements += 1
     assert agreements == 500
 
