@@ -173,7 +173,17 @@ class WreathContext:
             idx, out[w] = divmod(idx, n)
         return tuple(out)
 
+    # -- belief kernel -------------------------------------------------------
+
+    @cached_property
+    def belief_kernel(self) -> "BeliefKernel":
+        return BeliefKernel(self.g_group, self.action, self.win_set)
+
     # -- dense tables for small K -------------------------------------------
+    # Read element by element through k_mul / k_act / k_inv: by the analysis
+    # code, verify_naive, the certificate validator's independent search,
+    # belief_step's H-closure check (orbit_masks) and the belief search's
+    # move order (k_inv).  The belief kernel never builds them.
 
     @cached_property
     def _dense(self) -> bool:
@@ -247,6 +257,108 @@ class WreathContext:
         if (self.g_group != other.g_group or self.action != other.action
                 or self.win_set != other.win_set):
             raise ContextMismatch("operands come from different contexts")
+
+
+class BeliefKernel:
+    """One belief step applied to a whole bitmask over K at once.
+
+    Bit s of a mask stands for base vector s, whose coordinate w is the
+    base-|G| digit of weight |G|^(|Omega|-1-w).  A move right-multiplies each
+    coordinate, which permutes that coordinate's digit: the bits whose digit
+    moves by the same distance move together, so coordinate w and switch
+    element g take one masked shift per distinct distance.  A spin permutes
+    coordinates; each coordinate transposition is |G|-1 delta swaps (Warren,
+    Hacker's Delight, ch. 7).  The rows of the action table are the whole
+    image of H, so the spin closure is the OR of the mask's images under
+    every row.  The shift masks are built on first use of each (w, g); the
+    masks together are O(|Omega| |G|^2) of |K| bits, plus |G|-1 per
+    coordinate transposition of each row.
+    """
+
+    def __init__(self, g_group: FiniteGroup, action: GroupAction,
+                 win_set: frozenset):
+        n, m = g_group.order, action.omega_size
+        full = (1 << n ** m) - 1
+        self._n, self._m, self._mul = n, m, g_group.mul
+        self._weight = tuple(n ** (m - 1 - w) for w in range(m))
+        # _digit[w][x]: the bits whose coordinate w is x
+        self._digit = tuple(
+            tuple((((1 << wt) - 1) << (x * wt)) * (full // ((1 << n * wt) - 1))
+                  for x in range(n))
+            for wt in self._weight
+        )
+        self._keep = full & ~sum(1 << s for s in win_set)
+        self._shifts: dict = {}  # (w, g) -> (left shifts, right shifts)
+        self._moves: dict = {}  # move -> the _shifts entries it applies
+        # the delta swaps of each distinct row but the identity
+        self._spins = tuple(self._swaps(row)
+                            for row in dict.fromkeys(action.act[1:])
+                            if row != action.act[0])
+
+    def _move_shifts(self, move: int) -> tuple:
+        """The masked shifts of each coordinate that the move changes."""
+        out = []
+        for w in range(self._m - 1, -1, -1):
+            move, g = divmod(move, self._n)
+            if g:  # the identity leaves coordinate w alone
+                if (w, g) not in self._shifts:
+                    self._shifts[w, g] = self._coordinate_shifts(w, g)
+                out.append(self._shifts[w, g])
+        return tuple(out)
+
+    def _coordinate_shifts(self, w: int, g: int):
+        """Masked shifts that right-multiply coordinate w by g."""
+        by_distance: dict = {}
+        for x in range(self._n):
+            d = self._mul[x][g] - x
+            by_distance[d] = by_distance.get(d, 0) | self._digit[w][x]
+        wt = self._weight[w]
+        return (tuple((d * wt, sel) for d, sel in by_distance.items() if d >= 0),
+                tuple((-d * wt, sel) for d, sel in by_distance.items() if d < 0))
+
+    def _swaps(self, row) -> tuple:
+        """Delta swaps that put input coordinate row[w] at coordinate w."""
+        n, digit = self._n, self._digit
+        out = []
+        held = list(range(self._m))  # held[w]: input coordinate now at w
+        for a in range(self._m):
+            b = held.index(row[a])
+            if b == a:
+                continue
+            held[a], held[b] = held[b], held[a]
+            # a < b, so digit a has the larger weight: the bit with digits
+            # (x, x+k) at (a, b) trades places with the one with (x+k, x)
+            delta = self._weight[a] - self._weight[b]
+            for k in range(1, n):
+                sel = 0
+                for x in range(n - k):
+                    sel |= digit[a][x] & digit[b][x + k]
+                out.append((k * delta, sel))
+        return tuple(out)
+
+    def step(self, mask: int, move: int, spin: bool = True) -> int:
+        """Apply the move, drop the win set, then close under spins."""
+        shifts = self._moves.get(move)
+        if shifts is None:
+            shifts = self._moves[move] = self._move_shifts(move)
+        for left, right in shifts:
+            out = 0
+            for s, sel in left:
+                out |= (mask & sel) << s
+            for s, sel in right:
+                out |= (mask & sel) >> s
+            mask = out
+        mask &= self._keep
+        if not spin:
+            return mask
+        out = mask
+        for swaps in self._spins:
+            image = mask
+            for delta, sel in swaps:
+                t = ((image >> delta) ^ image) & sel
+                image ^= t ^ (t << delta)
+            out |= image
+        return out
 
 
 @dataclass(frozen=True)

@@ -177,7 +177,7 @@ def enumerate_strategies(ctx: WreathContext, length: int,
     belief set (at most |win_set| states disappear per step).  Palindromic
     enumeration forces the mirrored half of the sequence.
     """
-    from .strategies import _step_mask, initial_belief
+    from .strategies import initial_belief
 
     if minimal_only and length != minimal_length_bound(ctx):
         return EnumerationResult(strategies=(), count=0,
@@ -188,6 +188,7 @@ def enumerate_strategies(ctx: WreathContext, length: int,
     moves: List[int] = []
     visited = 0
     start = initial_belief(ctx).mask
+    step = ctx.belief_kernel.step
 
     def dfs(mask, depth):
         nonlocal visited
@@ -203,9 +204,11 @@ def enumerate_strategies(ctx: WreathContext, length: int,
             return
         mirror = length - 1 - depth
         candidates = [moves[mirror]] if palindromic and mirror < depth else range(k)
+        # after the last move only emptiness counts, which spins keep
+        spin = remaining > 1
         for mv in candidates:
             moves.append(mv)
-            dfs(_step_mask(ctx, mask, mv), depth + 1)
+            dfs(step(mask, mv, spin), depth + 1)
             moves.pop()
 
     dfs(start, 0)

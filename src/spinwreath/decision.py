@@ -196,6 +196,7 @@ def _is_elementary_abelian(g: FiniteGroup) -> Optional[int]:
 @dataclass
 class _CertBudget:
     remaining: int
+    stats: SearchStats  # states explored by the exhaustive-search leaves
 
     def spend(self, amount=1):
         self.remaining -= amount
@@ -205,15 +206,19 @@ class _CertBudget:
 
 def find_nonexistence_certificate(ctx: WreathContext,
                                   *, budget: int = DEFAULT_DECISION_BUDGET,
-                                  depth: int = DEFAULT_CERT_DEPTH
+                                  depth: int = DEFAULT_CERT_DEPTH,
+                                  stats: Optional[SearchStats] = None
                                   ) -> Optional[Certificate]:
     """Search quotients, orbit restrictions, and spin subgroups for a No proof.
 
     Only valid for ordinary group contexts with the default winning state.
+    ``stats.states_explored`` grows by the belief states that the
+    exhaustive-search leaves explored.
     """
     if ctx.loop_mode or ctx.win_set != frozenset({0}):
         return None
-    tracker = _CertBudget(remaining=budget)
+    tracker = _CertBudget(remaining=budget,
+                          stats=stats if stats is not None else SearchStats())
     return _prove_no(ctx.g_group, ctx.action, depth, tracker)
 
 
@@ -280,6 +285,8 @@ def _prove_no(g: FiniteGroup, action: GroupAction, depth: int,
                                       stats=stats)
         except BudgetExceeded:
             return None
+        finally:
+            budget.stats.states_explored += stats.states_explored
         budget.spend(stats.states_explored)
         if path is None and stats.exhausted:
             return ExhaustiveBeliefSearch(context_label=ctx.name,
@@ -397,12 +404,15 @@ def decide_existence(ctx: WreathContext,
         and ctx.win_set == frozenset({0}) and not ctx.loop_mode
 
     if standard and try_certificates:
+        cert_stats = SearchStats()
         try:
-            cert = find_nonexistence_certificate(ctx, budget=budget)
+            cert = find_nonexistence_certificate(ctx, budget=budget,
+                                                 stats=cert_stats)
         except BudgetExceeded:
             cert = None
         if cert is not None:
             return DecisionResult(verdict="no", certificate=cert,
+                                  states_explored=cert_stats.states_explored,
                                   message="nonexistence certificate found")
 
     if standard and try_construction:

@@ -3,12 +3,14 @@
 Verification runs the belief-state semantics: starting from every possibly
 unsolved configuration, each move shrinks (or spreads) the set of states the
 switches could still occupy given that the light has not turned on.  The
-strategy is valid exactly when the belief set ends empty.  ``verify`` makes
-one belief step per move and nothing else; the per-initial-state diagnostic
-``VerificationReport.solved_at`` is computed on first read, at any |K|, by
-stepping each singleton belief through the same moves.  A naive oracle that
-enumerates every adversary spin sequence is kept alongside for
-cross-validation.
+strategy is valid exactly when the belief set ends empty.  Belief sets are
+bitmasks over K, and the context's ``BeliefKernel`` steps a whole mask at
+once (masked shifts and delta swaps, no |K|^2 tables); ``verify``, the
+belief search, enumeration and certificate leaves all call its ``step``.  ``verify`` makes one belief step per move and nothing else;
+the per-initial-state diagnostic ``VerificationReport.solved_at`` is
+computed on first read, at any |K|, by stepping each singleton belief
+through the same moves.  A naive oracle that enumerates every adversary
+spin sequence is kept alongside for cross-validation.
 """
 
 from __future__ import annotations
@@ -84,27 +86,9 @@ def initial_belief(ctx: WreathContext) -> BeliefState:
     return BeliefState(ctx=ctx, mask=mask, step=0)
 
 
-def _step_mask(ctx: WreathContext, mask: int, move: int, *, spin=True) -> int:
-    """One belief transition: apply the move, drop solved states, spread spins."""
-    win = ctx.win_set
-    out = 0
-    if spin:
-        orbit = ctx.orbit_masks
-        for s in _bits(mask):
-            t = ctx.k_mul(s, move)
-            if t not in win:
-                out |= orbit[t]
-    else:
-        for s in _bits(mask):
-            t = ctx.k_mul(s, move)
-            if t not in win:
-                out |= 1 << t
-    return out
-
-
 def belief_step(ctx: WreathContext, state: BeliefState, move: int,
                 *, spin=True) -> BeliefState:
-    new = _step_mask(ctx, state.mask, move, spin=spin)
+    new = ctx.belief_kernel.step(state.mask, move, spin)
     # elimination bound: the move itself is injective on K, so at most
     # |win_set| states can disappear in one step
     assert bin(new).count("1") >= len(state) - len(ctx.win_set)
@@ -163,10 +147,10 @@ def _run_belief(ctx: WreathContext, mask: int, moves: Sequence[int],
 
     Stops at the first move after which the mask is empty.
     """
+    step = ctx.belief_kernel.step
     i = 0
     for i, move in enumerate(moves, start=1):
-        mask = _step_mask(ctx, mask, move,
-                          spin=spin_period is None or i % spin_period == 0)
+        mask = step(mask, move, spin_period is None or i % spin_period == 0)
         if not mask:
             break
     return i, mask
@@ -174,7 +158,12 @@ def _run_belief(ctx: WreathContext, mask: int, moves: Sequence[int],
 
 def verify(ctx: WreathContext, strategy: Strategy,
            *, spin_period: Optional[int] = None) -> VerificationReport:
-    """Belief-state verification; O(N * |K| * |H|).
+    """Belief-state verification: one ``BeliefKernel`` step per move.
+
+    A step costs at most |Omega| |G| masked shifts for the move, then at
+    most (|Omega|-1)(|G|-1) delta swaps for each row of the action in the
+    spin closure; every shift or swap is a few operations on |K|-bit
+    integers.
 
     With ``spin_period = r`` the adversary may spin only on turns i with
     i % r == 0; moves on other turns face no spin.

@@ -421,11 +421,12 @@ def search_belief_path(ctx: WreathContext, *, max_depth: Optional[int] = None,
     """
     import sys
 
-    from .strategies import _step_mask, initial_belief
+    from .strategies import initial_belief
 
     if sys.getrecursionlimit() < 100000:
         sys.setrecursionlimit(100000)
     stats = stats if stats is not None else SearchStats()
+    step = ctx.belief_kernel.step
     k = ctx.k_size
     win = ctx.win_set
     start = initial_belief(ctx).mask
@@ -472,7 +473,7 @@ def search_belief_path(ctx: WreathContext, *, max_depth: Optional[int] = None,
         complete = True
         try:
             for mv in moves_for(mask):
-                new = _step_mask(ctx, mask, mv, spin=spin)
+                new = step(mask, mv, spin)
                 if new == 0:
                     path.append(mv)
                     return True

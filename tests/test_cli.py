@@ -33,6 +33,15 @@ def test_decide_json_schema(capsys):
     assert "certificate" in doc["payload"]
 
 
+def test_decide_counts_the_states_behind_a_certificate(capsys):
+    # the certificate's exhaustive leaf searches S3 wr C2's 704 belief sets
+    code, out, _ = run(capsys, "decide", "S3 wr C2", "--json")
+    assert code == 3
+    doc = json.loads(out)
+    assert "ExhaustiveBeliefSearch" in doc["payload"]["certificate"]
+    assert doc["budget"]["states_explored"] >= 704
+
+
 def test_construct_verify_round_trip(tmp_path, capsys):
     out_path = tmp_path / "four.strategy"
     code, _, _ = run(capsys, "construct", "Z2 wr C4", "--method", "pgroup",
@@ -47,6 +56,31 @@ def test_construct_verify_round_trip(tmp_path, capsys):
 
     strat = fileio.load_strategy(str(out_path), parse_puzzle("Z2 wr C4"))
     assert fileio.format_strategy(strat) == first
+
+
+def test_construct_with_a_spin_period(tmp_path, capsys):
+    from spinwreath.puzzle_parser import parse_puzzle
+    from spinwreath.strategies import verify
+
+    out_path = tmp_path / "period.strategy"
+    code, _, _ = run(capsys, "construct", "Z2 wr C4", "--method", "pgroup",
+                     "--spin-period", "2", "--output", str(out_path))
+    assert code == 0
+    ctx = parse_puzzle("Z2 wr C4")
+    strat = fileio.load_strategy(str(out_path), ctx)
+    assert verify(ctx, strat, spin_period=2).valid
+
+
+def test_construct_checks_a_win_set_the_constructor_did_not_use(capsys):
+    # the involution construction verifies against win set {0}; a strategy
+    # for it need not win when only state 1 = (0, 1) counts as solved
+    code, _, err = run(capsys, "construct", "Z2 wr C2",
+                       "--method", "involution", "--win-set", "1")
+    assert code == 2
+    assert "verification" in err
+    code, _, _ = run(capsys, "construct", "Z2 wr C2",
+                     "--method", "involution", "--win-set", "3")
+    assert code == 0
 
 
 def test_verify_rejects_a_bad_strategy(tmp_path, capsys):

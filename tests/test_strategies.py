@@ -6,10 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinwreath import catalog, groups
-from spinwreath.actions import WreathContext, cyclic_rotation_action
+from spinwreath.actions import (GroupAction, WreathContext,
+                                cyclic_rotation_action, dihedral_action,
+                                natural_symmetric_action, regular_action,
+                                trivial_action)
+from spinwreath.analysis import enumerate_strategies
+from spinwreath.errors import BudgetExceeded
 from spinwreath.strategies import (Strategy, belief_step, initial_belief,
                                    interleave, minimal_length_bound,
                                    strategy_from_coords, verify, verify_naive)
+from spinwreath.synthesis import search_belief_path, swap_action
 
 
 def ctx_z2c2():
@@ -64,6 +70,80 @@ def test_belief_sets_stay_h_closed_and_shrink_slowly():
         for s in state.members:
             for h in range(ctx.h_order):
                 assert ctx.k_act(h, s) in state.members
+
+
+def _reference_step(ctx, mask, move, spin):
+    """The per-bit belief step, written from k_mul, k_act and the win set."""
+    out = 0
+    for s in range(ctx.k_size):
+        if (mask >> s) & 1:
+            t = ctx.k_mul(s, move)
+            if t not in ctx.win_set:
+                for h in range(ctx.h_order if spin else 1):
+                    out |= 1 << ctx.k_act(h, t)
+    return out
+
+
+def _kernel_contexts():
+    z = groups.cyclic
+    klein = groups.direct_product(z(2), z(2))
+    c4_through_c2 = GroupAction(
+        h_group=z(4), omega_size=2,
+        act=tuple(tuple((w + t) % 2 for w in range(2)) for t in range(4)),
+        name="C4-through-C2")
+    contexts = [WreathContext(g_group=z(order), action=cyclic_rotation_action(n))
+                for order, n in [(2, 2), (2, 3), (2, 4), (2, 6), (2, 8), (3, 2),
+                                 (3, 3), (4, 2), (4, 4), (6, 3)]]
+    contexts += [WreathContext(g_group=g, action=trivial_action())
+                 for g in (z(2), z(3), z(4), z(5), z(8), groups.symmetric(3))]
+    contexts += [
+        WreathContext(g_group=klein, action=swap_action()),
+        WreathContext(g_group=groups.direct_product(klein, z(2)),
+                      action=swap_action()),
+        WreathContext(g_group=z(2), action=regular_action(klein)),
+        WreathContext(g_group=groups.symmetric(3), action=swap_action()),
+        WreathContext(g_group=z(2), action=swap_action(), win_set={0, 3}),
+        WreathContext(g_group=groups.loop5(), action=swap_action()),
+        WreathContext(g_group=z(2), action=cyclic_rotation_action(4),
+                      win_set={0, 5}),
+        WreathContext(g_group=z(2), action=c4_through_c2,
+                      allow_non_faithful=True),
+        WreathContext(g_group=z(2), action=natural_symmetric_action(3)),
+        WreathContext(g_group=z(3), action=dihedral_action(8)),
+        WreathContext(g_group=groups.symmetric(4),
+                      action=cyclic_rotation_action(3)),
+    ]
+    return {f"{ctx.g_group.name}-{ctx.action.name}-win{sorted(ctx.win_set)}": ctx
+            for ctx in contexts}
+
+
+KERNEL_CONTEXTS = _kernel_contexts()
+
+
+@pytest.mark.parametrize("label", sorted(KERNEL_CONTEXTS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_kernel_matches_the_per_bit_step(label, data):
+    # random masks, most of them not closed under spins
+    ctx = KERNEL_CONTEXTS[label]
+    mask = data.draw(st.integers(min_value=0, max_value=(1 << ctx.k_size) - 1))
+    move = data.draw(st.integers(min_value=0, max_value=ctx.k_size - 1))
+    spin = data.draw(st.booleans())
+    assert ctx.belief_kernel.step(mask, move, spin) == \
+        _reference_step(ctx, mask, move, spin)
+
+
+@pytest.mark.parametrize("g_order,n", [(2, 8), (32, 2)])
+def test_belief_consumers_build_no_dense_tables(g_order, n):
+    ctx = WreathContext(g_group=groups.cyclic(g_order),
+                        action=cyclic_rotation_action(n))
+    verify(ctx, Strategy(ctx=ctx, moves=tuple(range(1, 40))))
+    with pytest.raises(BudgetExceeded):
+        search_belief_path(ctx, budget=20)
+    with pytest.raises(BudgetExceeded):
+        enumerate_strategies(ctx, minimal_length_bound(ctx), budget=20)
+    for table in ("_k_mul_table", "_k_act_table", "orbit_masks"):
+        assert table not in ctx.__dict__
 
 
 # -- verification ------------------------------------------------------------
@@ -138,13 +218,16 @@ def _solved_at_brute_force(ctx, moves, spin_period):
             for s in range(ctx.k_size) if s not in ctx.win_set}
 
 
-@pytest.mark.parametrize("g_order,n,seed,spin_period",
-                         [(2, 3, 101, None), (3, 2, 202, None),
-                          (2, 3, 303, 2)],
-                         ids=["2-3-101", "3-2-202", "2-3-303-period2"])
-def test_oracle_equivalence_random(g_order, n, seed, spin_period):
-    ctx = WreathContext(g_group=groups.cyclic(g_order),
-                        action=cyclic_rotation_action(n))
+@pytest.mark.parametrize("g,n,seed,spin_period",
+                         [(groups.cyclic(2), 3, 101, None),
+                          (groups.cyclic(3), 2, 202, None),
+                          (groups.cyclic(2), 3, 303, 2),
+                          (groups.symmetric(3), 2, 404, None),
+                          (groups.symmetric(3), 2, 505, 3)],
+                         ids=["2-3-101", "3-2-202", "2-3-303-period2",
+                              "S3-2-404", "S3-2-505-period3"])
+def test_oracle_equivalence_random(g, n, seed, spin_period):
+    ctx = WreathContext(g_group=g, action=cyclic_rotation_action(n))
     rng = random.Random(seed)
     agreements = 0
     for _ in range(500):
