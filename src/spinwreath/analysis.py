@@ -6,6 +6,7 @@ appears in Monte Carlo summaries.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -13,7 +14,8 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from .actions import WreathContext
 from .errors import BudgetExceeded, ContextTooSmall
-from .strategies import Strategy, minimal_length_bound, verify
+from .strategies import (Strategy, initial_belief, minimal_length_bound,
+                         verify)
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +179,6 @@ def enumerate_strategies(ctx: WreathContext, length: int,
     belief set (at most |win_set| states disappear per step).  Palindromic
     enumeration forces the mirrored half of the sequence.
     """
-    from .strategies import initial_belief
-
     if minimal_only and length != minimal_length_bound(ctx):
         return EnumerationResult(strategies=(), count=0,
                                  canonical_count=0 if up_to_h else None)
@@ -224,8 +224,6 @@ def enumerate_strategies(ctx: WreathContext, length: int,
 def enumerate_strategies_exhaustive(ctx: WreathContext, length: int,
                                     *, palindromic=False) -> List[Strategy]:
     """Plain product enumeration; the cross-check oracle for the backtracker."""
-    import itertools
-
     out = []
     for seq in itertools.product(range(ctx.k_size), repeat=length):
         if palindromic and seq != seq[::-1]:

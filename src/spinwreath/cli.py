@@ -20,7 +20,7 @@ from .decision import (decide_existence, find_nonexistence_certificate,
 from .errors import (BudgetExceeded, CertificateRejected, FileFormatInvalid,
                      LiftedStrategyFailedVerification, NoStrategyWithinDepth,
                      ParseError, SpinWreathError, UnknownGroupFamily)
-from .groups import normal_subgroups, subgroup_as_group
+from .groups import normal_subgroups, quotient, subgroup_as_group
 from .puzzle_parser import parse_expr, build_context
 from .strategies import Strategy, verify, verify_naive
 from .synthesis import (construct_by_decomposition, construct_involution_pair,
@@ -154,8 +154,6 @@ def _construct(args, ctx: WreathContext) -> Strategy:
     for sub in reversed(normal_subgroups(ctx.g_group)):
         if 1 < len(sub.members) < ctx.g_group.order:
             n_group = subgroup_as_group(sub)
-            from .groups import quotient
-
             quot, _, _ = quotient(ctx.g_group, sub)
             ctx_n = WreathContext(g_group=n_group, action=ctx.action)
             ctx_q = WreathContext(g_group=quot, action=ctx.action)

@@ -28,7 +28,7 @@ from .groups import (
     subgroup_as_group,
 )
 from .strategies import Strategy, verify
-from .synthesis import SearchStats, search_belief_path
+from .synthesis import SearchStats, construct_pgroup, search_belief_path
 
 EXHAUSTIVE_LEAF_K_CAP = 2 ** 12
 DEFAULT_DECISION_BUDGET = 10 ** 7
@@ -403,6 +403,7 @@ def decide_existence(ctx: WreathContext,
     standard = (spin_period is None or spin_period == 1) \
         and ctx.win_set == frozenset({0}) and not ctx.loop_mode
 
+    cert_states = 0  # explored by the certificate search's leaves
     if standard and try_certificates:
         cert_stats = SearchStats()
         try:
@@ -414,6 +415,7 @@ def decide_existence(ctx: WreathContext,
             return DecisionResult(verdict="no", certificate=cert,
                                   states_explored=cert_stats.states_explored,
                                   message="nonexistence certificate found")
+        cert_states = cert_stats.states_explored
 
     if standard and try_construction:
         p = p_group_prime(ctx.g_group)
@@ -421,11 +423,10 @@ def decide_existence(ctx: WreathContext,
         if (p is not None and q is not None
                 and (p == q or TRIVIAL_P in (p, q))
                 and ctx.action.is_faithful()):
-            from .synthesis import construct_pgroup
-
             try:
                 strat = construct_pgroup(ctx)
                 return DecisionResult(verdict="yes", strategy=strat,
+                                      states_explored=cert_states,
                                       message="p-group construction")
             except SpinWreathError:
                 pass  # fall through to search
@@ -436,16 +437,17 @@ def decide_existence(ctx: WreathContext,
                                   spin_period=spin_period, stats=stats)
     except BudgetExceeded as exc:
         return DecisionResult(verdict="unknown",
-                              states_explored=exc.states_explored,
+                              states_explored=cert_states + exc.states_explored,
                               conjectural=conjectural,
                               message="belief search budget exceeded")
+    states = cert_states + stats.states_explored
     if path is not None:
         strat = Strategy(ctx=ctx, moves=path)
         if not verify(ctx, strat, spin_period=spin_period).valid:
             raise BaseCaseVerificationFailed(
                 "belief search produced an invalid strategy")
         return DecisionResult(verdict="yes", strategy=strat,
-                              states_explored=stats.states_explored,
+                              states_explored=states,
                               conjectural=conjectural,
                               message="belief search found a strategy")
     if not stats.exhausted:
@@ -454,7 +456,7 @@ def decide_existence(ctx: WreathContext,
     cert = ExhaustiveBeliefSearch(context_label=ctx.name,
                                   states_explored=stats.states_explored)
     return DecisionResult(verdict="no", certificate=cert,
-                          states_explored=stats.states_explored,
+                          states_explored=states,
                           conjectural=conjectural,
                           message="belief graph exhausted")
 

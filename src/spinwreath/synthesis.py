@@ -6,6 +6,9 @@ verification pass is the safety net for every lifting argument used here.
 
 from __future__ import annotations
 
+import itertools
+import math
+from collections import deque
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -36,7 +39,7 @@ from .groups import (
     quotient,
     subgroup_as_group,
 )
-from .strategies import Strategy, interleave, verify
+from .strategies import Strategy, initial_belief, interleave, verify
 
 DEFAULT_HAMILTONIAN_BUDGET = 10 ** 6
 DEFAULT_SEARCH_BUDGET = 10 ** 7
@@ -154,8 +157,6 @@ def _greedy_walk(g, gens):
 
 
 def _bfs_to_uncovered(g, gens, start, covered):
-    from collections import deque
-
     seen = {start: ()}
     queue = deque([start])
     while queue:
@@ -332,7 +333,7 @@ def _prime_base_strategy(ctx: WreathContext) -> Strategy:
     def sub_vec(a, b):
         return tuple((x - y) % p for x, y in zip(a, b))
 
-    all_vectors = sorted(_all_vectors(p, m))
+    all_vectors = sorted(itertools.product(range(p), repeat=m))
     chain = [{tuple([0] * m)}]
     while len(chain[-1]) < p ** m:
         prev = chain[-1]
@@ -373,12 +374,6 @@ def _prime_base_strategy(ctx: WreathContext) -> Strategy:
     return Strategy(ctx=ctx, moves=moves)
 
 
-def _all_vectors(p, m):
-    import itertools
-
-    return list(itertools.product(range(p), repeat=m))
-
-
 # ---------------------------------------------------------------------------
 # transport along a surjection
 # ---------------------------------------------------------------------------
@@ -415,93 +410,61 @@ def search_belief_path(ctx: WreathContext, *, max_depth: Optional[int] = None,
                        ) -> Optional[Tuple[int, ...]]:
     """Depth-first search over belief states for a move path reaching empty.
 
-    Moves whose inverse lies in the current belief (they eliminate a state)
-    are tried first.  Visited belief sets that failed are memoized together
-    with the largest remaining depth at which they failed.
+    An explicit stack holds (mask, phase, moves left, remaining moves); moves
+    whose inverse lies in the current belief (they eliminate a state) are
+    tried first.  ``entered[(mask, phase)]`` is the most moves left that the
+    node was entered with, and a node is entered again only with more moves
+    left.  Without ``max_depth`` that is infinity, so every reachable node is
+    entered once and ``stats.exhausted`` is set when none leads to empty.
     """
-    import sys
-
-    from .strategies import initial_belief
-
-    if sys.getrecursionlimit() < 100000:
-        sys.setrecursionlimit(100000)
     stats = stats if stats is not None else SearchStats()
     step = ctx.belief_kernel.step
-    k = ctx.k_size
-    win = ctx.win_set
     start = initial_belief(ctx).mask
     if start == 0:
         stats.exhausted = True
         return ()
     period = spin_period or 1
-    # failed[(mask, phase)] = largest remaining depth already shown hopeless;
-    # None means "failed with unlimited depth"
-    failed = {}
-    path: List[int] = []
-    use_identity_move = period > 1
+    identity = [0] if period > 1 else []
 
     def moves_for(mask):
         eliminating, rest = [], []
-        for mv in range(1, k):
+        for mv in range(1, ctx.k_size):
             if (mask >> ctx.k_inv(mv)) & 1:
                 eliminating.append(mv)
             else:
                 rest.append(mv)
-        if use_identity_move:
-            rest.append(0)
-        return eliminating + rest
+        return iter(eliminating + rest + identity)
 
-    visiting = set()
+    entered = {}
+    stack = []
+    path: List[int] = []
 
-    def dfs(mask, phase, remaining):
+    def enter(mask, phase, moves_left):
         stats.states_explored += 1
         if stats.states_explored > budget:
             raise BudgetExceeded("belief search budget exceeded",
                                  states_explored=stats.states_explored)
-        if remaining is not None and remaining <= 0:
-            return False
-        key0 = (mask, phase)
-        prev = failed.get(key0, 0)
-        if prev is None or (remaining is not None and prev >= remaining):
-            return False
-        if key0 in visiting:
-            # revisiting a belief state gains nothing: any winning
-            # continuation from here already continues the earlier visit
-            return False
-        visiting.add(key0)
-        spin = (phase + 1) % period == 0
-        complete = True
-        try:
-            for mv in moves_for(mask):
-                new = step(mask, mv, spin)
-                if new == 0:
-                    path.append(mv)
-                    return True
-                nxt_remaining = None if remaining is None else remaining - 1
-                key = (new, (phase + 1) % period)
-                cached = failed.get(key, 0)
-                if cached is None:
-                    continue
-                if nxt_remaining is not None and cached >= nxt_remaining:
-                    complete = False
-                    continue
-                if key in visiting:
-                    if remaining is not None:
-                        complete = False
-                    continue
-                path.append(mv)
-                if dfs(new, key[1], nxt_remaining):
-                    return True
-                path.pop()
-                if remaining is not None and failed.get(key, 0) is not None:
-                    complete = False
-        finally:
-            visiting.discard(key0)
-        failed[key0] = None if (remaining is None or complete) else remaining
-        return False
+        entered[(mask, phase)] = moves_left
+        # only the root can start with no moves left (max_depth <= 0)
+        stack.append((mask, phase, moves_left,
+                      moves_for(mask) if moves_left > 0 else iter(())))
 
-    if dfs(start, 0, max_depth):
-        return tuple(path)
+    enter(start, 0, math.inf if max_depth is None else max_depth)
+    while stack:
+        mask, phase, moves_left, moves = stack[-1]
+        phase = (phase + 1) % period  # the children's phase
+        for mv in moves:
+            new = step(mask, mv, phase == 0)
+            if new == 0:
+                return tuple(path) + (mv,)
+            if entered.get((new, phase), 0) < moves_left - 1:
+                path.append(mv)
+                enter(new, phase, moves_left - 1)
+                break
+        else:
+            stack.pop()
+            if path:
+                path.pop()
     stats.exhausted = max_depth is None
     return None
 

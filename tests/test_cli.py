@@ -42,6 +42,16 @@ def test_decide_counts_the_states_behind_a_certificate(capsys):
     assert doc["budget"]["states_explored"] >= 704
 
 
+def test_decide_counts_the_states_of_a_failed_certificate_search(capsys):
+    # Z2 wr C4 is solved by the p-group construction after the certificate
+    # search's leaves explored 96 belief states without finding a proof
+    code, out, _ = run(capsys, "decide", "Z2 wr C4", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["verdict"] == "yes"
+    assert doc["budget"]["states_explored"] >= 96
+
+
 def test_construct_verify_round_trip(tmp_path, capsys):
     out_path = tmp_path / "four.strategy"
     code, _, _ = run(capsys, "construct", "Z2 wr C4", "--method", "pgroup",

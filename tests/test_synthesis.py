@@ -1,5 +1,8 @@
+import inspect
 import itertools
 import random
+import sys
+from collections import deque
 
 import pytest
 
@@ -9,7 +12,7 @@ from spinwreath.actions import (WreathContext, cyclic_rotation_action,
 from spinwreath.errors import (DoesNotGenerate, LiftedStrategyFailedVerification,
                                NoStrategyWithinDepth, NotAPermutation,
                                NotInvolutionGenerated, NotSamePrime)
-from spinwreath.strategies import Strategy, verify
+from spinwreath.strategies import Strategy, initial_belief, verify
 
 
 # -- trivial wreath walks ----------------------------------------------------
@@ -225,3 +228,79 @@ def test_search_with_spin_period_uses_waiting_moves():
     strat = synthesis.synthesize_by_search(ctx, spin_period=3)
     assert verify(ctx, strat, spin_period=3).valid
     assert not verify(ctx, strat).valid
+
+
+def test_search_leaves_the_recursion_limit_alone():
+    # the search keeps its own stack, so a limit just above the caller's
+    # depth suffices, and the process-wide limit is not raised
+    saved = sys.getrecursionlimit()
+    lowered = len(inspect.stack(0)) + 60
+    sys.setrecursionlimit(lowered)
+    try:
+        s3 = WreathContext(g_group=groups.symmetric(3),
+                           action=synthesis.swap_action())
+        stats = synthesis.SearchStats()
+        assert synthesis.search_belief_path(s3, stats=stats) is None
+        assert stats.exhausted and stats.states_explored == 704
+        ctx = WreathContext(g_group=groups.cyclic(2),
+                            action=cyclic_rotation_action(4))
+        path = synthesis.search_belief_path(ctx, max_depth=20)
+        limit = sys.getrecursionlimit()
+    finally:
+        sys.setrecursionlimit(saved)
+    assert limit == lowered
+    assert path is not None and len(path) <= 20
+    assert verify(ctx, Strategy(ctx=ctx, moves=path)).valid
+
+
+def _shortest_win(ctx, spin_period):
+    """Fewest moves that empty the belief set, by breadth-first search over
+    (belief mask, phase) through every move; None when none does."""
+    period = spin_period or 1
+    start = (initial_belief(ctx).mask, 0)
+    depth = {start: 0}
+    queue = deque([start])
+    while queue:
+        mask, phase = queue.popleft()
+        nxt = (phase + 1) % period
+        for mv in range(ctx.k_size):
+            new = ctx.belief_kernel.step(mask, mv, nxt == 0)
+            if new == 0:
+                return depth[(mask, phase)] + 1
+            if (new, nxt) not in depth:
+                depth[(new, nxt)] = depth[(mask, phase)] + 1
+                queue.append((new, nxt))
+    return None
+
+
+def test_max_depth_finds_the_shortest_length():
+    z2, z3 = groups.cyclic(2), groups.cyclic(3)
+    klein = groups.direct_product(z2, z2)
+    contexts = [
+        WreathContext(g_group=z2, action=cyclic_rotation_action(2)),
+        WreathContext(g_group=z2, action=cyclic_rotation_action(3)),
+        WreathContext(g_group=z3, action=cyclic_rotation_action(2)),
+        WreathContext(g_group=groups.cyclic(4), action=trivial_action()),
+        WreathContext(g_group=groups.symmetric(3), action=trivial_action()),
+        WreathContext(g_group=klein, action=trivial_action()),
+        WreathContext(g_group=z2, action=cyclic_rotation_action(4),
+                      win_set={0, 5}),
+        WreathContext(g_group=z2, action=cyclic_rotation_action(3),
+                      win_set={3, 5}),
+        WreathContext(g_group=z2, action=cyclic_rotation_action(2),
+                      win_set={0, 3}),
+    ]
+    solvable = 0
+    for ctx, period in itertools.product(contexts, (None, 2, 3)):
+        length = _shortest_win(ctx, period)
+        if length is None:
+            continue
+        solvable += 1
+        path = synthesis.search_belief_path(ctx, max_depth=length,
+                                            spin_period=period)
+        assert path is not None and len(path) <= length, (ctx.name, period)
+        assert verify(ctx, Strategy(ctx=ctx, moves=path),
+                      spin_period=period).valid
+        assert synthesis.search_belief_path(ctx, max_depth=length - 1,
+                                            spin_period=period) is None
+    assert solvable == 23
