@@ -36,7 +36,7 @@ EXIT_UNKNOWN = 4
 
 def _default_budget() -> int:
     raw = os.environ.get("SPINWREATH_BUDGET")
-    return int(raw) if raw else 10 ** 7
+    return int(raw) if raw else synthesis.DEFAULT_SEARCH_BUDGET
 
 
 def _progress(args, message: str):
@@ -277,15 +277,14 @@ def _cmd_classify(args, started) -> int:
 
 def _cmd_certify(args, started) -> int:
     ctx = _load_context(args)
-    try:
-        cert = find_nonexistence_certificate(ctx, budget=args.budget)
-    except BudgetExceeded:
-        cert = None
+    stats = synthesis.SearchStats()
+    cert = find_nonexistence_certificate(ctx, budget=args.budget, stats=stats)
     if cert is None:
         return _emit(args, verdict="unknown",
                      payload={"context": ctx.name},
                      human=f"{ctx.name}: no nonexistence certificate found",
-                     exit_code=EXIT_UNKNOWN, started=started)
+                     exit_code=EXIT_UNKNOWN, started=started,
+                     states_explored=stats.states_explored)
     if not validate_certificate(ctx, cert, search_budget=args.budget):
         raise CertificateRejected(
             f"the validator rejected the certificate found for {ctx.name}")
@@ -293,7 +292,8 @@ def _cmd_certify(args, started) -> int:
     return _emit(args, verdict="no",
                  payload={"context": ctx.name, "certificate": text,
                           "validated": True},
-                 human=text, exit_code=EXIT_NO, started=started)
+                 human=text, exit_code=EXIT_NO, started=started,
+                 states_explored=stats.states_explored)
 
 
 def _cmd_min_spin_period(args, started) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from . import groups
 from .actions import GroupAction, WreathContext
@@ -28,10 +28,10 @@ from .groups import (
     subgroup_as_group,
 )
 from .strategies import Strategy, verify
-from .synthesis import SearchStats, construct_pgroup, search_belief_path
+from .synthesis import (DEFAULT_SEARCH_BUDGET, SearchStats, construct_pgroup,
+                        search_belief_path)
 
 EXHAUSTIVE_LEAF_K_CAP = 2 ** 12
-DEFAULT_DECISION_BUDGET = 10 ** 7
 DEFAULT_CERT_DEPTH = 3
 
 
@@ -193,38 +193,27 @@ def _is_elementary_abelian(g: FiniteGroup) -> Optional[int]:
 # nonexistence certificates
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _CertBudget:
-    remaining: int
-    stats: SearchStats  # states explored by the exhaustive-search leaves
-
-    def spend(self, amount=1):
-        self.remaining -= amount
-        if self.remaining < 0:
-            raise BudgetExceeded("certificate search budget exceeded")
-
-
 def find_nonexistence_certificate(ctx: WreathContext,
-                                  *, budget: int = DEFAULT_DECISION_BUDGET,
+                                  *, budget: int = DEFAULT_SEARCH_BUDGET,
                                   depth: int = DEFAULT_CERT_DEPTH,
                                   stats: Optional[SearchStats] = None
                                   ) -> Optional[Certificate]:
     """Search quotients, orbit restrictions, and spin subgroups for a No proof.
 
     Only valid for ordinary group contexts with the default winning state.
-    ``stats.states_explored`` grows by the belief states that the
-    exhaustive-search leaves explored.
+    The exhaustive-search leaves add the belief states they explore to
+    ``stats.states_explored``, and ``budget`` caps that running total, states
+    the caller counted before included.  A leaf that runs out of budget
+    gives up, so the search returns None rather than raise.
     """
     if ctx.loop_mode or ctx.win_set != frozenset({0}):
         return None
-    tracker = _CertBudget(remaining=budget,
-                          stats=stats if stats is not None else SearchStats())
-    return _prove_no(ctx.g_group, ctx.action, depth, tracker)
+    stats = stats if stats is not None else SearchStats()
+    return _prove_no(ctx.g_group, ctx.action, depth, budget, stats)
 
 
-def _prove_no(g: FiniteGroup, action: GroupAction, depth: int,
-              budget: _CertBudget) -> Optional[Certificate]:
-    budget.spend()
+def _prove_no(g: FiniteGroup, action: GroupAction, depth: int, budget: int,
+              stats: SearchStats) -> Optional[Certificate]:
     h = action.h_group
 
     # base fact: vector-space switches spun faithfully by a q-group, q != p
@@ -241,7 +230,7 @@ def _prove_no(g: FiniteGroup, action: GroupAction, depth: int,
                        if 1 < len(s.members) < g.order]
             for n in sorted(normals, key=lambda s: -len(s.members)):
                 quot, _reps, proj = quotient(g, n)
-                child = _prove_no(quot, action, depth - 1, budget)
+                child = _prove_no(quot, action, depth - 1, budget, stats)
                 if child is not None:
                     return SwitchQuotient(phi=proj, child=child)
 
@@ -259,7 +248,7 @@ def _prove_no(g: FiniteGroup, action: GroupAction, depth: int,
                         continue
                     seen_orbits.add(orbit)
                     sub_action = _restricted_action(action, members, orbit)
-                    child = _prove_no(g, sub_action, depth - 1, budget)
+                    child = _prove_no(g, sub_action, depth - 1, budget, stats)
                     if child is not None:
                         return OrbitRestriction(
                             embedding=_embedding_hom(h, members),
@@ -270,7 +259,7 @@ def _prove_no(g: FiniteGroup, action: GroupAction, depth: int,
             for members in subs:
                 positions = tuple(range(action.omega_size))
                 sub_action = _restricted_action(action, members, positions)
-                child = _prove_no(g, sub_action, depth - 1, budget)
+                child = _prove_no(g, sub_action, depth - 1, budget, stats)
                 if child is not None:
                     return SpinSubgroup(embedding=_embedding_hom(h, members),
                                         child=child)
@@ -279,18 +268,15 @@ def _prove_no(g: FiniteGroup, action: GroupAction, depth: int,
     k_size = g.order ** action.omega_size
     if k_size <= EXHAUSTIVE_LEAF_K_CAP:
         ctx = WreathContext(g_group=g, action=action, allow_non_faithful=True)
-        stats = SearchStats()
+        before = stats.states_explored
         try:
-            path = search_belief_path(ctx, budget=min(budget.remaining, 10 ** 6),
-                                      stats=stats)
+            path = search_belief_path(ctx, budget=budget, stats=stats)
         except BudgetExceeded:
             return None
-        finally:
-            budget.stats.states_explored += stats.states_explored
-        budget.spend(stats.states_explored)
-        if path is None and stats.exhausted:
-            return ExhaustiveBeliefSearch(context_label=ctx.name,
-                                          states_explored=stats.states_explored)
+        if path is None:
+            return ExhaustiveBeliefSearch(
+                context_label=ctx.name,
+                states_explored=stats.states_explored - before)
     return None
 
 
@@ -390,84 +376,73 @@ def _belief_graph_has_no_empty_set(ctx: WreathContext, budget: int) -> bool:
 
 def decide_existence(ctx: WreathContext,
                      *, spin_period: Optional[int] = None,
-                     budget: int = DEFAULT_DECISION_BUDGET,
+                     budget: int = DEFAULT_SEARCH_BUDGET,
                      try_certificates: bool = True,
                      try_construction: bool = True) -> DecisionResult:
     """Decide whether a surjective strategy exists.
 
     Certificates are attempted first (they are cheap and have no size cap);
     then constructive fast paths; then reachability over the belief graph.
-    Loop-mode verdicts are flagged conjectural.
+    ``budget`` caps the belief states of the whole decision: the certificate
+    leaves and the final search count into one ``SearchStats``, whose total
+    the result reports.  Loop-mode verdicts are flagged conjectural.
     """
     conjectural = ctx.loop_mode
     standard = (spin_period is None or spin_period == 1) \
         and ctx.win_set == frozenset({0}) and not ctx.loop_mode
+    stats = SearchStats()
 
-    cert_states = 0  # explored by the certificate search's leaves
     if standard and try_certificates:
-        cert_stats = SearchStats()
-        try:
-            cert = find_nonexistence_certificate(ctx, budget=budget,
-                                                 stats=cert_stats)
-        except BudgetExceeded:
-            cert = None
+        cert = find_nonexistence_certificate(ctx, budget=budget, stats=stats)
         if cert is not None:
             return DecisionResult(verdict="no", certificate=cert,
-                                  states_explored=cert_stats.states_explored,
+                                  states_explored=stats.states_explored,
                                   message="nonexistence certificate found")
-        cert_states = cert_stats.states_explored
 
     if standard and try_construction:
-        p = p_group_prime(ctx.g_group)
-        q = p_group_prime(ctx.action.h_group)
-        if (p is not None and q is not None
-                and (p == q or TRIVIAL_P in (p, q))
-                and ctx.action.is_faithful()):
-            try:
-                strat = construct_pgroup(ctx)
-                return DecisionResult(verdict="yes", strategy=strat,
-                                      states_explored=cert_states,
-                                      message="p-group construction")
-            except SpinWreathError:
-                pass  # fall through to search
+        try:
+            strat = construct_pgroup(ctx)
+            return DecisionResult(verdict="yes", strategy=strat,
+                                  states_explored=stats.states_explored,
+                                  message="p-group construction")
+        except SpinWreathError:
+            pass  # not p-groups for one prime, or not faithful: search
 
-    stats = SearchStats()
+    before = stats.states_explored
     try:
         path = search_belief_path(ctx, budget=budget,
                                   spin_period=spin_period, stats=stats)
-    except BudgetExceeded as exc:
+    except BudgetExceeded:
         return DecisionResult(verdict="unknown",
-                              states_explored=cert_states + exc.states_explored,
+                              states_explored=stats.states_explored,
                               conjectural=conjectural,
                               message="belief search budget exceeded")
-    states = cert_states + stats.states_explored
     if path is not None:
         strat = Strategy(ctx=ctx, moves=path)
         if not verify(ctx, strat, spin_period=spin_period).valid:
             raise BaseCaseVerificationFailed(
                 "belief search produced an invalid strategy")
         return DecisionResult(verdict="yes", strategy=strat,
-                              states_explored=states,
+                              states_explored=stats.states_explored,
                               conjectural=conjectural,
                               message="belief search found a strategy")
     if not stats.exhausted:
         raise NoStrategyWithinDepth(
             "belief search stopped without exhausting the belief graph")
-    cert = ExhaustiveBeliefSearch(context_label=ctx.name,
-                                  states_explored=stats.states_explored)
+    cert = ExhaustiveBeliefSearch(
+        context_label=ctx.name,
+        states_explored=stats.states_explored - before)
     return DecisionResult(verdict="no", certificate=cert,
-                          states_explored=states,
+                          states_explored=stats.states_explored,
                           conjectural=conjectural,
                           message="belief graph exhausted")
 
 
 def min_spin_period(ctx: WreathContext, bound: int,
-                    *, budget: int = DEFAULT_DECISION_BUDGET) -> Optional[int]:
+                    *, budget: int = DEFAULT_SEARCH_BUDGET) -> Optional[int]:
     """Smallest r <= bound allowing a win when spins happen every r turns."""
     for r in range(1, bound + 1):
-        result = decide_existence(ctx, spin_period=r, budget=budget,
-                                  try_certificates=(r == 1),
-                                  try_construction=(r == 1))
+        result = decide_existence(ctx, spin_period=r, budget=budget)
         if result.verdict == "yes":
             return r
         if result.verdict == "unknown":

@@ -60,9 +60,7 @@ class ContextTooLarge(SpinWreathError):
 # -- strategies -------------------------------------------------------------
 
 class BudgetExceeded(SpinWreathError):
-    def __init__(self, message="budget exceeded", states_explored=0):
-        super().__init__(message)
-        self.states_explored = states_explored
+    pass
 
 
 # -- synthesis --------------------------------------------------------------

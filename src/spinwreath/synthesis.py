@@ -416,6 +416,11 @@ def search_belief_path(ctx: WreathContext, *, max_depth: Optional[int] = None,
     node was entered with, and a node is entered again only with more moves
     left.  Without ``max_depth`` that is infinity, so every reachable node is
     entered once and ``stats.exhausted`` is set when none leads to empty.
+
+    ``budget`` caps ``stats.states_explored``, the running total of states
+    entered, which callers may share across several searches: once it has
+    reached ``budget``, entering one more state raises ``BudgetExceeded``,
+    so the total never exceeds it.
     """
     stats = stats if stats is not None else SearchStats()
     step = ctx.belief_kernel.step
@@ -440,10 +445,9 @@ def search_belief_path(ctx: WreathContext, *, max_depth: Optional[int] = None,
     path: List[int] = []
 
     def enter(mask, phase, moves_left):
+        if stats.states_explored >= budget:
+            raise BudgetExceeded("belief search budget exceeded")
         stats.states_explored += 1
-        if stats.states_explored > budget:
-            raise BudgetExceeded("belief search budget exceeded",
-                                 states_explored=stats.states_explored)
         entered[(mask, phase)] = moves_left
         # only the root can start with no moves left (max_depth <= 0)
         stack.append((mask, phase, moves_left,

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from spinwreath import fileio
 from spinwreath.cli import main
 
@@ -50,6 +52,26 @@ def test_decide_counts_the_states_of_a_failed_certificate_search(capsys):
     doc = json.loads(out)
     assert doc["verdict"] == "yes"
     assert doc["budget"]["states_explored"] >= 96
+
+
+@pytest.mark.parametrize("puzzle,budget,exit_code", [("S3 wr C2", 50, 4),
+                                                     ("Z4 wr C4", 100, 0)])
+def test_decide_explores_at_most_its_budget(capsys, puzzle, budget, exit_code):
+    # the certificate leaves and the final search share the one budget
+    code, out, _ = run(capsys, "decide", puzzle, "--budget", str(budget),
+                       "--json")
+    assert code == exit_code
+    doc = json.loads(out)
+    assert doc["budget"]["limit"] == budget
+    assert doc["budget"]["states_explored"] <= budget
+
+
+def test_certify_counts_the_states_of_its_leaves(capsys):
+    code, out, _ = run(capsys, "certify", "S3 wr C2", "--json")
+    assert code == 3
+    doc = json.loads(out)
+    assert "ExhaustiveBeliefSearch" in doc["payload"]["certificate"]
+    assert doc["budget"]["states_explored"] >= 704
 
 
 def test_construct_verify_round_trip(tmp_path, capsys):

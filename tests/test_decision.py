@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinwreath import decision, groups
 from spinwreath.actions import (WreathContext, cyclic_rotation_action,
@@ -9,9 +11,10 @@ from spinwreath.decision import (AbelianClassification, ExhaustiveBeliefSearch,
                                  find_nonexistence_certificate,
                                  min_spin_period, render_certificate,
                                  validate_certificate)
-from spinwreath.errors import NotAbelian
+from spinwreath.errors import BudgetExceeded, NotAbelian
+from spinwreath.puzzle_parser import parse_puzzle
 from spinwreath.strategies import verify
-from spinwreath.synthesis import swap_action
+from spinwreath.synthesis import SearchStats, search_belief_path, swap_action
 
 
 def z(n):
@@ -199,3 +202,37 @@ def test_natural_s3_spins_on_three_switches():
     assert result.verdict == "no"
     if result.certificate is not None:
         assert validate_certificate(ctx, result.certificate)
+
+
+# -- one budget for the whole decision ---------------------------------------
+
+# G in {Z2, Z3, Z4, Z5, Z6, Z8, Z2 x Z2, S3, D8} x H in {1, C2, C3, C4}, |K| <= 64
+BUDGET_PUZZLES = [
+    f"{g} wr {h}"
+    for g in ("Z2", "Z3", "Z4", "Z5", "Z6", "Z8", "Z2 x Z2", "S3", "D8")
+    for h in ("1", "C2", "C3", "C4")
+    if parse_puzzle(f"{g} wr {h}").k_size <= 64
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(puzzle=st.sampled_from(BUDGET_PUZZLES),
+       budget=st.integers(min_value=1, max_value=5000),
+       data=st.data())
+def test_no_belief_search_explores_more_states_than_its_budget(puzzle, budget,
+                                                               data):
+    ctx = parse_puzzle(puzzle)
+    assert decide_existence(ctx, budget=budget).states_explored <= budget
+
+    stats = SearchStats()
+    find_nonexistence_certificate(ctx, budget=budget, stats=stats)
+    assert stats.states_explored <= budget
+
+    # a total shared with earlier searches counts against the same budget
+    spent = data.draw(st.integers(min_value=0, max_value=budget))
+    stats = SearchStats(states_explored=spent)
+    try:
+        search_belief_path(ctx, budget=budget, stats=stats)
+    except BudgetExceeded:
+        assert stats.states_explored == budget
+    assert stats.states_explored <= budget
