@@ -180,10 +180,11 @@ class WreathContext:
         return BeliefKernel(self.g_group, self.action, self.win_set)
 
     # -- dense tables for small K -------------------------------------------
-    # Read element by element through k_mul / k_act / k_inv: by the analysis
-    # code, verify_naive, the certificate validator's independent search,
-    # belief_step's H-closure check (orbit_masks) and the belief search's
-    # move order (k_inv).  The belief kernel never builds them.
+    # Read element by element through k_mul / k_act / k_inv: by Monte Carlo
+    # play and canonicalize_strategy in the analysis code, verify_naive, the
+    # certificate validator's independent search, belief_step's H-closure
+    # check (orbit_masks) and the belief search's move order (k_inv).  The
+    # belief kernel and the exact expectation never build them.
 
     @cached_property
     def _dense(self) -> bool:

@@ -1,12 +1,14 @@
 """Expected-turn computations and strategy enumeration.
 
-Exact results use rational arithmetic throughout; floating point only ever
+Exact expectations carry integer masses over one common denominator and
+turn them into ``Fraction``s only for the report; floating point only ever
 appears in Monte Carlo summaries.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,6 +45,15 @@ def uniform_initial(ctx: WreathContext) -> Dict[int, Fraction]:
     return {s: Fraction(1, len(states)) for s in states}
 
 
+def _gather(n: int, digits) -> List[int]:
+    """Index list over K whose entry at u is the sum over the coordinates w
+    of digits[w][u_w], u_w being the base-n digit w of u (w = 0 first)."""
+    out = [0]
+    for values in digits:
+        out = [c + v for c in out for v in values]
+    return out
+
+
 def exact_expected_moves(ctx: WreathContext, strategy: Strategy,
                          adversary: Optional[Dict[int, Fraction]] = None,
                          initial: Optional[Dict[int, Fraction]] = None
@@ -50,7 +61,13 @@ def exact_expected_moves(ctx: WreathContext, strategy: Strategy,
     """Propagate exact probability mass through the per-step transition.
 
     Mass sitting at state s is absorbed at step i when the move lands it in
-    the winning set; otherwise it spreads over the adversary's spins.
+    the winning set; otherwise it spreads over the adversary's spins.  The
+    masses are integers: after i moves each is a numerator over
+    d0 * da^i, where d0 and da are the least common denominators of the
+    initial masses and of the adversary's weights, and only the mass
+    absorbed at a step becomes a ``Fraction``.  A move moves mass by one
+    gather list over K, and so does each spin of nonzero weight; both are
+    built from coordinates, once per call and distinct move or spin.
     """
     adversary = adversary if adversary is not None else uniform_adversary(ctx)
     initial = initial if initial is not None else uniform_initial(ctx)
@@ -58,31 +75,59 @@ def exact_expected_moves(ctx: WreathContext, strategy: Strategy,
         raise ValueError("adversary probabilities must sum to 1")
     if sum(initial.values()) != 1:
         raise ValueError("initial probabilities must sum to 1")
-    win = ctx.win_set
-    dist: Dict[int, Fraction] = dict(initial)
+    n, m, k = ctx.g_group.order, ctx.omega_size, ctx.k_size
+    place = [n ** (m - 1 - w) for w in range(m)]  # of coordinate w's digit
+    weights = {h: Fraction(p) for h, p in adversary.items() if p != 0}
+    start = {s: Fraction(p) for s, p in initial.items()}
+    da = math.lcm(*(p.denominator for p in weights.values()))
+    d0 = math.lcm(*(p.denominator for p in start.values()))
+    mass = [0] * k
+    for s, p in start.items():
+        mass[s] += p.numerator * (d0 // p.denominator)
+    # spin h sends t to u with coordinate w of u = coordinate act[h^-1][w]
+    # of t, so new mass at u gathers the mass of that t
+    h_inv, act = ctx.action.h_group.inv, ctx.action.act
+    spins: Dict[int, List[List[int]]] = {}  # numerator -> gather lists
+    for h, p in weights.items():
+        row = act[h_inv[h]]
+        spins.setdefault(p.numerator * (da // p.denominator), []).append(
+            _gather(n, [[x * place[row[w]] for x in range(n)]
+                        for w in range(m)]))
+    # mass at t after a move comes from the state s with s * move = t
+    mul = ctx.g_group.mul
+    sources: Dict[int, List[int]] = {}
+    for move in strategy.moves:
+        if move not in sources:
+            digits = []
+            for w, g in enumerate(ctx.decode(move)):
+                div = [0] * n
+                for x in range(n):
+                    div[mul[x][g]] = x * place[w]
+                digits.append(div)
+            sources[move] = _gather(n, digits)
+    win = sorted(ctx.win_set)
+    denominator = d0
     absorbed: List[Tuple[int, Fraction]] = []
     for i, move in enumerate(strategy.moves, start=1):
-        new_dist: Dict[int, Fraction] = {}
-        hit = Fraction(0)
-        for s, mass in dist.items():
-            t = ctx.k_mul(s, move)
-            if t in win:
-                hit += mass
-                continue
-            for h, weight in adversary.items():
-                if weight == 0:
-                    continue
-                u = ctx.k_act(h, t)
-                new_dist[u] = new_dist.get(u, Fraction(0)) + mass * weight
+        moved = list(map(mass.__getitem__, sources[move]))
+        hit = 0
+        for t in win:
+            hit += moved[t]
+            moved[t] = 0
         if hit:
-            absorbed.append((i, hit))
-        dist = new_dist
-        if not dist:
+            absorbed.append((i, Fraction(hit, denominator)))
+        denominator *= da
+        parts = []
+        for p, gathers in spins.items():
+            scaled = list(map(p.__mul__, moved))
+            parts += [map(scaled.__getitem__, src) for src in gathers]
+        mass = list(map(sum, zip(*parts)))
+        if not any(mass):
             break
-    total = sum((mass for _, mass in absorbed), Fraction(0))
+    total = sum((p for _, p in absorbed), Fraction(0))
     expected = None
     if total > 0:
-        expected = sum((Fraction(i) * mass for i, mass in absorbed),
+        expected = sum((Fraction(i) * p for i, p in absorbed),
                        Fraction(0)) / total
     adv_label = ("uniform i.i.d." if adversary == uniform_adversary(ctx)
                  else "custom")

@@ -298,23 +298,26 @@ def _cmd_certify(args, started) -> int:
 
 def _cmd_min_spin_period(args, started) -> int:
     ctx = _load_context(args)
+    stats = synthesis.SearchStats()
     try:
-        r = min_spin_period(ctx, args.bound, budget=args.budget)
+        r = min_spin_period(ctx, args.bound, budget=args.budget, stats=stats)
     except BudgetExceeded as exc:
         return _emit(args, verdict="unknown",
                      payload={"context": ctx.name, "message": str(exc)},
                      human=f"{ctx.name}: {exc}", exit_code=EXIT_UNKNOWN,
-                     started=started)
+                     started=started, states_explored=stats.states_explored)
     if r is None:
         return _emit(args, verdict="no",
                      payload={"context": ctx.name, "bound": args.bound},
                      human=(f"{ctx.name}: no winning spin period up to "
                             f"{args.bound}"),
-                     exit_code=EXIT_NO, started=started)
+                     exit_code=EXIT_NO, started=started,
+                     states_explored=stats.states_explored)
     return _emit(args, verdict="yes",
                  payload={"context": ctx.name, "min_spin_period": r},
                  human=f"{ctx.name}: minimum spin period {r}",
-                 exit_code=EXIT_YES, started=started)
+                 exit_code=EXIT_YES, started=started,
+                 states_explored=stats.states_explored)
 
 
 # ---------------------------------------------------------------------------

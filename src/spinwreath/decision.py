@@ -378,19 +378,22 @@ def decide_existence(ctx: WreathContext,
                      *, spin_period: Optional[int] = None,
                      budget: int = DEFAULT_SEARCH_BUDGET,
                      try_certificates: bool = True,
-                     try_construction: bool = True) -> DecisionResult:
+                     try_construction: bool = True,
+                     stats: Optional[SearchStats] = None) -> DecisionResult:
     """Decide whether a surjective strategy exists.
 
     Certificates are attempted first (they are cheap and have no size cap);
     then constructive fast paths; then reachability over the belief graph.
     ``budget`` caps the belief states of the whole decision: the certificate
     leaves and the final search count into one ``SearchStats``, whose total
-    the result reports.  Loop-mode verdicts are flagged conjectural.
+    the result reports.  A caller may pass ``stats`` to share that total,
+    states counted before included, with other decisions.  Loop-mode
+    verdicts are flagged conjectural.
     """
     conjectural = ctx.loop_mode
     standard = (spin_period is None or spin_period == 1) \
         and ctx.win_set == frozenset({0}) and not ctx.loop_mode
-    stats = SearchStats()
+    stats = stats if stats is not None else SearchStats()
 
     if standard and try_certificates:
         cert = find_nonexistence_certificate(ctx, budget=budget, stats=stats)
@@ -439,10 +442,17 @@ def decide_existence(ctx: WreathContext,
 
 
 def min_spin_period(ctx: WreathContext, bound: int,
-                    *, budget: int = DEFAULT_SEARCH_BUDGET) -> Optional[int]:
-    """Smallest r <= bound allowing a win when spins happen every r turns."""
+                    *, budget: int = DEFAULT_SEARCH_BUDGET,
+                    stats: Optional[SearchStats] = None) -> Optional[int]:
+    """Smallest r <= bound allowing a win when spins happen every r turns.
+
+    Every period's decision counts into one ``SearchStats``, so ``budget``
+    caps the belief states of all of them together.
+    """
+    stats = stats if stats is not None else SearchStats()
     for r in range(1, bound + 1):
-        result = decide_existence(ctx, spin_period=r, budget=budget)
+        result = decide_existence(ctx, spin_period=r, budget=budget,
+                                  stats=stats)
         if result.verdict == "yes":
             return r
         if result.verdict == "unknown":

@@ -1,11 +1,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinwreath import analysis, catalog, groups
 from spinwreath.actions import WreathContext, cyclic_rotation_action, trivial_action
 from spinwreath.errors import ContextTooSmall
+from spinwreath.puzzle_parser import parse_puzzle
 from spinwreath.strategies import Strategy, verify
+from test_decision import BUDGET_PUZZLES
+from test_strategies import KERNEL_CONTEXTS
 
 
 def ctx_of(g, n):
@@ -13,6 +18,101 @@ def ctx_of(g, n):
 
 
 # -- exact expectations ------------------------------------------------------
+
+def _reference_expectation(ctx, strategy, adversary=None, initial=None):
+    """The per-state Fraction loop, written from k_mul, k_act and the win set."""
+    if adversary is None:
+        adversary = analysis.uniform_adversary(ctx)
+    if initial is None:
+        initial = analysis.uniform_initial(ctx)
+    dist = dict(initial)
+    absorbed = []
+    for i, move in enumerate(strategy.moves, start=1):
+        new_dist = {}
+        hit = Fraction(0)
+        for s, mass in dist.items():
+            t = ctx.k_mul(s, move)
+            if t in ctx.win_set:
+                hit += mass
+                continue
+            for h, weight in adversary.items():
+                if weight == 0:
+                    continue
+                u = ctx.k_act(h, t)
+                new_dist[u] = new_dist.get(u, Fraction(0)) + mass * weight
+        if hit:
+            absorbed.append((i, hit))
+        dist = new_dist
+        if not dist:
+            break
+    total = sum((mass for _, mass in absorbed), Fraction(0))
+    expected = None
+    if total > 0:
+        expected = sum((i * mass for i, mass in absorbed), Fraction(0)) / total
+    return analysis.ExpectationReport(
+        absorbed_probability=total,
+        conditional_expected_moves=expected,
+        stop_time_distribution=tuple(absorbed),
+        adversary_model=("uniform i.i.d."
+                         if adversary == analysis.uniform_adversary(ctx)
+                         else "custom"),
+    )
+
+
+# every context with |K| <= 64 that the kernel and budget tests use
+EXPECTATION_CONTEXTS = {
+    label: ctx for label, ctx in {
+        **KERNEL_CONTEXTS,
+        **{puzzle: parse_puzzle(puzzle) for puzzle in BUDGET_PUZZLES},
+    }.items() if ctx.k_size <= 64
+}
+
+
+def _distribution(data, keys):
+    """Random positive and zero weights with mixed denominators, summing to 1."""
+    raw = {key: Fraction(data.draw(st.integers(0, 4)),
+                         data.draw(st.integers(1, 7))) for key in keys}
+    if not any(raw.values()):
+        raw[keys[0]] = Fraction(1)
+    total = sum(raw.values())
+    return {key: p / total for key, p in raw.items()}
+
+
+@pytest.mark.parametrize("label", sorted(EXPECTATION_CONTEXTS))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_expectation_matches_the_fraction_loop(label, data):
+    ctx = EXPECTATION_CONTEXTS[label]
+    k = ctx.k_size
+    moves = data.draw(st.lists(st.integers(0, k - 1),
+                               max_size=min(k + 2, 24)))
+    adversary = data.draw(st.sampled_from(
+        [None, analysis.uniform_adversary(ctx), "custom"]))
+    if adversary == "custom":
+        adversary = _distribution(data, list(range(ctx.h_order)))
+    initial = None
+    if data.draw(st.booleans()):
+        support = data.draw(st.lists(st.integers(0, k - 1), min_size=1,
+                                     max_size=6, unique=True))
+        initial = _distribution(data, support)
+    strat = Strategy(ctx=ctx, moves=tuple(moves))
+    assert analysis.exact_expected_moves(ctx, strat, adversary, initial) == \
+        _reference_expectation(ctx, strat, adversary, initial)
+
+
+@pytest.mark.parametrize("g_order,n", [(2, 8), (32, 2)])
+def test_expectation_builds_no_dense_tables(g_order, n):
+    ctx = ctx_of(groups.cyclic(g_order), n)
+    strat = Strategy(ctx=ctx, moves=tuple(range(1, 40)))
+    analysis.exact_expected_moves(ctx, strat)
+    analysis.exact_expected_moves(ctx, strat,
+                                  adversary={0: Fraction(1, 3),
+                                             1: Fraction(2, 3)},
+                                  initial={3: Fraction(1, 2), 5: Fraction(1, 2)})
+    for table in ("_k_mul_table", "_k_act_table", "_k_inv_table",
+                  "orbit_masks"):
+        assert table not in ctx.__dict__
+
 
 def test_four_switch_solution_takes_eight_moves_on_average():
     ctx = catalog.four_switches_context()

@@ -229,6 +229,15 @@ def test_min_spin_period(capsys):
     assert code == 3
 
 
+def test_min_spin_period_shares_one_budget(capsys):
+    # periods 1 and 2 spend 241 states, and period 3 runs out of the rest:
+    # the total stops at the budget
+    code, out, _ = run(capsys, "min-spin-period", "Z2 x Z2 wr C3",
+                       "--bound", "5", "--budget", "3000", "--json")
+    assert code == 4
+    assert json.loads(out)["budget"]["states_explored"] == 3000
+
+
 def test_parse_errors_exit_2(capsys):
     code, _, err = run(capsys, "decide", "Z2 wr !")
     assert code == 2

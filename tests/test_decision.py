@@ -228,6 +228,14 @@ def test_no_belief_search_explores_more_states_than_its_budget(puzzle, budget,
     find_nonexistence_certificate(ctx, budget=budget, stats=stats)
     assert stats.states_explored <= budget
 
+    # every spin period's decision counts into one total
+    stats = SearchStats()
+    try:
+        min_spin_period(ctx, 3, budget=budget, stats=stats)
+    except BudgetExceeded:
+        pass
+    assert stats.states_explored <= budget
+
     # a total shared with earlier searches counts against the same budget
     spent = data.draw(st.integers(min_value=0, max_value=budget))
     stats = SearchStats(states_explored=spent)

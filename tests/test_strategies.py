@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -147,6 +148,35 @@ def test_belief_consumers_build_no_dense_tables(g_order, n):
 
 
 # -- verification ------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _winning_path(label, max_depth, spin_period):
+    return search_belief_path(KERNEL_CONTEXTS[label], max_depth=max_depth,
+                              spin_period=spin_period)
+
+
+@pytest.mark.parametrize("label", sorted(label for label, ctx
+                                         in KERNEL_CONTEXTS.items()
+                                         if ctx.k_size <= 16))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_verify_agrees_with_verify_naive(label, data):
+    ctx = KERNEL_CONTEXTS[label]
+    # at most 4096 spin paths, so verify_naive stays quick
+    longest = max(n for n in range(1, 9) if ctx.h_order ** n <= 4096)
+    moves = data.draw(st.lists(st.integers(0, ctx.k_size - 1),
+                               max_size=longest))
+    period = data.draw(st.sampled_from([None, 2, 3]))
+    path = _winning_path(label, longest, period)
+    if path and data.draw(st.booleans()):
+        # a winning path, in half of these cases with one move replaced
+        moves = list(path)
+        if data.draw(st.booleans()):
+            moves[data.draw(st.integers(0, len(moves) - 1))] = data.draw(
+                st.integers(0, ctx.k_size - 1))
+    strat = Strategy(ctx=ctx, moves=tuple(moves))
+    assert verify(ctx, strat, spin_period=period).valid == verify_naive(
+        ctx, strat, budget=ctx.h_order ** len(moves), spin_period=period)
 
 def test_four_switch_fifteen_move_solution():
     ctx = catalog.four_switches_context()
