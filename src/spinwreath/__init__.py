@@ -7,9 +7,10 @@ from .actions import (GroupAction, WreathContext, WreathElement,
                       natural_symmetric_action, regular_action,
                       trivial_action, wreath_identity, wreath_inverse,
                       wreath_multiply)
-from .decision import (DecisionResult, classify_abelian, decide_existence,
-                       find_nonexistence_certificate, min_spin_period,
-                       render_certificate, validate_certificate)
+from .decision import (DecisionResult, classify_abelian, decide_by_search,
+                       decide_existence, find_nonexistence_certificate,
+                       min_spin_period, render_certificate,
+                       validate_certificate)
 from .errors import SpinWreathError
 from .groups import FiniteGroup, Homomorphism, Subgroup
 from .puzzle_parser import parse_expr, parse_puzzle, print_expr
@@ -18,7 +19,6 @@ from .strategies import (BeliefState, Strategy, VerificationReport,
                          minimal_length_bound, strategy_from_coords, verify,
                          verify_naive)
 from .synthesis import (construct_by_decomposition, construct_involution_pair,
-                        construct_pgroup, construct_trivial, covering_walk,
-                        synthesize_by_search)
+                        construct_pgroup, construct_trivial, covering_walk)
 
 __version__ = "0.1.0"

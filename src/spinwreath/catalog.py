@@ -33,10 +33,3 @@ def four_switches_strategy(ctx: WreathContext = None) -> Strategy:
     if ctx is None:
         ctx = four_switches_context()
     return strategy_from_coords(ctx, FOUR_SWITCHES_MOVES)
-
-
-def three_switches_context() -> WreathContext:
-    """Three on/off switches on a rotating triangular table (unsolvable)."""
-    return WreathContext(g_group=groups.cyclic(2),
-                         action=cyclic_rotation_action(3),
-                         name="Z2wrC3")

@@ -14,18 +14,17 @@ from typing import Optional
 
 from . import analysis, decision, fileio, synthesis
 from .actions import WreathContext
-from .decision import (decide_existence, find_nonexistence_certificate,
-                       min_spin_period, render_certificate,
-                       validate_certificate)
+from .decision import (DecisionResult, decide_by_search, decide_existence,
+                       find_nonexistence_certificate, min_spin_period,
+                       render_certificate, validate_certificate)
 from .errors import (BudgetExceeded, CertificateRejected, FileFormatInvalid,
                      LiftedStrategyFailedVerification, NoStrategyWithinDepth,
-                     ParseError, SpinWreathError, UnknownGroupFamily)
+                     SpinWreathError)
 from .groups import normal_subgroups, quotient, subgroup_as_group
 from .puzzle_parser import parse_expr, build_context
 from .strategies import Strategy, verify, verify_naive
 from .synthesis import (construct_by_decomposition, construct_involution_pair,
-                        construct_pgroup, construct_trivial,
-                        synthesize_by_search)
+                        construct_pgroup, construct_trivial)
 
 JSON_SCHEMA = "spinwreath.cli/1"
 EXIT_YES = 0
@@ -39,24 +38,33 @@ def _default_budget() -> int:
     return int(raw) if raw else synthesis.DEFAULT_SEARCH_BUDGET
 
 
-def _progress(args, message: str):
-    if not args.quiet:
-        print(message, file=sys.stderr)
+def _positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
+
+
+def _index_set(text: str) -> frozenset:
+    try:
+        return frozenset(int(tok) for tok in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}")
 
 
 def _load_context(args) -> WreathContext:
     text = args.puzzle.strip()
-    win = None
-    if args.win_set:
-        win = frozenset(int(tok) for tok in args.win_set.split(","))
     if text.startswith("@") and " " not in text:
         ctx = fileio.load_context(text[1:])
-        if win is not None:
-            ctx = WreathContext(g_group=ctx.g_group, action=ctx.action,
-                                win_set=win, name=ctx.name,
-                                allow_non_faithful=ctx.allow_non_faithful)
     else:
-        ctx = build_context(parse_expr(text), win_set=win)
+        ctx = build_context(parse_expr(text))
+    if args.win_set is not None:
+        try:
+            ctx = WreathContext(g_group=ctx.g_group, action=ctx.action,
+                                win_set=args.win_set, name=ctx.name,
+                                allow_non_faithful=ctx.allow_non_faithful)
+        except ValueError as exc:  # an index outside K
+            raise FileFormatInvalid(f"--win-set: {exc}")
     if ctx.loop_mode and not args.loop:
         raise FileFormatInvalid(
             "the switch table is a non-associative loop; pass --loop to "
@@ -128,11 +136,13 @@ def _cmd_decide(args, started) -> int:
                  started=started, states_explored=result.states_explored)
 
 
-def _auto_strategy(ctx: WreathContext, budget: int) -> Strategy:
-    try:
-        return construct_pgroup(ctx)
-    except SpinWreathError:
-        return synthesize_by_search(ctx, budget=budget)
+def _strategy_of(result: DecisionResult) -> Strategy:
+    """The strategy of a "yes"; otherwise exit 3 for "no", 4 for "unknown"."""
+    if result.verdict != "yes":
+        raise NoStrategyWithinDepth(
+            f"{result.message} ({result.states_explored} states)",
+            exhausted=result.verdict == "no")
+    return result.strategy
 
 
 def _construct(args, ctx: WreathContext) -> Strategy:
@@ -148,17 +158,17 @@ def _construct(args, ctx: WreathContext) -> Strategy:
     if method == "pgroup":
         return construct_pgroup(ctx)
     if method == "search":
-        return synthesize_by_search(ctx, max_depth=args.depth,
-                                    budget=args.budget,
-                                    spin_period=args.spin_period)
+        return _strategy_of(decide_by_search(
+            ctx, max_depth=args.depth, spin_period=args.spin_period,
+            budget=args.budget))
     for sub in reversed(normal_subgroups(ctx.g_group)):
         if 1 < len(sub.members) < ctx.g_group.order:
             n_group = subgroup_as_group(sub)
             quot, _, _ = quotient(ctx.g_group, sub)
             ctx_n = WreathContext(g_group=n_group, action=ctx.action)
             ctx_q = WreathContext(g_group=quot, action=ctx.action)
-            strat_n = _auto_strategy(ctx_n, args.budget)
-            strat_q = _auto_strategy(ctx_q, args.budget)
+            strat_n = _strategy_of(decide_existence(ctx_n, budget=args.budget))
+            strat_q = _strategy_of(decide_existence(ctx_q, budget=args.budget))
             return construct_by_decomposition(ctx, sub, strat_n, strat_q)
     raise FileFormatInvalid(
         "--method decompose needs a proper nontrivial normal subgroup")
@@ -334,9 +344,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="suppress progress on stderr")
     common.add_argument("--budget", type=int, default=_default_budget(),
                         help="search/enumeration state budget")
-    common.add_argument("--win-set", default=None,
+    common.add_argument("--win-set", type=_index_set, default=None,
                         help="comma-separated winning base-vector indices")
-    common.add_argument("--spin-period", type=int, default=None,
+    common.add_argument("--spin-period", type=_positive_int, default=None,
                         help="adversary spins only every r-th turn")
     common.add_argument("--loop", action="store_true",
                         help="allow non-associative switch tables")
@@ -382,7 +392,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=["strategy", "random", "montecarlo",
                             "nonbacktracking"])
     p.add_argument("--strategy", default=None, help="strategy file")
-    p.add_argument("--trials", type=int, default=100000)
+    p.add_argument("--trials", type=_positive_int, default=100000)
 
     sub.add_parser("classify", parents=[common],
                    help="abelian-switches solvability classification")
@@ -414,12 +424,6 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         return _HANDLERS[args.command](args, started)
-    except (ParseError, UnknownGroupFamily, FileFormatInvalid) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN
@@ -429,7 +433,7 @@ def main(argv=None) -> int:
     except CertificateRejected as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN
-    except SpinWreathError as exc:
+    except (SpinWreathError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,9 +1,10 @@
 """Existence decisions for surjective strategies.
 
-Positive answers come with a verified strategy; negative answers come either
-from exhausting the reachable belief graph or from a certificate tree built
-out of the reduction theorems (switch quotients, spin subgroups, orbit
-restrictions) over small base facts.  Certificates are validated by an
+The theorem comes first: p-groups for one prime always win, by a verified
+construction.  Then the reduction theorems (switch quotients, spin
+subgroups, orbit restrictions) over small base facts look for a certificate
+of nonexistence, and last one belief search of the whole context gives a
+verified strategy or exhausts the graph.  Certificates are validated by an
 independent checker that re-establishes every hypothesis.
 """
 
@@ -16,7 +17,7 @@ from typing import Optional, Tuple, Union
 from . import groups
 from .actions import GroupAction, WreathContext
 from .errors import (BaseCaseVerificationFailed, BudgetExceeded,
-                     NoStrategyWithinDepth, SpinWreathError)
+                     NonFaithfulAction, NotSamePrime, OrderBoundExceeded)
 from .groups import (
     FiniteGroup,
     Homomorphism,
@@ -214,6 +215,13 @@ def find_nonexistence_certificate(ctx: WreathContext,
 
 def _prove_no(g: FiniteGroup, action: GroupAction, depth: int, budget: int,
               stats: SearchStats) -> Optional[Certificate]:
+    return (_reduce(g, action, depth, budget, stats)
+            or _exhaust(g, action, budget, stats))
+
+
+def _reduce(g: FiniteGroup, action: GroupAction, depth: int, budget: int,
+            stats: SearchStats) -> Optional[Certificate]:
+    """The base fact, then every reduction to a smaller context."""
     h = action.h_group
 
     # base fact: vector-space switches spun faithfully by a q-group, q != p
@@ -223,61 +231,67 @@ def _prove_no(g: FiniteGroup, action: GroupAction, depth: int, budget: int,
         if q not in (None, TRIVIAL_P, p):
             return AbelianClassification(p_switch=p, q_spin=q)
 
-    if depth > 0 and g.is_associative:
-        # switch quotients, smallest quotient first
-        if g.order <= groups.DEFAULT_SUBGROUP_ORDER_BOUND:
-            normals = [s for s in groups.normal_subgroups(g)
-                       if 1 < len(s.members) < g.order]
-            for n in sorted(normals, key=lambda s: -len(s.members)):
-                quot, _reps, proj = quotient(g, n)
-                child = _prove_no(quot, action, depth - 1, budget, stats)
-                if child is not None:
-                    return SwitchQuotient(phi=proj, child=child)
+    if depth == 0 or not g.is_associative:
+        return None
 
-        if h.order <= groups.DEFAULT_SUBGROUP_ORDER_BOUND:
-            subs = [tuple(sorted(s)) for s in all_subgroups(h)
-                    if 1 < len(s) < h.order]
-            subs.sort(key=lambda members: (len(members), members))
+    # switch quotients, smallest quotient first
+    if g.order <= groups.DEFAULT_SUBGROUP_ORDER_BOUND:
+        normals = [s for s in groups.normal_subgroups(g)
+                   if 1 < len(s.members) < g.order]
+        for n in sorted(normals, key=lambda s: -len(s.members)):
+            quot, _reps, proj = quotient(g, n)
+            child = _prove_no(quot, action, depth - 1, budget, stats)
+            if child is not None:
+                return SwitchQuotient(phi=proj, child=child)
 
-            # orbit restrictions: one position's orbit under a proper subgroup
-            for members in subs:
-                seen_orbits = set()
-                for omega in range(action.omega_size):
-                    orbit = _orbit(action, members, omega)
-                    if orbit in seen_orbits or len(orbit) == action.omega_size:
-                        continue
-                    seen_orbits.add(orbit)
-                    sub_action = _restricted_action(action, members, orbit)
-                    child = _prove_no(g, sub_action, depth - 1, budget, stats)
-                    if child is not None:
-                        return OrbitRestriction(
-                            embedding=_embedding_hom(h, members),
-                            omega=min(orbit), orbit=orbit, child=child,
-                        )
+    if h.order > groups.DEFAULT_SUBGROUP_ORDER_BOUND:
+        return None
+    subs = [tuple(sorted(s)) for s in all_subgroups(h) if 1 < len(s) < h.order]
+    subs.sort(key=lambda members: (len(members), members))
 
-            # spin subgroups on the full position set
-            for members in subs:
-                positions = tuple(range(action.omega_size))
-                sub_action = _restricted_action(action, members, positions)
-                child = _prove_no(g, sub_action, depth - 1, budget, stats)
-                if child is not None:
-                    return SpinSubgroup(embedding=_embedding_hom(h, members),
-                                        child=child)
+    # orbit restrictions: one position's orbit under a proper subgroup
+    for members in subs:
+        seen_orbits = set()
+        for omega in range(action.omega_size):
+            orbit = _orbit(action, members, omega)
+            if orbit in seen_orbits or len(orbit) == action.omega_size:
+                continue
+            seen_orbits.add(orbit)
+            sub_action = _restricted_action(action, members, orbit)
+            child = _prove_no(g, sub_action, depth - 1, budget, stats)
+            if child is not None:
+                return OrbitRestriction(
+                    embedding=_embedding_hom(h, members),
+                    omega=min(orbit), orbit=orbit, child=child,
+                )
 
-    # last resort: exhaust the belief graph of a small instance
-    k_size = g.order ** action.omega_size
-    if k_size <= EXHAUSTIVE_LEAF_K_CAP:
-        ctx = WreathContext(g_group=g, action=action, allow_non_faithful=True)
-        before = stats.states_explored
-        try:
-            path = search_belief_path(ctx, budget=budget, stats=stats)
-        except BudgetExceeded:
-            return None
-        if path is None:
-            return ExhaustiveBeliefSearch(
-                context_label=ctx.name,
-                states_explored=stats.states_explored - before)
+    # spin subgroups on the full position set
+    positions = tuple(range(action.omega_size))
+    for members in subs:
+        sub_action = _restricted_action(action, members, positions)
+        child = _prove_no(g, sub_action, depth - 1, budget, stats)
+        if child is not None:
+            return SpinSubgroup(embedding=_embedding_hom(h, members),
+                                child=child)
     return None
+
+
+def _exhaust(g: FiniteGroup, action: GroupAction, budget: int,
+             stats: SearchStats) -> Optional[Certificate]:
+    """Leaf: exhaust the belief graph of a small instance."""
+    if g.order ** action.omega_size > EXHAUSTIVE_LEAF_K_CAP:
+        return None
+    ctx = WreathContext(g_group=g, action=action, allow_non_faithful=True)
+    before = stats.states_explored
+    try:
+        path = search_belief_path(ctx, budget=budget, stats=stats)
+    except BudgetExceeded:
+        return None
+    if path is not None:
+        return None
+    return ExhaustiveBeliefSearch(
+        context_label=ctx.name,
+        states_explored=stats.states_explored - before)
 
 
 # ---------------------------------------------------------------------------
@@ -377,68 +391,74 @@ def _belief_graph_has_no_empty_set(ctx: WreathContext, budget: int) -> bool:
 def decide_existence(ctx: WreathContext,
                      *, spin_period: Optional[int] = None,
                      budget: int = DEFAULT_SEARCH_BUDGET,
-                     try_certificates: bool = True,
-                     try_construction: bool = True,
                      stats: Optional[SearchStats] = None) -> DecisionResult:
-    """Decide whether a surjective strategy exists.
+    """Decide whether a surjective strategy exists, by one fixed pipeline.
 
-    Certificates are attempted first (they are cheap and have no size cap);
-    then constructive fast paths; then reachability over the belief graph.
+    For win set {0}, spins every turn and group switches: p-groups for one
+    prime spun faithfully are answered by the verified p-group construction
+    (a broken one raises ``BaseCaseVerificationFailed``; a p-group too large
+    for its subgroup enumeration falls through), then the reductions look
+    for a certificate.  What is left goes to one ``decide_by_search``.
     ``budget`` caps the belief states of the whole decision: the certificate
-    leaves and the final search count into one ``SearchStats``, whose total
-    the result reports.  A caller may pass ``stats`` to share that total,
-    states counted before included, with other decisions.  Loop-mode
-    verdicts are flagged conjectural.
+    leaves and the search count into one ``SearchStats``, which a caller may
+    pass to share the total with other decisions, states counted before
+    included.
     """
-    conjectural = ctx.loop_mode
-    standard = (spin_period is None or spin_period == 1) \
-        and ctx.win_set == frozenset({0}) and not ctx.loop_mode
     stats = stats if stats is not None else SearchStats()
-
-    if standard and try_certificates:
-        cert = find_nonexistence_certificate(ctx, budget=budget, stats=stats)
+    if spin_period in (None, 1) and ctx.win_set == frozenset({0}) \
+            and not ctx.loop_mode:
+        try:
+            return DecisionResult(verdict="yes", strategy=construct_pgroup(ctx),
+                                  states_explored=stats.states_explored,
+                                  message="p-group construction")
+        except (NotSamePrime, NonFaithfulAction, OrderBoundExceeded):
+            pass
+        cert = _reduce(ctx.g_group, ctx.action, DEFAULT_CERT_DEPTH, budget,
+                       stats)
         if cert is not None:
             return DecisionResult(verdict="no", certificate=cert,
                                   states_explored=stats.states_explored,
                                   message="nonexistence certificate found")
+    return decide_by_search(ctx, spin_period=spin_period, budget=budget,
+                            stats=stats)
 
-    if standard and try_construction:
-        try:
-            strat = construct_pgroup(ctx)
-            return DecisionResult(verdict="yes", strategy=strat,
-                                  states_explored=stats.states_explored,
-                                  message="p-group construction")
-        except SpinWreathError:
-            pass  # not p-groups for one prime, or not faithful: search
 
+def decide_by_search(ctx: WreathContext, *, max_depth: Optional[int] = None,
+                     spin_period: Optional[int] = None,
+                     budget: int = DEFAULT_SEARCH_BUDGET,
+                     stats: Optional[SearchStats] = None) -> DecisionResult:
+    """The verdict of one belief search over the whole context.
+
+    A found path must pass ``verify`` (else ``BaseCaseVerificationFailed``);
+    an exhausted graph gives "no" with an ``ExhaustiveBeliefSearch``
+    certificate; a spent ``budget`` or a ``max_depth`` cut gives "unknown".
+    Loop-mode verdicts are flagged conjectural.
+    """
+    stats = stats if stats is not None else SearchStats()
     before = stats.states_explored
+
+    def result(verdict, message, **found):
+        return DecisionResult(verdict=verdict, message=message,
+                              states_explored=stats.states_explored,
+                              conjectural=ctx.loop_mode, **found)
+
     try:
-        path = search_belief_path(ctx, budget=budget,
+        path = search_belief_path(ctx, max_depth=max_depth, budget=budget,
                                   spin_period=spin_period, stats=stats)
     except BudgetExceeded:
-        return DecisionResult(verdict="unknown",
-                              states_explored=stats.states_explored,
-                              conjectural=conjectural,
-                              message="belief search budget exceeded")
+        return result("unknown", "belief search budget exceeded")
     if path is not None:
         strat = Strategy(ctx=ctx, moves=path)
         if not verify(ctx, strat, spin_period=spin_period).valid:
             raise BaseCaseVerificationFailed(
                 "belief search produced an invalid strategy")
-        return DecisionResult(verdict="yes", strategy=strat,
-                              states_explored=stats.states_explored,
-                              conjectural=conjectural,
-                              message="belief search found a strategy")
+        return result("yes", "belief search found a strategy", strategy=strat)
     if not stats.exhausted:
-        raise NoStrategyWithinDepth(
-            "belief search stopped without exhausting the belief graph")
+        return result("unknown", f"no strategy within depth {max_depth}")
     cert = ExhaustiveBeliefSearch(
         context_label=ctx.name,
         states_explored=stats.states_explored - before)
-    return DecisionResult(verdict="no", certificate=cert,
-                          states_explored=stats.states_explored,
-                          conjectural=conjectural,
-                          message="belief graph exhausted")
+    return result("no", "belief graph exhausted", certificate=cert)
 
 
 def min_spin_period(ctx: WreathContext, bound: int,

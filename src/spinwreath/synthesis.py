@@ -20,7 +20,6 @@ from .errors import (
     DoesNotGenerate,
     InputStrategyInvalid,
     LiftedStrategyFailedVerification,
-    NoStrategyWithinDepth,
     NotAPermutation,
     NotInvolutionGenerated,
     NotNormal,
@@ -471,24 +470,6 @@ def search_belief_path(ctx: WreathContext, *, max_depth: Optional[int] = None,
                 path.pop()
     stats.exhausted = max_depth is None
     return None
-
-
-def synthesize_by_search(ctx: WreathContext, *, max_depth: Optional[int] = None,
-                         budget: int = DEFAULT_SEARCH_BUDGET,
-                         spin_period: Optional[int] = None) -> Strategy:
-    stats = SearchStats()
-    path = search_belief_path(ctx, max_depth=max_depth, budget=budget,
-                              spin_period=spin_period, stats=stats)
-    if path is None:
-        raise NoStrategyWithinDepth(
-            f"no strategy within depth (explored {stats.states_explored} states)",
-            exhausted=stats.exhausted,
-        )
-    strat = Strategy(ctx=ctx, moves=path)
-    report = verify(ctx, strat, spin_period=spin_period)
-    if not report.valid:
-        raise BaseCaseVerificationFailed("search produced an invalid strategy")
-    return strat
 
 
 def _require_valid(ctx, strat, message):

@@ -70,9 +70,7 @@ def test_criterion_02_four_switch_solution():
 
 def test_criterion_03_decide_existence():
     started = time.process_time()
-    no3 = decision.decide_existence(ctx_of(groups.cyclic(2), 3),
-                                    try_certificates=False,
-                                    try_construction=False)
+    no3 = decision.decide_by_search(ctx_of(groups.cyclic(2), 3))
     t3 = time.process_time() - started
     started = time.process_time()
     yes2 = decision.decide_existence(ctx_of(groups.cyclic(2), 2))
@@ -155,8 +153,7 @@ def test_criterion_05_involution_pair_s3():
         pass
 
     ctx = WreathContext(g_group=s3, action=swap_action())
-    result = decision.decide_existence(ctx, try_certificates=False,
-                                       try_construction=False)
+    result = decision.decide_by_search(ctx)
     cert = result.certificate
     ok = ok and result.verdict == "no" \
         and isinstance(cert, decision.ExhaustiveBeliefSearch) \
@@ -186,8 +183,7 @@ def test_criterion_06_classification_agreement():
     for ctx in cases:
         assert ctx.k_size <= 16
         oracle = decision.classify_abelian(ctx.g_group, ctx.action)
-        searched = decision.decide_existence(ctx, try_certificates=False,
-                                             try_construction=False)
+        searched = decision.decide_by_search(ctx)
         ok = ok and oracle.verdict == searched.verdict
     _report(6, ok, "abelian classification agrees with search on every "
                    "abelian instance with |K| <= 16, including Z2 wr C3")
@@ -353,8 +349,7 @@ def test_criterion_13_loop_engine():
     for ctx in cases:
         assert ctx.k_size <= 16
         full = decision.decide_existence(ctx)
-        raw = decision.decide_existence(ctx, try_certificates=False,
-                                        try_construction=False)
+        raw = decision.decide_by_search(ctx)
         ok = ok and full.verdict == raw.verdict
     # exploratory: the order-5 loop with two interchangeable positions;
     # the verdict is reported, not asserted

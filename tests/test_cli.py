@@ -45,13 +45,60 @@ def test_decide_counts_the_states_behind_a_certificate(capsys):
 
 
 def test_decide_counts_the_states_of_a_failed_certificate_search(capsys):
-    # Z2 wr C4 is solved by the p-group construction after the certificate
-    # search's leaves explored 96 belief states without finding a proof
+    # Z6 wr 1 is no p-group: the exhaustive leaves of the quotients Z2 and Z3
+    # explore 3 belief states without finding a proof, and the one search of
+    # the whole context finds a strategy in 5 more
+    code, out, _ = run(capsys, "decide", "Z6 wr 1", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["verdict"] == "yes"
+    assert doc["payload"]["message"] == "belief search found a strategy"
+    assert doc["budget"]["states_explored"] == 8
+
+
+def test_decide_answers_p_groups_by_the_theorem(capsys):
+    # no certificate search runs on a p-group for one prime
     code, out, _ = run(capsys, "decide", "Z2 wr C4", "--json")
     assert code == 0
     doc = json.loads(out)
     assert doc["verdict"] == "yes"
-    assert doc["budget"]["states_explored"] >= 96
+    assert doc["payload"]["message"] == "p-group construction"
+    assert doc["budget"]["states_explored"] == 0
+
+
+@pytest.mark.parametrize("puzzle,states", [("Z128 wr 1", 127),
+                                           ("Z81 wr 1", 80)])
+def test_decide_searches_p_groups_beyond_the_subgroup_bound(capsys, puzzle,
+                                                            states):
+    # |G| > 64 is past the construction's subgroup enumeration, so the one
+    # search of the whole context gives the verdict
+    code, out, _ = run(capsys, "decide", puzzle, "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["verdict"] == "yes"
+    assert doc["payload"]["message"] == "belief search found a strategy"
+    assert doc["budget"]["states_explored"] == states
+
+
+def test_a_broken_p_group_construction_is_not_swallowed(capsys, monkeypatch):
+    from spinwreath import decision, synthesis
+    from spinwreath.errors import BaseCaseVerificationFailed
+    from spinwreath.puzzle_parser import parse_puzzle
+    from spinwreath.strategies import Strategy
+
+    build = synthesis._pgroup_strategy
+
+    def drops_a_move(ctx):
+        strat = build(ctx)
+        return Strategy(ctx=ctx, moves=strat.moves[:-1])
+
+    monkeypatch.setattr(synthesis, "_pgroup_strategy", drops_a_move)
+    with pytest.raises(BaseCaseVerificationFailed):
+        decision.decide_existence(parse_puzzle("Z2 wr C4"))
+    code, _, err = run(capsys, "construct", "Z4 wr C2", "--method",
+                       "decompose")
+    assert code != 0
+    assert err.startswith("error:")
 
 
 @pytest.mark.parametrize("puzzle,budget,exit_code", [("S3 wr C2", 50, 4),
@@ -242,6 +289,24 @@ def test_parse_errors_exit_2(capsys):
     code, _, err = run(capsys, "decide", "Z2 wr !")
     assert code == 2
     assert "position" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["decide", "Z2 wr C2", "--win-set", "a"],
+    ["decide", "Z2 wr C2", "--win-set", "9"],
+    ["decide", "Z2 wr C2", "--spin-period", "0"],
+    ["decide", "Z2 wr C2", "--spin-period", "-1"],
+    ["expect", "Z2 wr C2", "--model", "montecarlo", "--trials", "0"],
+])
+def test_malformed_flags_are_usage_errors(capsys, argv):
+    # argparse exits by SystemExit, the handlers by returning the code
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error:" in err and "Traceback" not in err
 
 
 def test_missing_files_exit_2(capsys):

@@ -7,7 +7,8 @@ from spinwreath.actions import (WreathContext, cyclic_rotation_action,
                                 natural_symmetric_action, regular_action)
 from spinwreath.decision import (AbelianClassification, ExhaustiveBeliefSearch,
                                  OrbitRestriction, SwitchQuotient,
-                                 classify_abelian, decide_existence,
+                                 classify_abelian, decide_by_search,
+                                 decide_existence,
                                  find_nonexistence_certificate,
                                  min_spin_period, render_certificate,
                                  validate_certificate)
@@ -37,8 +38,7 @@ def test_classification_agrees_with_search_on_small_abelian_contexts():
     ]
     for ctx in cases:
         oracle = classify_abelian(ctx.g_group, ctx.action)
-        searched = decide_existence(ctx, try_certificates=False,
-                                    try_construction=False)
+        searched = decide_by_search(ctx)
         assert oracle.verdict == searched.verdict, ctx.name
         if searched.verdict == "yes":
             assert verify(ctx, searched.strategy).valid
@@ -97,8 +97,7 @@ def test_tampered_certificates_fail_validation():
 
 def test_exhaustive_leaf_certificate_validates():
     ctx = ctx_of(z(2), 3)
-    result = decide_existence(ctx, try_certificates=False,
-                              try_construction=False)
+    result = decide_by_search(ctx)
     assert result.verdict == "no"
     assert isinstance(result.certificate, ExhaustiveBeliefSearch)
     assert result.states_explored <= 2 ** 8
@@ -123,8 +122,7 @@ def test_s3_with_two_swapped_positions_has_no_strategy():
     # nonabelian switches break the interchangeable-pair construction; the
     # belief graph is small enough to exhaust outright
     ctx = WreathContext(g_group=groups.symmetric(3), action=swap_action())
-    result = decide_existence(ctx, try_certificates=False,
-                              try_construction=False)
+    result = decide_by_search(ctx)
     assert result.verdict == "no"
     assert isinstance(result.certificate, ExhaustiveBeliefSearch)
     # the leaf check reaches 704 belief sets, so a smaller budget rejects it
@@ -155,8 +153,7 @@ def test_decision_engine_agrees_with_pure_search():
     ]
     for ctx in contexts:
         fast = decide_existence(ctx)
-        slow = decide_existence(ctx, try_certificates=False,
-                                try_construction=False)
+        slow = decide_by_search(ctx)
         assert fast.verdict == slow.verdict, ctx.name
 
 

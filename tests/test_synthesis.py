@@ -6,12 +6,12 @@ from collections import deque
 
 import pytest
 
-from spinwreath import groups, synthesis
+from spinwreath import decision, groups, synthesis
 from spinwreath.actions import (WreathContext, cyclic_rotation_action,
                                 regular_action, trivial_action)
 from spinwreath.errors import (DoesNotGenerate, LiftedStrategyFailedVerification,
-                               NoStrategyWithinDepth, NotAPermutation,
-                               NotInvolutionGenerated, NotSamePrime)
+                               NotAPermutation, NotInvolutionGenerated,
+                               NotSamePrime)
 from spinwreath.strategies import Strategy, initial_belief, verify
 
 
@@ -192,7 +192,7 @@ def test_transport_through_quotient_projection():
 def test_search_finds_the_three_move_solution():
     ctx = WreathContext(g_group=groups.cyclic(2),
                         action=cyclic_rotation_action(2))
-    strat = synthesis.synthesize_by_search(ctx)
+    strat = decision.decide_by_search(ctx).strategy
     assert verify(ctx, strat).valid and len(strat) == 3
 
 
@@ -202,14 +202,13 @@ def test_search_exhausts_on_z2_wr_c3():
     stats = synthesis.SearchStats()
     path = synthesis.search_belief_path(ctx, stats=stats)
     assert path is None and stats.exhausted
-    with pytest.raises(NoStrategyWithinDepth):
-        synthesis.synthesize_by_search(ctx)
+    assert decision.decide_by_search(ctx).verdict == "no"
 
 
 def test_search_solves_the_four_switch_puzzle():
     ctx = WreathContext(g_group=groups.cyclic(2),
                         action=cyclic_rotation_action(4))
-    strat = synthesis.synthesize_by_search(ctx)
+    strat = decision.decide_by_search(ctx).strategy
     assert verify(ctx, strat).valid
 
 
@@ -225,7 +224,7 @@ def test_search_with_spin_period_uses_waiting_moves():
     # identity) to line up eliminations with quiet turns
     ctx = WreathContext(g_group=groups.cyclic(2),
                         action=cyclic_rotation_action(3))
-    strat = synthesis.synthesize_by_search(ctx, spin_period=3)
+    strat = decision.decide_by_search(ctx, spin_period=3).strategy
     assert verify(ctx, strat, spin_period=3).valid
     assert not verify(ctx, strat).valid
 
