@@ -14,10 +14,9 @@ from .decision import (DecisionResult, classify_abelian, decide_by_search,
 from .errors import SpinWreathError
 from .groups import FiniteGroup, Homomorphism, Subgroup
 from .puzzle_parser import parse_expr, parse_puzzle, print_expr
-from .strategies import (BeliefState, Strategy, VerificationReport,
-                         belief_step, initial_belief, interleave,
-                         minimal_length_bound, strategy_from_coords, verify,
-                         verify_naive)
+from .strategies import (Strategy, VerificationReport, initial_belief,
+                         interleave, minimal_length_bound,
+                         strategy_from_coords, verify, verify_naive)
 from .synthesis import (construct_by_decomposition, construct_involution_pair,
                         construct_pgroup, construct_trivial, covering_walk)
 

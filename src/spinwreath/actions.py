@@ -76,24 +76,19 @@ def cyclic_rotation_action(n: int) -> GroupAction:
     return GroupAction(h_group=h, omega_size=n, act=act, name=f"C{n}-rotation")
 
 
+def permutation_action(h: FiniteGroup, name: str) -> GroupAction:
+    """A permutation group on the points it permutes: act[x] = h.perms[x]."""
+    return GroupAction(h_group=h, omega_size=len(h.perms[0]), act=h.perms,
+                       name=name)
+
+
 def natural_symmetric_action(n: int) -> GroupAction:
-    h = groups.symmetric(n)
-    perms = groups.permutation_elements(n)
-    return GroupAction(h_group=h, omega_size=n, act=tuple(perms),
-                       name=f"S{n}-natural")
+    return permutation_action(groups.symmetric(n), f"S{n}-natural")
 
 
 def dihedral_action(order: int) -> GroupAction:
     """Dihedral group of the given order on order/2 polygon corners."""
-    h = groups.dihedral(order)
-    n = order // 2
-    # dihedral() elements are themselves permutations of the n points, sorted
-    # lexicographically; rebuild that list to recover the action table.
-    rotations = [tuple((i + k) % n for i in range(n)) for k in range(n)]
-    reflections = [tuple((k - i) % n for i in range(n)) for k in range(n)]
-    perms = sorted(set(rotations) | set(reflections))
-    return GroupAction(h_group=h, omega_size=n, act=tuple(perms),
-                       name=f"D{order}-polygon")
+    return permutation_action(groups.dihedral(order), f"D{order}-polygon")
 
 
 def trivial_action() -> GroupAction:
@@ -181,10 +176,10 @@ class WreathContext:
 
     # -- dense tables for small K -------------------------------------------
     # Read element by element through k_mul / k_act / k_inv: by Monte Carlo
-    # play and canonicalize_strategy in the analysis code, verify_naive, the
-    # certificate validator's independent search, belief_step's H-closure
-    # check (orbit_masks) and the belief search's move order (k_inv).  The
-    # belief kernel and the exact expectation never build them.
+    # play (k_mul, k_act) and canonicalize_strategy (k_act) in the analysis
+    # code, verify_naive (all three), the certificate validator's independent
+    # search (k_mul, orbit_masks) and the wreath arithmetic.  The belief
+    # kernel, the belief search and the exact expectation never build them.
 
     @cached_property
     def _dense(self) -> bool:
@@ -267,20 +262,23 @@ class BeliefKernel:
     base-|G| digit of weight |G|^(|Omega|-1-w).  A move right-multiplies each
     coordinate, which permutes that coordinate's digit: the bits whose digit
     moves by the same distance move together, so coordinate w and switch
-    element g take one masked shift per distinct distance.  A spin permutes
-    coordinates; each coordinate transposition is |G|-1 delta swaps (Warren,
-    Hacker's Delight, ch. 7).  The rows of the action table are the whole
-    image of H, so the spin closure is the OR of the mask's images under
-    every row.  The shift masks are built on first use of each (w, g); the
-    masks together are O(|Omega| |G|^2) of |K| bits, plus |G|-1 per
-    coordinate transposition of each row.
+    element g take one masked shift per distinct distance.  Inversion permutes
+    every coordinate's digit the same way, so the inverses of a whole mask
+    take one pass of masked shifts too.  A spin permutes coordinates; each
+    coordinate transposition is |G|-1 delta swaps (Warren, Hacker's Delight,
+    ch. 7).  The rows of the action table are the whole image of H, so the
+    spin closure is the OR of the mask's images under every row.  The shift
+    masks are built on first use of each (w, g) and of inversion; the masks
+    together are O(|Omega| |G|^2) of |K| bits, plus |G|-1 per coordinate
+    transposition of each row.
     """
 
     def __init__(self, g_group: FiniteGroup, action: GroupAction,
                  win_set: frozenset):
         n, m = g_group.order, action.omega_size
         full = (1 << n ** m) - 1
-        self._n, self._m, self._mul = n, m, g_group.mul
+        self._n, self._m = n, m
+        self._mul, self._inv = g_group.mul, g_group.inv
         self._weight = tuple(n ** (m - 1 - w) for w in range(m))
         # _digit[w][x]: the bits whose coordinate w is x
         self._digit = tuple(
@@ -303,16 +301,20 @@ class BeliefKernel:
             move, g = divmod(move, self._n)
             if g:  # the identity leaves coordinate w alone
                 if (w, g) not in self._shifts:
-                    self._shifts[w, g] = self._coordinate_shifts(w, g)
+                    self._shifts[w, g] = self._digit_shifts(
+                        w, [row[g] for row in self._mul])
                 out.append(self._shifts[w, g])
         return tuple(out)
 
-    def _coordinate_shifts(self, w: int, g: int):
-        """Masked shifts that right-multiply coordinate w by g."""
+    @cached_property
+    def _inversion(self) -> tuple:
+        return tuple(self._digit_shifts(w, self._inv) for w in range(self._m))
+
+    def _digit_shifts(self, w: int, image) -> tuple:
+        """Masked shifts that send digit x of coordinate w to image[x]."""
         by_distance: dict = {}
-        for x in range(self._n):
-            d = self._mul[x][g] - x
-            by_distance[d] = by_distance.get(d, 0) | self._digit[w][x]
+        for x, y in enumerate(image):
+            by_distance[y - x] = by_distance.get(y - x, 0) | self._digit[w][x]
         wt = self._weight[w]
         return (tuple((d * wt, sel) for d, sel in by_distance.items() if d >= 0),
                 tuple((-d * wt, sel) for d, sel in by_distance.items() if d < 0))
@@ -360,6 +362,23 @@ class BeliefKernel:
                 image ^= t ^ (t << delta)
             out |= image
         return out
+
+    def inverses(self, mask: int) -> int:
+        """The mask of the coordinate-wise inverses of the mask's members.
+
+        Inverses are two-sided, so inversion is an involution of G and the
+        result is also the set of base vectors whose inverse is in the mask.
+        The loop is the one ``step`` runs on a move's shifts; ``step`` keeps
+        its own copy because a call per step slows enumeration by 2-3%.
+        """
+        for left, right in self._inversion:
+            out = 0
+            for s, sel in left:
+                out |= (mask & sel) << s
+            for s, sel in right:
+                out |= (mask & sel) >> s
+            mask = out
+        return mask
 
 
 @dataclass(frozen=True)

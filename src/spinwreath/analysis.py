@@ -143,38 +143,40 @@ def exact_expected_moves(ctx: WreathContext, strategy: Strategy,
 # random play
 # ---------------------------------------------------------------------------
 
+MAX_TURNS = 10 ** 6  # a simulated game longer than this raises RuntimeError
+
+
 def random_play_expectation(ctx: WreathContext) -> Fraction:
     """Closed form for uniform moves over K minus the do-nothing move."""
     return Fraction(ctx.k_size - 1)
 
 
 def _simulate_game(ctx: WreathContext, rng: random.Random,
-                   *, exclude_constant_backtrack=False, max_turns=10 ** 6
-                   ) -> int:
+                   *, exclude_constant_backtrack=False) -> int:
     k = ctx.k_size
     win = ctx.win_set
     state = rng.randrange(1, k)
     while state in win:
         state = rng.randrange(1, k)
-    n_g = ctx.g_group.order
-    constants = {ctx.encode([g] * ctx.omega_size): g for g in range(n_g)}
+    m, inv = ctx.omega_size, ctx.g_group.inv
+    constants = {ctx.encode([g] * m): g for g in range(ctx.g_group.order)}
     # hot loop: localize the dense tables (cached on the context) and the rng
     mul = ctx._k_mul_table if ctx._dense else None
     act = ctx._k_act_table if ctx._dense else None
-    inv = ctx._k_inv_table if ctx._dense else [ctx.k_inv(a) for a in range(k)]
     randrange = rng.randrange
     h_order = ctx.h_order
     last_constant = None
-    for turn in range(1, max_turns + 1):
+    for turn in range(1, MAX_TURNS + 1):
         move = randrange(1, k)
         if exclude_constant_backtrack and last_constant is not None:
-            banned = inv[last_constant]
+            # the constant move (g, ..., g) is undone by (g^-1, ..., g^-1)
+            banned = ctx.encode([inv[last_constant]] * m)
             while move == banned:
                 move = randrange(1, k)
         state = mul[state][move] if mul else ctx.k_mul(state, move)
         if state in win:
             return turn
-        last_constant = move if move in constants else None
+        last_constant = constants.get(move)
         spin = randrange(h_order)
         state = act[spin][state] if act else ctx.k_act(spin, state)
     raise RuntimeError("simulation did not terminate")
@@ -232,7 +234,7 @@ def enumerate_strategies(ctx: WreathContext, length: int,
     found: List[Tuple[int, ...]] = []
     moves: List[int] = []
     visited = 0
-    start = initial_belief(ctx).mask
+    start = initial_belief(ctx)
     step = ctx.belief_kernel.step
 
     def dfs(mask, depth):

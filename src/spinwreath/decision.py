@@ -161,19 +161,26 @@ def _orbit(action: GroupAction, members: Tuple[int, ...], omega: int
 # ---------------------------------------------------------------------------
 
 def classify_abelian(g: FiniteGroup, action: GroupAction) -> DecisionResult:
-    """Verdict for abelian switches: solvable iff G and H share a prime."""
+    """Verdict for abelian switches: solvable iff G or H is trivial or both
+    are p-groups for one prime.
+
+    A "no" carries an ``AbelianClassification`` leaf only where the leaf's
+    own hypotheses hold: G elementary abelian of exponent p, H a q-group
+    with q != p.
+    """
     groups.require_abelian(g)
     action.require_faithful()
     p = p_group_prime(g)
     q = p_group_prime(action.h_group)
-    compatible = (
-        p is not None and q is not None
-        and (p == q or TRIVIAL_P in (p, q))
-    )
-    if compatible:
+    if TRIVIAL_P in (p, q):
+        return DecisionResult(verdict="yes",
+                              message="trivial switches or trivial spins")
+    if p is not None and p == q:
         return DecisionResult(verdict="yes",
                               message="both p-groups for one prime")
-    cert = AbelianClassification(p_switch=p or 0, q_spin=q or 0)
+    cert = None
+    if None not in (p, q) and _is_elementary_abelian(g) == p:
+        cert = AbelianClassification(p_switch=p, q_spin=q)
     return DecisionResult(verdict="no", certificate=cert,
                           message="prime mismatch between switches and spins")
 
@@ -355,14 +362,13 @@ def _validate_node(g: FiniteGroup, action: GroupAction, cert: Certificate,
 
 def _belief_graph_has_no_empty_set(ctx: WreathContext, budget: int) -> bool:
     """Breadth-first reachability over belief masks, built from k_mul and
-    k_act alone so that it shares no code with the search that made the leaf.
+    the orbit masks (from k_act) alone, so that it shares no code with the
+    search that made the leaf.
 
     False when some move sequence empties the belief set, or when more than
     ``budget`` distinct belief sets were seen.
     """
-    k, win = ctx.k_size, ctx.win_set
-    orbit = [sum(1 << u for u in {ctx.k_act(h, t) for h in range(ctx.h_order)})
-             for t in range(k)]
+    k, win, orbit = ctx.k_size, ctx.win_set, ctx.orbit_masks
     start = sum(1 << s for s in range(k) if s not in win)
     seen, queue = {start}, deque([start])
     while queue:

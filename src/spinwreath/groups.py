@@ -41,6 +41,9 @@ class FiniteGroup:
     is_associative: bool = True
     labels: Optional[tuple] = None
     name: str = "G"
+    # permutation groups only: perms[x] is element x as a permutation of
+    # 0..n-1, in lexicographic order, so that x acts on point w as perms[x][w]
+    perms: Optional[tuple] = field(default=None, compare=False)
 
     @property
     def identity(self) -> int:
@@ -220,8 +223,7 @@ def _perm_label(p):
 
 
 def _group_from_perms(perms, name):
-    perms = sorted(perms)
-    assert perms[0] == tuple(range(len(perms[0])))  # identity is lex-first
+    perms = tuple(sorted(perms))  # the identity is lex-first, so index 0
     index = {p: i for i, p in enumerate(perms)}
     mul = tuple(
         tuple(index[_perm_compose(a, b)] for b in perms) for a in perms
@@ -229,19 +231,13 @@ def _group_from_perms(perms, name):
     inv = tuple(index[_perm_inverse(a)] for a in perms)
     labels = tuple(_perm_label(p) for p in perms)
     return FiniteGroup(order=len(perms), mul=mul, inv=inv,
-                       labels=labels, name=name), perms
+                       labels=labels, name=name, perms=perms)
 
 
 def symmetric(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError("n must be >= 1")
-    group, _ = _group_from_perms(itertools.permutations(range(n)), f"S{n}")
-    return group
-
-
-def permutation_elements(n: int):
-    """The element order used by ``symmetric(n)``: permutations in lex order."""
-    return sorted(itertools.permutations(range(n)))
+    return _group_from_perms(itertools.permutations(range(n)), f"S{n}")
 
 
 def _perm_sign(p):
@@ -257,8 +253,7 @@ def alternating(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError("n must be >= 1")
     perms = [p for p in itertools.permutations(range(n)) if _perm_sign(p) == 1]
-    group, _ = _group_from_perms(perms, f"A{n}")
-    return group
+    return _group_from_perms(perms, f"A{n}")
 
 
 def dihedral(order: int) -> FiniteGroup:
@@ -268,9 +263,7 @@ def dihedral(order: int) -> FiniteGroup:
     n = order // 2
     rotations = [tuple((i + k) % n for i in range(n)) for k in range(n)]
     reflections = [tuple((k - i) % n for i in range(n)) for k in range(n)]
-    perms = set(rotations) | set(reflections)
-    group, _ = _group_from_perms(perms, f"D{order}")
-    return group
+    return _group_from_perms(set(rotations) | set(reflections), f"D{order}")
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:

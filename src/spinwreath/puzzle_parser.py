@@ -11,7 +11,6 @@ lookahead; errors carry the character position they were raised at.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
@@ -19,9 +18,9 @@ from typing import List, Optional, Tuple, Union
 from . import fileio, groups
 from .actions import (GroupAction, WreathContext, cyclic_rotation_action,
                       dihedral_action, natural_symmetric_action,
-                      regular_action, trivial_action)
+                      permutation_action, regular_action, trivial_action)
 from .errors import ParseError, UnknownGroupFamily
-from .groups import FiniteGroup, _perm_sign
+from .groups import FiniteGroup
 
 
 # ---------------------------------------------------------------------------
@@ -211,14 +210,6 @@ def build_group(term: GroupTerm) -> FiniteGroup:
     raise UnknownGroupFamily(f"unknown family {term.family!r}")
 
 
-def _alternating_action(n: int) -> GroupAction:
-    h = groups.alternating(n)
-    perms = sorted(p for p in itertools.permutations(range(n))
-                   if _perm_sign(p) == 1)
-    return GroupAction(h_group=h, omega_size=n, act=tuple(perms),
-                       name=f"A{n}-natural")
-
-
 def default_action(term: GroupTerm) -> GroupAction:
     """The action implied by the spin term when no `on` clause is given."""
     if isinstance(term, GroupAtom):
@@ -229,7 +220,8 @@ def default_action(term: GroupTerm) -> GroupAction:
         if term.family == "S":
             return natural_symmetric_action(term.n)
         if term.family == "A":
-            return _alternating_action(term.n)
+            return permutation_action(groups.alternating(term.n),
+                                      f"A{term.n}-natural")
         if term.family == "D":
             if term.n % 2:
                 raise UnknownGroupFamily(f"D{term.n}: dihedral order must be even")

@@ -3,14 +3,17 @@
 Verification runs the belief-state semantics: starting from every possibly
 unsolved configuration, each move shrinks (or spreads) the set of states the
 switches could still occupy given that the light has not turned on.  The
-strategy is valid exactly when the belief set ends empty.  Belief sets are
-bitmasks over K, and the context's ``BeliefKernel`` steps a whole mask at
-once (masked shifts and delta swaps, no |K|^2 tables); ``verify``, the
-belief search, enumeration and certificate leaves all call its ``step``.  ``verify`` makes one belief step per move and nothing else;
+strategy is valid exactly when the belief set ends empty.  A belief set is
+one int, bit s standing for base vector s; ``initial_belief`` gives that
+mask and ``bits`` lists its members.  The context's ``BeliefKernel`` steps
+a whole mask at once (masked shifts and delta swaps, no |K|^2 tables);
+``verify``, the belief search, enumeration and certificate leaves all call
+its ``step``.  ``verify`` makes one belief step per move and nothing else;
 the per-initial-state diagnostic ``VerificationReport.solved_at`` is
 computed on first read, at any |K|, by stepping each singleton belief
 through the same moves.  A naive oracle that enumerates every adversary
-spin sequence is kept alongside for cross-validation.
+spin sequence is kept alongside for cross-validation; it reads the
+per-element ``k_mul`` / ``k_act`` / ``k_inv`` and never the kernel.
 """
 
 from __future__ import annotations
@@ -56,50 +59,17 @@ def interleave(a: Strategy, b: Strategy) -> Strategy:
     return Strategy(ctx=a.ctx, moves=tuple(moves))
 
 
-@dataclass(frozen=True)
-class BeliefState:
-    """Subset of K still possibly unsolved, as a bitmask over K-indices."""
-
-    ctx: WreathContext
-    mask: int
-    step: int = 0
-
-    @property
-    def members(self) -> frozenset:
-        return frozenset(_bits(self.mask))
-
-    def __len__(self):
-        return bin(self.mask).count("1")
-
-
-def _bits(mask: int):
+def bits(mask: int):
+    """The members of a belief mask, ascending."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
 
 
-def initial_belief(ctx: WreathContext) -> BeliefState:
-    mask = (1 << ctx.k_size) - 1
-    for w in ctx.win_set:
-        mask &= ~(1 << w)
-    return BeliefState(ctx=ctx, mask=mask, step=0)
-
-
-def belief_step(ctx: WreathContext, state: BeliefState, move: int,
-                *, spin=True) -> BeliefState:
-    new = ctx.belief_kernel.step(state.mask, move, spin)
-    # elimination bound: the move itself is injective on K, so at most
-    # |win_set| states can disappear in one step
-    assert bin(new).count("1") >= len(state) - len(ctx.win_set)
-    if spin:
-        assert _is_h_closed(ctx, new)
-    return BeliefState(ctx=ctx, mask=new, step=state.step + 1)
-
-
-def _is_h_closed(ctx: WreathContext, mask: int) -> bool:
-    orbit = ctx.orbit_masks
-    return all(orbit[s] & ~mask == 0 for s in _bits(mask))
+def initial_belief(ctx: WreathContext) -> int:
+    """The mask of every base vector outside the win set."""
+    return (1 << ctx.k_size) - 1 - sum(1 << w for w in ctx.win_set)
 
 
 @dataclass(frozen=True)
@@ -122,7 +92,7 @@ class VerificationReport:
         alone is empty after i steps; None when the strategy never empties it.
         """
         out: Dict[int, Optional[int]] = {}
-        for s in _bits(initial_belief(self.ctx).mask):
+        for s in bits(initial_belief(self.ctx)):
             used, mask = _run_belief(self.ctx, 1 << s, self.strategy.moves,
                                      self.spin_period)
             out[s] = None if mask else used
@@ -170,13 +140,13 @@ def verify(ctx: WreathContext, strategy: Strategy,
     """
     if strategy.ctx.k_size != ctx.k_size:
         raise ContextMismatch("strategy was built for a different context")
-    _, mask = _run_belief(ctx, initial_belief(ctx).mask, strategy.moves,
+    _, mask = _run_belief(ctx, initial_belief(ctx), strategy.moves,
                           spin_period)
     valid = mask == 0
     return VerificationReport(
         valid=valid,
         length=len(strategy),
-        residual=frozenset(_bits(mask)),
+        residual=frozenset(bits(mask)),
         minimal=valid and len(strategy) == minimal_length_bound(ctx),
         ctx=ctx,
         strategy=strategy,

@@ -38,7 +38,7 @@ from .groups import (
     quotient,
     subgroup_as_group,
 )
-from .strategies import Strategy, initial_belief, interleave, verify
+from .strategies import Strategy, bits, initial_belief, interleave, verify
 
 DEFAULT_HAMILTONIAN_BUDGET = 10 ** 6
 DEFAULT_SEARCH_BUDGET = 10 ** 7
@@ -96,8 +96,7 @@ def _walk_from_steps(g, gens, steps):
 
 
 def covering_walk(g: FiniteGroup, gens: Sequence[int],
-                  *, hamiltonian=True,
-                  budget=DEFAULT_HAMILTONIAN_BUDGET) -> CoveringWalk:
+                  *, budget=DEFAULT_HAMILTONIAN_BUDGET) -> CoveringWalk:
     """A walk in the Cayley graph whose prefix products cover G.
 
     Tries an exhaustive Hamiltonian-path search first (length |G| - 1) and
@@ -106,11 +105,10 @@ def covering_walk(g: FiniteGroup, gens: Sequence[int],
     gens = list(dict.fromkeys(gens))
     if not gens or len(closure(g, gens)) != g.order:
         raise DoesNotGenerate("generators do not generate G")
-    if hamiltonian:
-        steps = _hamiltonian_walk(g, gens, budget)
-        if steps is not None:
-            return _walk_from_steps(g, gens, steps)
-    return _greedy_walk(g, gens)
+    steps = _hamiltonian_walk(g, gens, budget)
+    if steps is None:
+        return _greedy_walk(g, gens)
+    return _walk_from_steps(g, gens, steps)
 
 
 def _hamiltonian_walk(g, gens, budget):
@@ -183,8 +181,7 @@ def swap_action() -> GroupAction:
 
 
 def construct_involution_pair(g: FiniteGroup,
-                              action: Optional[GroupAction] = None,
-                              *, walk_budget=DEFAULT_HAMILTONIAN_BUDGET
+                              action: Optional[GroupAction] = None
                               ) -> Strategy:
     """Strategy for two interchangeable copies of an involution-generated G.
 
@@ -207,7 +204,7 @@ def construct_involution_pair(g: FiniteGroup,
     if action.omega_size != 2:
         raise ValueError("involution-pair construction needs two positions")
     ctx = WreathContext(g_group=g, action=action)
-    walk = covering_walk(g, gens, budget=walk_budget)
+    walk = covering_walk(g, gens)
     ts = walk.step_elements()
     doubled = Strategy(ctx=ctx, moves=tuple(ctx.encode((t, t)) for t in ts))
     singles = Strategy(ctx=ctx, moves=tuple(ctx.encode((t, 0)) for t in ts))
@@ -409,9 +406,13 @@ def search_belief_path(ctx: WreathContext, *, max_depth: Optional[int] = None,
                        ) -> Optional[Tuple[int, ...]]:
     """Depth-first search over belief states for a move path reaching empty.
 
-    An explicit stack holds (mask, phase, moves left, remaining moves); moves
-    whose inverse lies in the current belief (they eliminate a state) are
-    tried first.  ``entered[(mask, phase)]`` is the most moves left that the
+    An explicit stack holds (mask, phase, moves left, remaining moves).  The
+    moves whose inverse lies in the current belief (they send a state to the
+    identity) are tried first, ascending, then the other non-identity moves,
+    ascending, then, under a spin period, the identity; each node walks the
+    bits of the kernel's inverse image of its mask and of the complement,
+    lazily, so it holds a few |K|-bit ints and no move list.
+    ``entered[(mask, phase)]`` is the most moves left that the
     node was entered with, and a node is entered again only with more moves
     left.  Without ``max_depth`` that is infinity, so every reachable node is
     entered once and ``stats.exhausted`` is set when none leads to empty.
@@ -422,22 +423,21 @@ def search_belief_path(ctx: WreathContext, *, max_depth: Optional[int] = None,
     so the total never exceeds it.
     """
     stats = stats if stats is not None else SearchStats()
-    step = ctx.belief_kernel.step
-    start = initial_belief(ctx).mask
+    kernel = ctx.belief_kernel
+    step = kernel.step
+    start = initial_belief(ctx)
     if start == 0:
         stats.exhausted = True
         return ()
     period = spin_period or 1
-    identity = [0] if period > 1 else []
+    non_identity = (1 << ctx.k_size) - 2
 
     def moves_for(mask):
-        eliminating, rest = [], []
-        for mv in range(1, ctx.k_size):
-            if (mask >> ctx.k_inv(mv)) & 1:
-                eliminating.append(mv)
-            else:
-                rest.append(mv)
-        return iter(eliminating + rest + identity)
+        eliminating = kernel.inverses(mask) & non_identity
+        yield from bits(eliminating)
+        yield from bits(non_identity ^ eliminating)
+        if period > 1:
+            yield 0
 
     entered = {}
     stack = []
@@ -456,13 +456,14 @@ def search_belief_path(ctx: WreathContext, *, max_depth: Optional[int] = None,
     while stack:
         mask, phase, moves_left, moves = stack[-1]
         phase = (phase + 1) % period  # the children's phase
+        spin, left = phase == 0, moves_left - 1
         for mv in moves:
-            new = step(mask, mv, phase == 0)
+            new = step(mask, mv, spin)
             if new == 0:
                 return tuple(path) + (mv,)
-            if entered.get((new, phase), 0) < moves_left - 1:
+            if entered.get((new, phase), 0) < left:
                 path.append(mv)
-                enter(new, phase, moves_left - 1)
+                enter(new, phase, left)
                 break
         else:
             stack.pop()

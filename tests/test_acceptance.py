@@ -24,7 +24,7 @@ from spinwreath.actions import (WreathContext, WreathElement,
                                 trivial_action, wreath_identity,
                                 wreath_inverse, wreath_multiply)
 from spinwreath.errors import LiftedStrategyFailedVerification
-from spinwreath.strategies import (Strategy, belief_step, initial_belief,
+from spinwreath.strategies import (Strategy, bits, initial_belief,
                                    minimal_length_bound, verify, verify_naive)
 from spinwreath.synthesis import swap_action
 
@@ -314,13 +314,19 @@ def test_criterion_12_property_suites():
             ok = ok and wreath_multiply(a, ident) == a \
                 and wreath_multiply(ident, a) == a
             ok = ok and wreath_multiply(a, wreath_inverse(a)) == ident
-    # belief H-closure and the elimination bound (belief_step asserts both;
-    # drive it over random move sequences)
+    # belief H-closure and the elimination bound, checked after every step
+    # of random move sequences
     ctx = ctx_of(groups.cyclic(2), 3)
     for _ in range(200):
-        state = initial_belief(ctx)
+        mask = initial_belief(ctx)
         for _ in range(10):
-            state = belief_step(ctx, state, rng.randrange(ctx.k_size))
+            new = ctx.belief_kernel.step(mask, rng.randrange(ctx.k_size))
+            members = set(bits(new))
+            ok = ok and all(ctx.k_act(h, s) in members for s in members
+                            for h in range(ctx.h_order))
+            ok = ok and len(members) >= \
+                len(set(bits(mask))) - len(ctx.win_set)
+            mask = new
     # no strategy shorter than |K|-1 verifies (exhaustive for |K| <= 8)
     small = [ctx_of(groups.cyclic(2), 2), ctx_of(groups.cyclic(2), 3),
              WreathContext(g_group=groups.cyclic(4), action=trivial_action()),

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from spinwreath.actions import (GroupAction, WreathContext, WreathElement,
                                 trivial_action, wreath_identity,
                                 wreath_inverse, wreath_multiply)
 from spinwreath.errors import NonFaithfulAction
+from spinwreath.puzzle_parser import default_action, parse_expr
 
 
 def four_switch_ctx():
@@ -45,6 +47,26 @@ def test_action_axioms(action):
             composed = tuple(action.act[a][action.act[b][w]] for w in range(m))
             assert action.act[h.mul[a][b]] == composed
     assert action.is_faithful()
+
+
+def test_natural_actions_list_permutations_in_lex_order():
+    # element x of S_n, A_n and D_2n acts on the points as the x-th
+    # permutation in lexicographic order, the order groups.py indexes them in
+    def sign(p):
+        return (-1) ** sum(p[i] > p[j] for i, j in
+                           itertools.combinations(range(len(p)), 2))
+
+    for n in range(1, 6):
+        perms = sorted(itertools.permutations(range(n)))
+        assert natural_symmetric_action(n).act == tuple(perms)
+        if n >= 3:
+            action = default_action(parse_expr(f"Z2 wr A{n}").h_term)
+            assert action.act == tuple(p for p in perms if sign(p) == 1)
+    for order in range(4, 17, 2):
+        n = order // 2
+        perms = {tuple((k + s * i) % n for i in range(n))
+                 for k in range(n) for s in (1, -1)}
+        assert dihedral_action(order).act == tuple(sorted(perms))
 
 
 def test_action_compatibility_rejected():

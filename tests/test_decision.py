@@ -44,6 +44,27 @@ def test_classification_agrees_with_search_on_small_abelian_contexts():
             assert verify(ctx, searched.strategy).valid
 
 
+@pytest.mark.parametrize("text", ["Z6 wr 1", "Z10 wr 1", "Z2 x Z3 wr 1"])
+def test_classification_says_yes_without_spins(text):
+    # G wr 1 always has a strategy, whatever the order of G
+    ctx = parse_puzzle(text)
+    assert classify_abelian(ctx.g_group, ctx.action).verdict == "yes"
+    assert decide_existence(ctx).verdict == "yes"
+
+
+@pytest.mark.parametrize("text", ["Z2 wr C3", "Z3 wr C2", "Z4 wr C3",
+                                  "Z6 wr C2", "Z9 wr C2", "Z2 wr C6"])
+def test_classification_attaches_only_valid_certificates(text):
+    ctx = parse_puzzle(text)
+    result = classify_abelian(ctx.g_group, ctx.action)
+    assert result.verdict == "no" == decide_existence(ctx).verdict
+    # the leaf needs elementary abelian switches and a q-group of spins
+    assert (result.certificate is not None) == (text in ("Z2 wr C3",
+                                                         "Z3 wr C2"))
+    if result.certificate is not None:
+        assert validate_certificate(ctx, result.certificate)
+
+
 def test_classification_rejects_nonabelian_switches():
     with pytest.raises(NotAbelian):
         classify_abelian(groups.symmetric(3), cyclic_rotation_action(2))

@@ -13,9 +13,9 @@ from spinwreath.actions import (GroupAction, WreathContext,
                                 trivial_action)
 from spinwreath.analysis import enumerate_strategies
 from spinwreath.errors import BudgetExceeded
-from spinwreath.strategies import (Strategy, belief_step, initial_belief,
-                                   interleave, minimal_length_bound,
-                                   strategy_from_coords, verify, verify_naive)
+from spinwreath.strategies import (Strategy, bits, initial_belief, interleave,
+                                   minimal_length_bound, strategy_from_coords,
+                                   verify, verify_naive)
 from spinwreath.synthesis import search_belief_path, swap_action
 
 
@@ -48,29 +48,33 @@ def test_interleave_length_formula(n, m):
 def test_two_switch_belief_walkthrough():
     # the classic 3-move solution: both, one, both
     ctx = ctx_z2c2()
-    state = initial_belief(ctx)
-    assert state.members == {1, 2, 3}
-    state = belief_step(ctx, state, ctx.encode((1, 1)))  # kills (1,1)
-    assert state.members == {1, 2}
-    state = belief_step(ctx, state, ctx.encode((1, 0)))  # kills one, spreads
-    assert state.members == {3}
-    state = belief_step(ctx, state, ctx.encode((1, 1)))
-    assert state.members == set()
+    step = ctx.belief_kernel.step
+    mask = initial_belief(ctx)
+    assert set(bits(mask)) == {1, 2, 3}
+    mask = step(mask, ctx.encode((1, 1)))  # kills (1,1)
+    assert set(bits(mask)) == {1, 2}
+    mask = step(mask, ctx.encode((1, 0)))  # kills one, spreads
+    assert set(bits(mask)) == {3}
+    mask = step(mask, ctx.encode((1, 1)))
+    assert mask == 0
 
 
 def test_belief_sets_stay_h_closed_and_shrink_slowly():
     rng = random.Random(7)
     ctx = WreathContext(g_group=groups.cyclic(2),
                         action=cyclic_rotation_action(3))
-    # belief_step itself asserts H-closure and the elimination bound;
-    # drive it through random move sequences to exercise those checks
     for _ in range(200):
-        state = initial_belief(ctx)
+        mask = initial_belief(ctx)
         for _ in range(12):
-            state = belief_step(ctx, state, rng.randrange(ctx.k_size))
-        for s in state.members:
-            for h in range(ctx.h_order):
-                assert ctx.k_act(h, s) in state.members
+            new = ctx.belief_kernel.step(mask, rng.randrange(ctx.k_size))
+            members = set(bits(new))
+            # closed under every spin
+            for s in members:
+                for h in range(ctx.h_order):
+                    assert ctx.k_act(h, s) in members
+            # the move is injective on K, so at most |win_set| states go
+            assert len(members) >= len(set(bits(mask))) - len(ctx.win_set)
+            mask = new
 
 
 def _reference_step(ctx, mask, move, spin):
@@ -134,6 +138,16 @@ def test_kernel_matches_the_per_bit_step(label, data):
         _reference_step(ctx, mask, move, spin)
 
 
+@pytest.mark.parametrize("label", sorted(KERNEL_CONTEXTS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_kernel_inverses_match_k_inv(label, data):
+    ctx = KERNEL_CONTEXTS[label]
+    mask = data.draw(st.integers(min_value=0, max_value=(1 << ctx.k_size) - 1))
+    image = sum(1 << ctx.k_inv(s) for s in range(ctx.k_size) if (mask >> s) & 1)
+    assert ctx.belief_kernel.inverses(mask) == image
+
+
 @pytest.mark.parametrize("g_order,n", [(2, 8), (32, 2)])
 def test_belief_consumers_build_no_dense_tables(g_order, n):
     ctx = WreathContext(g_group=groups.cyclic(g_order),
@@ -143,7 +157,8 @@ def test_belief_consumers_build_no_dense_tables(g_order, n):
         search_belief_path(ctx, budget=20)
     with pytest.raises(BudgetExceeded):
         enumerate_strategies(ctx, minimal_length_bound(ctx), budget=20)
-    for table in ("_k_mul_table", "_k_act_table", "orbit_masks"):
+    for table in ("_k_mul_table", "_k_act_table", "_k_inv_table",
+                  "orbit_masks"):
         assert table not in ctx.__dict__
 
 

@@ -256,7 +256,7 @@ def _shortest_win(ctx, spin_period):
     """Fewest moves that empty the belief set, by breadth-first search over
     (belief mask, phase) through every move; None when none does."""
     period = spin_period or 1
-    start = (initial_belief(ctx).mask, 0)
+    start = (initial_belief(ctx), 0)
     depth = {start: 0}
     queue = deque([start])
     while queue:
@@ -270,6 +270,31 @@ def _shortest_win(ctx, spin_period):
                 depth[(new, nxt)] = depth[(mask, phase)] + 1
                 queue.append((new, nxt))
     return None
+
+
+def test_search_under_a_spin_period_tries_the_identity():
+    # every (belief mask, phase) node reachable through every move, the
+    # identity included; Z2 wr C3 has no strategy with spins every other
+    # turn, so the search must enter each of them once.  Without the
+    # identity it would reach 12 of the 13.
+    ctx = WreathContext(g_group=groups.cyclic(2),
+                        action=cyclic_rotation_action(3))
+    start = (initial_belief(ctx), 0)
+    seen, queue = {start}, deque([start])
+    while queue:
+        mask, phase = queue.popleft()
+        nxt = (phase + 1) % 2
+        for mv in range(ctx.k_size):
+            node = (ctx.belief_kernel.step(mask, mv, nxt == 0), nxt)
+            assert node[0] != 0
+            if node not in seen:
+                seen.add(node)
+                queue.append(node)
+    stats = synthesis.SearchStats()
+    assert synthesis.search_belief_path(ctx, spin_period=2,
+                                        stats=stats) is None
+    assert stats.exhausted
+    assert stats.states_explored == len(seen) == 13
 
 
 def test_max_depth_finds_the_shortest_length():
