@@ -177,9 +177,10 @@ class WreathContext:
     # -- dense tables for small K -------------------------------------------
     # Read element by element through k_mul / k_act / k_inv: by Monte Carlo
     # play (k_mul, k_act) and canonicalize_strategy (k_act) in the analysis
-    # code, verify_naive (all three), the certificate validator's independent
-    # search (k_mul, orbit_masks) and the wreath arithmetic.  The belief
-    # kernel, the belief search and the exact expectation never build them.
+    # code, verify_naive (all three) and the wreath arithmetic.  The belief
+    # kernel, the belief search, the exact expectation and the certificate
+    # validator never build them; orbit_masks is read only by tests and by
+    # the table timing of perfbench/spans.py.
 
     @cached_property
     def _dense(self) -> bool:
@@ -289,10 +290,11 @@ class BeliefKernel:
         self._keep = full & ~sum(1 << s for s in win_set)
         self._shifts: dict = {}  # (w, g) -> (left shifts, right shifts)
         self._moves: dict = {}  # move -> the _shifts entries it applies
-        # the delta swaps of each distinct row but the identity
-        self._spins = tuple(self._swaps(row)
-                            for row in dict.fromkeys(action.act[1:])
-                            if row != action.act[0])
+        # each distinct row but the identity, and its delta swaps
+        self._rows = tuple(row for row in dict.fromkeys(action.act[1:])
+                           if row != action.act[0])
+        self._spins = tuple(self._swaps(row) for row in self._rows)
+        self._win_set = win_set
 
     def _move_shifts(self, move: int) -> tuple:
         """The masked shifts of each coordinate that the move changes."""
@@ -362,6 +364,33 @@ class BeliefKernel:
                 image ^= t ^ (t << delta)
             out |= image
         return out
+
+    @cached_property
+    def spins_fix_win(self) -> bool:
+        """Whether every spin maps the win set onto itself."""
+        n, weight = self._n, self._weight
+        return all(sum(s // weight[row[w]] % n * weight[w]
+                       for w in range(self._m)) in self._win_set
+                   for row in self._rows for s in self._win_set)
+
+    @cached_property
+    def orbit_minima(self) -> int:
+        """The mask of the least member of each H-orbit of K.
+
+        A row puts input digit v at the coordinate w with row[w] == v, so
+        the images of all of K under one row form one list, built digit by
+        digit in O(|K| |Omega|); the least of a base vector's images over
+        every row is its orbit's minimum.
+        """
+        least = range(self._n ** self._m)
+        for row in self._rows:
+            image = [0]
+            for v in range(self._m):
+                wt = self._weight[row.index(v)]
+                image = [c + x * wt for c in image for x in range(self._n)]
+            least = list(map(min, least, image))
+        return int("".join(["1" if t == s else "0"
+                            for s, t in enumerate(least)][::-1]), 2)
 
     def inverses(self, mask: int) -> int:
         """The mask of the coordinate-wise inverses of the mask's members.

@@ -12,7 +12,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .actions import WreathContext
 from .errors import BudgetExceeded, ContextTooSmall
@@ -151,43 +151,52 @@ def random_play_expectation(ctx: WreathContext) -> Fraction:
     return Fraction(ctx.k_size - 1)
 
 
-def _simulate_game(ctx: WreathContext, rng: random.Random,
-                   *, exclude_constant_backtrack=False) -> int:
+def _game_lengths(ctx: WreathContext, rng: random.Random,
+                  *, exclude_constant_backtrack=False) -> Iterator[int]:
+    """The turns to win of successive games of uniform random play.
+
+    The set-up (the dense tables, the rng's bound method and, for play that
+    never backtracks, the move that undoes each constant move) is made once
+    for all the games the caller draws.
+    """
     k = ctx.k_size
     win = ctx.win_set
-    state = rng.randrange(1, k)
-    while state in win:
-        state = rng.randrange(1, k)
-    m, inv = ctx.omega_size, ctx.g_group.inv
-    constants = {ctx.encode([g] * m): g for g in range(ctx.g_group.order)}
+    undo = {}
+    if exclude_constant_backtrack:
+        # the constant move (g, ..., g) is undone by (g^-1, ..., g^-1)
+        m, inv = ctx.omega_size, ctx.g_group.inv
+        undo = {ctx.encode([g] * m): ctx.encode([inv[g]] * m)
+                for g in range(ctx.g_group.order)}
     # hot loop: localize the dense tables (cached on the context) and the rng
     mul = ctx._k_mul_table if ctx._dense else None
     act = ctx._k_act_table if ctx._dense else None
     randrange = rng.randrange
     h_order = ctx.h_order
-    last_constant = None
-    for turn in range(1, MAX_TURNS + 1):
-        move = randrange(1, k)
-        if exclude_constant_backtrack and last_constant is not None:
-            # the constant move (g, ..., g) is undone by (g^-1, ..., g^-1)
-            banned = ctx.encode([inv[last_constant]] * m)
+    while True:
+        state = randrange(1, k)
+        while state in win:
+            state = randrange(1, k)
+        banned = None
+        for turn in range(1, MAX_TURNS + 1):
+            move = randrange(1, k)
             while move == banned:
                 move = randrange(1, k)
-        state = mul[state][move] if mul else ctx.k_mul(state, move)
-        if state in win:
-            return turn
-        last_constant = constants.get(move)
-        spin = randrange(h_order)
-        state = act[spin][state] if act else ctx.k_act(spin, state)
-    raise RuntimeError("simulation did not terminate")
+            state = mul[state][move] if mul else ctx.k_mul(state, move)
+            if state in win:
+                break
+            banned = undo.get(move)
+            spin = randrange(h_order)
+            state = act[spin][state] if act else ctx.k_act(spin, state)
+        else:
+            raise RuntimeError("simulation did not terminate")
+        yield turn
 
 
 def monte_carlo_random_play(ctx: WreathContext, trials: int, seed: int) -> float:
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = random.Random(seed)
-    total = sum(_simulate_game(ctx, rng) for _ in range(trials))
-    return total / trials
+    games = _game_lengths(ctx, random.Random(seed))
+    return sum(itertools.islice(games, trials)) / trials
 
 
 def non_backtracking_expectation(ctx: WreathContext, trials: int, seed: int
@@ -197,12 +206,9 @@ def non_backtracking_expectation(ctx: WreathContext, trials: int, seed: int
         raise ContextTooSmall("non-backtracking play needs |K| > 2")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = random.Random(seed)
-    total = sum(
-        _simulate_game(ctx, rng, exclude_constant_backtrack=True)
-        for _ in range(trials)
-    )
-    return total / trials
+    games = _game_lengths(ctx, random.Random(seed),
+                          exclude_constant_backtrack=True)
+    return sum(itertools.islice(games, trials)) / trials
 
 
 # ---------------------------------------------------------------------------

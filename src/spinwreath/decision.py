@@ -10,8 +10,9 @@ independent checker that re-establishes every hypothesis.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Optional, Tuple, Union
 
 from . import groups
@@ -361,32 +362,56 @@ def _validate_node(g: FiniteGroup, action: GroupAction, cert: Certificate,
 
 
 def _belief_graph_has_no_empty_set(ctx: WreathContext, budget: int) -> bool:
-    """Breadth-first reachability over belief masks, built from k_mul and
-    the orbit masks (from k_act) alone, so that it shares no code with the
-    search that made the leaf.
+    """Breadth-first reachability over belief masks, level by level, built
+    from ``g_group.mul`` and ``action.act`` alone, so that it shares no code
+    with the belief kernel or the search that made the leaf.
+
+    Each level steps every frontier mask through one move at a time: the
+    move's image list over K sends s to the mask of the H-orbit of s * move,
+    or to 0 when s * move wins, and a mask steps to the OR of its members'
+    images.  The list is built digit by digit for each move at each level
+    and dropped after it, so no |K| x |K| table is kept.
 
     False when some move sequence empties the belief set, or when more than
-    ``budget`` distinct belief sets were seen.
+    ``budget`` distinct belief sets are reachable.
     """
-    k, win, orbit = ctx.k_size, ctx.win_set, ctx.orbit_masks
-    start = sum(1 << s for s in range(k) if s not in win)
-    seen, queue = {start}, deque([start])
-    while queue:
-        mask = queue.popleft()
-        members = [s for s in range(k) if (mask >> s) & 1]
-        for move in range(k):
-            new = 0
-            for s in members:
-                t = ctx.k_mul(s, move)
-                if t not in win:
-                    new |= orbit[t]
-            if new == 0:
-                return False
-            if new not in seen:
-                seen.add(new)
-                queue.append(new)
-        if len(seen) > budget:
-            return False
+    n, m, win = ctx.g_group.order, ctx.omega_size, ctx.win_set
+    mul = ctx.g_group.mul
+    weight = [n ** (m - 1 - w) for w in range(m)]
+
+    def over_k(digits):
+        """The list over K whose entry at s is the sum over the coordinates
+        w of digits[w][x], x being the digit of s at coordinate w."""
+        out = [0]
+        for values in digits:
+            out = [c + v for c in out for v in values]
+        return out
+
+    # a row sends the digit at coordinate w to coordinate row[w]; the rows
+    # are the whole image of H, so their images of t are the orbit of t
+    spun = [over_k([[x * weight[row[w]] for x in range(n)] for w in range(m)])
+            for row in set(ctx.action.act)]
+    orbit = [0 if t in win else reduce(or_, [1 << image[t] for image in spun])
+             for t in range(n ** m)]
+    start = sum(1 << s for s in range(n ** m) if s not in win)
+    seen, frontier = {start}, [start]
+    while frontier:
+        members = [[s for s, bit in enumerate(reversed(f"{mask:b}"))
+                    if bit == "1"] for mask in frontier]
+        frontier = []
+        for move in range(n ** m):
+            image = list(map(orbit.__getitem__, over_k(
+                [[mul[x][move // weight[w] % n] * weight[w] for x in range(n)]
+                 for w in range(m)])))
+            for states in members:
+                new = reduce(or_, map(image.__getitem__, states), 0)
+                if new == 0:
+                    return False
+                if new not in seen:
+                    seen.add(new)
+                    frontier.append(new)
+                    if len(seen) > budget:
+                        return False
     return True
 
 

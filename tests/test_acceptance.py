@@ -283,9 +283,8 @@ def test_criterion_11_random_play():
 
     ctx3 = ctx_of(groups.cyclic(2), 3)
     rng = random.Random(999)
-    samples = [analysis._simulate_game(ctx3, rng,
-                                       exclude_constant_backtrack=True)
-               for _ in range(100000)]
+    samples = list(itertools.islice(analysis._game_lengths(
+        ctx3, rng, exclude_constant_backtrack=True), 100000))
     nb_mean = statistics.fmean(samples)
     stderr = statistics.stdev(samples) / math.sqrt(len(samples))
     beats = nb_mean + 3 * stderr < float(analysis.random_play_expectation(ctx3))

@@ -182,6 +182,19 @@ def test_non_backtracking_needs_more_than_two_moves():
         analysis.non_backtracking_expectation(ctx, trials=10, seed=1)
 
 
+@pytest.mark.parametrize("seed,uniform,non_backtracking", [
+    (7, 6.696666666666666, 7.1866666666666665),
+    (2024, 6.923333333333333, 6.55),
+])
+def test_monte_carlo_draws_are_pinned(seed, uniform, non_backtracking):
+    # the sample means of 300 games on Z2 wr C3, as the per-game set-up
+    # gave them: the set-up made once per call draws the same numbers
+    ctx = ctx_of(groups.cyclic(2), 3)
+    assert analysis.monte_carlo_random_play(ctx, 300, seed) == uniform
+    assert analysis.non_backtracking_expectation(ctx, 300, seed) == \
+        non_backtracking
+
+
 def test_monte_carlo_is_reproducible():
     ctx = ctx_of(groups.cyclic(2), 2)
     a = analysis.monte_carlo_random_play(ctx, trials=500, seed=42)

@@ -262,3 +262,77 @@ def test_no_belief_search_explores_more_states_than_its_budget(puzzle, budget,
     except BudgetExceeded:
         assert stats.states_explored == budget
     assert stats.states_explored <= budget
+
+
+def test_validator_reads_no_tables_and_no_kernel(monkeypatch):
+    # the exhaustive leaf is re-checked from the group tables alone
+    ctx = WreathContext(g_group=groups.symmetric(3), action=swap_action())
+    cert = decide_by_search(ctx).certificate
+
+    def refuse(*args):
+        raise AssertionError("the validator must not read this")
+
+    for name in ("k_mul", "k_act", "k_inv"):
+        monkeypatch.setattr(WreathContext, name, refuse)
+    for name in ("orbit_masks", "belief_kernel"):
+        monkeypatch.setattr(WreathContext, name, property(refuse))
+    assert validate_certificate(ctx, cert)
+    assert not validate_certificate(ctx, cert, search_budget=703)
+
+
+def _reference_no_empty_set(ctx, budget):
+    """The element-by-element breadth-first search over belief masks, from
+    k_mul and the orbit masks: False once the empty set or more than
+    ``budget`` belief sets are reached."""
+    k, win, orbit = ctx.k_size, ctx.win_set, ctx.orbit_masks
+    start = sum(1 << s for s in range(k) if s not in win)
+    seen, queue = {start}, [start]
+    for mask in queue:
+        members = [s for s in range(k) if (mask >> s) & 1]
+        for move in range(k):
+            new = 0
+            for s in members:
+                t = ctx.k_mul(s, move)
+                if t not in win:
+                    new |= orbit[t]
+            if new == 0:
+                return False
+            if new not in seen:
+                seen.add(new)
+                queue.append(new)
+        if len(seen) > budget:
+            return False
+    return True
+
+
+VALIDATOR_CASES = [
+    # (context, budgets): the no-strategy contexts at and just under their
+    # number of reachable belief sets, and contexts with a strategy
+    (WreathContext(g_group=groups.symmetric(3), action=swap_action()),
+     (1, 100, 703, 704, 10 ** 6)),
+    (ctx_of(z(2), 3), (1, 2, 3, 10 ** 6)),
+    (ctx_of(z(3), 2), (1, 3, 4, 10 ** 6)),
+    (ctx_of(z(2), 6), (1, 3, 4, 10 ** 6)),
+    (ctx_of(z(4), 3), (1, 7, 8, 10 ** 6)),
+    (WreathContext(g_group=groups.direct_product(z(2), z(2)),
+                   action=cyclic_rotation_action(3)), (1, 7, 8, 10 ** 6)),
+    (ctx_of(z(2), 2), (1, 10 ** 6)),
+    (ctx_of(z(2), 4), (1, 10 ** 6)),
+    (ctx_of(z(3), 3), (2, 10 ** 6)),
+    (WreathContext(g_group=groups.symmetric(3),
+                   action=cyclic_rotation_action(1)), (10 ** 6,)),
+    (WreathContext(g_group=groups.loop5(), action=swap_action()),
+     (5, 2323, 2324)),
+    (WreathContext(g_group=z(2), action=natural_symmetric_action(3)),
+     (1, 2, 10 ** 6)),
+]
+
+
+def test_validator_verdicts_match_the_element_by_element_search():
+    cases = 0
+    for ctx, budgets in VALIDATOR_CASES:
+        for budget in budgets:
+            assert decision._belief_graph_has_no_empty_set(ctx, budget) == \
+                _reference_no_empty_set(ctx, budget), (ctx.name, budget)
+            cases += 1
+    assert cases >= 30

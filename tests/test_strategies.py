@@ -148,6 +148,45 @@ def test_kernel_inverses_match_k_inv(label, data):
     assert ctx.belief_kernel.inverses(mask) == image
 
 
+def _spins_fix_win(ctx):
+    return all(ctx.k_act(h, w) in ctx.win_set
+               for h in range(ctx.h_order) for w in ctx.win_set)
+
+
+@pytest.mark.parametrize("label", sorted(KERNEL_CONTEXTS))
+def test_kernel_knows_whether_spins_fix_the_win_set(label):
+    ctx = KERNEL_CONTEXTS[label]
+    assert ctx.belief_kernel.spins_fix_win == _spins_fix_win(ctx)
+
+
+@pytest.mark.parametrize("label", sorted(label for label, ctx
+                                         in KERNEL_CONTEXTS.items()
+                                         if _spins_fix_win(ctx)))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_spun_moves_step_h_closed_masks_alike(label, data):
+    # the premise of the belief search's H-orbit pruning: on a mask closed
+    # under spins, a move and its spun images step to the same mask, and
+    # the eliminating moves are a union of H-orbits
+    ctx = KERNEL_CONTEXTS[label]
+    kernel = ctx.belief_kernel
+    orbits = set(ctx.orbit_masks)
+    mask = sum(data.draw(st.sets(st.sampled_from(sorted(orbits)))))
+    move = data.draw(st.integers(min_value=0, max_value=ctx.k_size - 1))
+    eliminating = kernel.inverses(mask)
+    for h in range(ctx.h_order):
+        spun = ctx.k_act(h, move)
+        assert kernel.step(mask, spun) == kernel.step(mask, move)
+        assert (eliminating >> spun) & 1 == (eliminating >> move) & 1
+
+
+@pytest.mark.parametrize("label", sorted(KERNEL_CONTEXTS))
+def test_orbit_minima_hold_the_least_member_of_each_orbit(label):
+    ctx = KERNEL_CONTEXTS[label]
+    least = {min(bits(orbit)) for orbit in ctx.orbit_masks}
+    assert ctx.belief_kernel.orbit_minima == sum(1 << s for s in least)
+
+
 @pytest.mark.parametrize("g_order,n", [(2, 8), (32, 2)])
 def test_belief_consumers_build_no_dense_tables(g_order, n):
     ctx = WreathContext(g_group=groups.cyclic(g_order),

@@ -328,3 +328,46 @@ def test_max_depth_finds_the_shortest_length():
         assert synthesis.search_belief_path(ctx, max_depth=length - 1,
                                             spin_period=period) is None
     assert solvable == 23
+
+
+def _search_counting_steps(ctx, **kwargs):
+    """(path, states entered, exhausted, kernel steps) of one search."""
+    kernel = ctx.belief_kernel
+    step, steps = kernel.step, []
+
+    def counted(*args):
+        steps.append(args)
+        return step(*args)
+
+    kernel.step = counted
+    try:
+        stats = synthesis.SearchStats()
+        path = synthesis.search_belief_path(ctx, stats=stats, **kwargs)
+    finally:
+        del kernel.step
+    return path, stats.states_explored, stats.exhausted, len(steps)
+
+
+def test_search_tries_one_move_per_h_orbit():
+    # spins every turn and the win set {0}: only the least move of each
+    # H-orbit is stepped, and the same 704 states are entered (24,640
+    # steps without the pruning)
+    ctx = WreathContext(g_group=groups.symmetric(3),
+                        action=synthesis.swap_action())
+    path, states, exhausted, steps = _search_counting_steps(ctx)
+    assert path is None and exhausted and states == 704
+    assert steps <= 14080
+
+
+@pytest.mark.parametrize("ctx,kwargs,found,states,steps", [
+    # {0, 5} is not closed under the rotations of Z2 wr C4
+    (WreathContext(g_group=groups.cyclic(2), action=cyclic_rotation_action(4),
+                   win_set={0, 5}), {}, True, 17, 133),
+    # spins every other turn leave some masks open under spins
+    (WreathContext(g_group=groups.cyclic(2), action=cyclic_rotation_action(3)),
+     {"spin_period": 2}, False, 13, 104),
+])
+def test_search_prunes_no_moves_off_its_preconditions(ctx, kwargs, found,
+                                                      states, steps):
+    path, entered, _exhausted, stepped = _search_counting_steps(ctx, **kwargs)
+    assert (path is not None, entered, stepped) == (found, states, steps)
