@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import groups
 from .errors import ContextMismatch, ContextTooLarge, NonFaithfulAction
@@ -102,6 +102,15 @@ def regular_action(h: FiniteGroup) -> GroupAction:
                 for a in range(h.order))
     return GroupAction(h_group=h, omega_size=h.order, act=act,
                        name=f"{h.name}-regular")
+
+
+def gather(n: int, digits) -> List[int]:
+    """Index list over K whose entry at u is the sum over the coordinates w
+    of digits[w][u_w], u_w being the base-n digit w of u (w = 0 first)."""
+    out = [0]
+    for values in digits:
+        out = [c + v for c in out for v in values]
+    return out
 
 
 @dataclass(frozen=True)

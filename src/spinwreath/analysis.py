@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .actions import WreathContext
+from .actions import WreathContext, gather
 from .errors import BudgetExceeded, ContextTooSmall
 from .strategies import (Strategy, initial_belief, minimal_length_bound,
                          verify)
@@ -43,15 +43,6 @@ def uniform_adversary(ctx: WreathContext) -> Dict[int, Fraction]:
 def uniform_initial(ctx: WreathContext) -> Dict[int, Fraction]:
     states = [s for s in range(ctx.k_size) if s not in ctx.win_set]
     return {s: Fraction(1, len(states)) for s in states}
-
-
-def _gather(n: int, digits) -> List[int]:
-    """Index list over K whose entry at u is the sum over the coordinates w
-    of digits[w][u_w], u_w being the base-n digit w of u (w = 0 first)."""
-    out = [0]
-    for values in digits:
-        out = [c + v for c in out for v in values]
-    return out
 
 
 def exact_expected_moves(ctx: WreathContext, strategy: Strategy,
@@ -91,7 +82,7 @@ def exact_expected_moves(ctx: WreathContext, strategy: Strategy,
     for h, p in weights.items():
         row = act[h_inv[h]]
         spins.setdefault(p.numerator * (da // p.denominator), []).append(
-            _gather(n, [[x * place[row[w]] for x in range(n)]
+            gather(n, [[x * place[row[w]] for x in range(n)]
                         for w in range(m)]))
     # mass at t after a move comes from the state s with s * move = t
     mul = ctx.g_group.mul
@@ -104,7 +95,7 @@ def exact_expected_moves(ctx: WreathContext, strategy: Strategy,
                 for x in range(n):
                     div[mul[x][g]] = x * place[w]
                 digits.append(div)
-            sources[move] = _gather(n, digits)
+            sources[move] = gather(n, digits)
     win = sorted(ctx.win_set)
     denominator = d0
     absorbed: List[Tuple[int, Fraction]] = []

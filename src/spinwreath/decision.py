@@ -16,7 +16,7 @@ from operator import or_
 from typing import Optional, Tuple, Union
 
 from . import groups
-from .actions import GroupAction, WreathContext
+from .actions import GroupAction, WreathContext, gather
 from .errors import (BaseCaseVerificationFailed, BudgetExceeded,
                      NonFaithfulAction, NotSamePrime, OrderBoundExceeded)
 from .groups import (
@@ -378,18 +378,10 @@ def _belief_graph_has_no_empty_set(ctx: WreathContext, budget: int) -> bool:
     n, m, win = ctx.g_group.order, ctx.omega_size, ctx.win_set
     mul = ctx.g_group.mul
     weight = [n ** (m - 1 - w) for w in range(m)]
-
-    def over_k(digits):
-        """The list over K whose entry at s is the sum over the coordinates
-        w of digits[w][x], x being the digit of s at coordinate w."""
-        out = [0]
-        for values in digits:
-            out = [c + v for c in out for v in values]
-        return out
-
     # a row sends the digit at coordinate w to coordinate row[w]; the rows
     # are the whole image of H, so their images of t are the orbit of t
-    spun = [over_k([[x * weight[row[w]] for x in range(n)] for w in range(m)])
+    spun = [gather(n, [[x * weight[row[w]] for x in range(n)]
+                       for w in range(m)])
             for row in set(ctx.action.act)]
     orbit = [0 if t in win else reduce(or_, [1 << image[t] for image in spun])
              for t in range(n ** m)]
@@ -400,9 +392,9 @@ def _belief_graph_has_no_empty_set(ctx: WreathContext, budget: int) -> bool:
                     if bit == "1"] for mask in frontier]
         frontier = []
         for move in range(n ** m):
-            image = list(map(orbit.__getitem__, over_k(
-                [[mul[x][move // weight[w] % n] * weight[w] for x in range(n)]
-                 for w in range(m)])))
+            image = list(map(orbit.__getitem__, gather(
+                n, [[mul[x][move // weight[w] % n] * weight[w]
+                     for x in range(n)] for w in range(m)])))
             for states in members:
                 new = reduce(or_, map(image.__getitem__, states), 0)
                 if new == 0:
