@@ -8,7 +8,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import groups
 from .errors import ContextMismatch, ContextTooLarge, NonFaithfulAction
-from .groups import FiniteGroup, Subgroup, subgroup_as_group
+from .groups import FiniteGroup
 
 K_SIZE_HARD_CAP = 2 ** 62
 DENSE_TABLE_CAP = 4096
@@ -50,18 +50,6 @@ class GroupAction:
                 f"action of {self.h_group.name} on {self.omega_size} points "
                 "is not faithful"
             )
-
-    def quotient_by_kernel(self) -> "GroupAction":
-        """Replace H by H/kernel so that the induced action is faithful."""
-        ker = frozenset(self.kernel())
-        if len(ker) == 1:
-            return self
-        sub = Subgroup(parent=self.h_group, members=tuple(sorted(ker)),
-                       is_normal=True)
-        quot, reps, proj = groups.quotient(self.h_group, sub)
-        act = tuple(self.act[reps[q]] for q in range(quot.order))
-        return GroupAction(h_group=quot, omega_size=self.omega_size, act=act,
-                           name=f"{self.name}/ker")
 
 
 def cyclic_rotation_action(n: int) -> GroupAction:

@@ -221,7 +221,9 @@ def enumerate_strategies(ctx: WreathContext, length: int,
 
     A prefix is pruned when the remaining moves cannot eliminate the current
     belief set (at most |win_set| states disappear per step).  Palindromic
-    enumeration forces the mirrored half of the sequence.
+    enumeration forces the mirrored half of the sequence.  The backtracking
+    keeps an explicit stack of open prefixes, so no length recurses; every
+    prefix entered counts against ``budget``.
     """
     if minimal_only and length != minimal_length_bound(ctx):
         return EnumerationResult(strategies=(), count=0,
@@ -229,33 +231,43 @@ def enumerate_strategies(ctx: WreathContext, length: int,
     k = ctx.k_size
     win_size = len(ctx.win_set)
     found: List[Tuple[int, ...]] = []
-    moves: List[int] = []
+    moves: List[int] = []  # the prefix of the node on top of the stack
+    stack = []  # (mask, spin, candidates left) of each open prefix
     visited = 0
-    start = initial_belief(ctx)
     step = ctx.belief_kernel.step
 
-    def dfs(mask, depth):
+    def enter(mask):
+        """Count the prefix ``moves`` and open it; False for a leaf."""
         nonlocal visited
         visited += 1
         if visited > budget:
             raise BudgetExceeded("enumeration budget exceeded")
+        depth = len(moves)
         if depth == length:
             if mask == 0:
                 found.append(tuple(moves))
-            return
+            return False
         remaining = length - depth
         if bin(mask).count("1") > remaining * win_size:
-            return
+            return False
         mirror = length - 1 - depth
         candidates = [moves[mirror]] if palindromic and mirror < depth else range(k)
         # after the last move only emptiness counts, which spins keep
-        spin = remaining > 1
+        stack.append((mask, remaining > 1, iter(candidates)))
+        return True
+
+    enter(initial_belief(ctx))
+    while stack:
+        mask, spin, candidates = stack[-1]
         for mv in candidates:
             moves.append(mv)
-            dfs(step(mask, mv, spin), depth + 1)
+            if enter(step(mask, mv, spin)):
+                break
             moves.pop()
-
-    dfs(start, 0)
+        else:
+            stack.pop()
+            if moves:
+                moves.pop()
     strategies = tuple(Strategy(ctx=ctx, moves=m) for m in found)
     canonical_count = None
     if up_to_h:

@@ -35,7 +35,11 @@ EXIT_UNKNOWN = 4
 
 def _default_budget() -> int:
     raw = os.environ.get("SPINWREATH_BUDGET")
-    return int(raw) if raw else synthesis.DEFAULT_SEARCH_BUDGET
+    try:
+        return int(raw) if raw else synthesis.DEFAULT_SEARCH_BUDGET
+    except ValueError:
+        raise FileFormatInvalid(
+            f"SPINWREATH_BUDGET must be an integer, got {raw!r}")
 
 
 def _positive_int(text: str) -> int:
@@ -53,6 +57,9 @@ def _index_set(text: str) -> frozenset:
 
 
 def _load_context(args) -> WreathContext:
+    if args.command in ("classify", "certify") and (args.spin_period or 1) > 1:
+        raise FileFormatInvalid(
+            f"{args.command} answers for spins every turn only")
     text = args.puzzle.strip()
     if text.startswith("@") and " " not in text:
         ctx = fileio.load_context(text[1:])
@@ -276,6 +283,8 @@ def _cmd_expect(args, started) -> int:
 
 def _cmd_classify(args, started) -> int:
     ctx = _load_context(args)
+    if ctx.win_set != frozenset({0}):
+        raise FileFormatInvalid("classify answers for the win set {0} only")
     result = decision.classify_abelian(ctx.g_group, ctx.action)
     payload = {"context": ctx.name, "message": result.message}
     if result.certificate is not None:
@@ -295,7 +304,7 @@ def _cmd_certify(args, started) -> int:
                      human=f"{ctx.name}: no nonexistence certificate found",
                      exit_code=EXIT_UNKNOWN, started=started,
                      states_explored=stats.states_explored)
-    if not validate_certificate(ctx, cert, search_budget=args.budget):
+    if not validate_certificate(ctx, cert):
         raise CertificateRejected(
             f"the validator rejected the certificate found for {ctx.name}")
     text = render_certificate(cert)
@@ -342,7 +351,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="machine-readable output")
     common.add_argument("--quiet", action="store_true",
                         help="suppress progress on stderr")
-    common.add_argument("--budget", type=int, default=_default_budget(),
+    common.add_argument("--budget", type=int, default=None,
                         help="search/enumeration state budget")
     common.add_argument("--win-set", type=_index_set, default=None,
                         help="comma-separated winning base-vector indices")
@@ -423,6 +432,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
+        if args.budget is None:
+            args.budget = _default_budget()
         return _HANDLERS[args.command](args, started)
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

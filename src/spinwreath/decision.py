@@ -10,8 +10,9 @@ independent checker that re-establishes every hypothesis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
+from itertools import compress
 from operator import or_
 from typing import Optional, Tuple, Union
 
@@ -54,14 +55,20 @@ class AbelianClassification:
 
 @dataclass(frozen=True)
 class ExhaustiveBeliefSearch:
-    """Leaf: the reachable belief graph was exhausted without reaching empty."""
+    """Leaf: a family of belief masks closed under every move.
+
+    ``beliefs`` is the inductive invariant of an exhausted belief search,
+    the masks it entered: it holds the initial belief, not the empty set,
+    and the every-turn step of each member by each move of K.  So every
+    belief a strategy can reach is a nonempty member, and no strategy wins.
+    """
 
     context_label: str
-    states_explored: int
+    beliefs: frozenset = field(repr=False)
 
     def describe(self):
         return (f"ExhaustiveBeliefSearch({self.context_label}, "
-                f"states={self.states_explored})")
+                f"states={len(self.beliefs)})")
 
 
 @dataclass(frozen=True)
@@ -290,32 +297,32 @@ def _exhaust(g: FiniteGroup, action: GroupAction, budget: int,
     if g.order ** action.omega_size > EXHAUSTIVE_LEAF_K_CAP:
         return None
     ctx = WreathContext(g_group=g, action=action, allow_non_faithful=True)
-    before = stats.states_explored
     try:
         path = search_belief_path(ctx, budget=budget, stats=stats)
     except BudgetExceeded:
         return None
     if path is not None:
         return None
-    return ExhaustiveBeliefSearch(
-        context_label=ctx.name,
-        states_explored=stats.states_explored - before)
+    return ExhaustiveBeliefSearch(context_label=ctx.name, beliefs=stats.beliefs)
 
 
 # ---------------------------------------------------------------------------
 # independent certificate validation
 # ---------------------------------------------------------------------------
 
-def validate_certificate(ctx: WreathContext, cert: Certificate,
-                         *, search_budget: int = 10 ** 6) -> bool:
-    """Re-check every hypothesis of the certificate against the context."""
+def validate_certificate(ctx: WreathContext, cert: Certificate) -> bool:
+    """Re-check every hypothesis of the certificate against the context.
+
+    An ``ExhaustiveBeliefSearch`` leaf is checked by the closure of the
+    family it carries, in |family| x |K| steps and no search.
+    """
     if ctx.loop_mode or ctx.win_set != frozenset({0}):
         return False
-    return _validate_node(ctx.g_group, ctx.action, cert, search_budget)
+    return _validate_node(ctx.g_group, ctx.action, cert)
 
 
-def _validate_node(g: FiniteGroup, action: GroupAction, cert: Certificate,
-                   search_budget: int) -> bool:
+def _validate_node(g: FiniteGroup, action: GroupAction,
+                   cert: Certificate) -> bool:
     if isinstance(cert, AbelianClassification):
         p = _is_elementary_abelian(g)
         if p is None or p != cert.p_switch:
@@ -326,14 +333,13 @@ def _validate_node(g: FiniteGroup, action: GroupAction, cert: Certificate,
         return q == cert.q_spin and q not in (None, TRIVIAL_P, p)
 
     if isinstance(cert, ExhaustiveBeliefSearch):
-        ctx = WreathContext(g_group=g, action=action, allow_non_faithful=True)
-        return _belief_graph_has_no_empty_set(ctx, search_budget)
+        return _is_closed_family(g, action, cert.beliefs)
 
     if isinstance(cert, SwitchQuotient):
         phi = cert.phi
         if phi.source != g or not phi.surjective or not phi.check():
             return False
-        return _validate_node(phi.target, action, cert.child, search_budget)
+        return _validate_node(phi.target, action, cert.child)
 
     if isinstance(cert, SpinSubgroup):
         emb = cert.embedding
@@ -344,7 +350,7 @@ def _validate_node(g: FiniteGroup, action: GroupAction, cert: Certificate,
         members = tuple(emb.map)
         positions = tuple(range(action.omega_size))
         sub_action = _restricted_action(action, tuple(sorted(members)), positions)
-        return _validate_node(g, sub_action, cert.child, search_budget)
+        return _validate_node(g, sub_action, cert.child)
 
     if isinstance(cert, OrbitRestriction):
         emb = cert.embedding
@@ -356,54 +362,51 @@ def _validate_node(g: FiniteGroup, action: GroupAction, cert: Certificate,
         if _orbit(action, members, cert.omega) != cert.orbit:
             return False
         sub_action = _restricted_action(action, members, cert.orbit)
-        return _validate_node(g, sub_action, cert.child, search_budget)
+        return _validate_node(g, sub_action, cert.child)
 
     return False
 
 
-def _belief_graph_has_no_empty_set(ctx: WreathContext, budget: int) -> bool:
-    """Breadth-first reachability over belief masks, level by level, built
-    from ``g_group.mul`` and ``action.act`` alone, so that it shares no code
-    with the belief kernel or the search that made the leaf.
+def _is_closed_family(g: FiniteGroup, action: GroupAction,
+                      family: frozenset) -> bool:
+    """True iff ``family`` holds the initial belief of G wr H with win set
+    {0}, only nonempty masks over K, and the every-turn step of each member
+    by each move of K.  Then every belief reachable by some move sequence
+    is a member, so none is empty.
 
-    Each level steps every frontier mask through one move at a time: the
-    move's image list over K sends s to the mask of the H-orbit of s * move,
-    or to 0 when s * move wins, and a mask steps to the OR of its members'
-    images.  The list is built digit by digit for each move at each level
-    and dropped after it, so no |K| x |K| table is kept.
-
-    False when some move sequence empties the belief set, or when more than
-    ``budget`` distinct belief sets are reachable.
+    Built from ``g.mul`` and ``action.act`` alone, so that it shares no code
+    with the belief kernel or the search that made the leaf, and every move
+    is checked (no orbit argument).  A move's image list over K sends s to
+    the mask of the H-orbit of s * move, or to 0 when s * move is 0, and a
+    mask steps to the OR of its members' images.  Each list is built once,
+    digit by digit, and dropped after its move, so no |K| x |K| table is
+    kept.
     """
-    n, m, win = ctx.g_group.order, ctx.omega_size, ctx.win_set
-    mul = ctx.g_group.mul
+    n, m = g.order, action.omega_size
+    k = n ** m
+    start = (1 << k) - 2
+    if start not in family or not all(0 < f < 1 << k for f in family):
+        return False
     weight = [n ** (m - 1 - w) for w in range(m)]
     # a row sends the digit at coordinate w to coordinate row[w]; the rows
     # are the whole image of H, so their images of t are the orbit of t
     spun = [gather(n, [[x * weight[row[w]] for x in range(n)]
                        for w in range(m)])
-            for row in set(ctx.action.act)]
-    orbit = [0 if t in win else reduce(or_, [1 << image[t] for image in spun])
-             for t in range(n ** m)]
-    start = sum(1 << s for s in range(n ** m) if s not in win)
-    seen, frontier = {start}, [start]
-    while frontier:
-        members = [[s for s, bit in enumerate(reversed(f"{mask:b}"))
-                    if bit == "1"] for mask in frontier]
-        frontier = []
-        for move in range(n ** m):
-            image = list(map(orbit.__getitem__, gather(
-                n, [[mul[x][move // weight[w] % n] * weight[w]
-                     for x in range(n)] for w in range(m)])))
-            for states in members:
-                new = reduce(or_, map(image.__getitem__, states), 0)
-                if new == 0:
-                    return False
-                if new not in seen:
-                    seen.add(new)
-                    frontier.append(new)
-                    if len(seen) > budget:
-                        return False
+            for row in set(action.act)]
+    orbit = [0] + [reduce(or_, [1 << image[t] for image in spun])
+                   for t in range(1, k)]
+    # the states of each member, read off its binary digits once; they are
+    # picked from one list, so the members share its int objects
+    states = list(range(k))
+    members = [list(compress(states, map("1".__eq__, reversed(f"{f:b}"))))
+               for f in family]
+    for move in range(k):
+        image = list(map(orbit.__getitem__, gather(
+            n, [[g.mul[x][move // weight[w] % n] * weight[w]
+                 for x in range(n)] for w in range(m)])))
+        for f in members:
+            if reduce(or_, map(image.__getitem__, f)) not in family:
+                return False
     return True
 
 
@@ -453,12 +456,14 @@ def decide_by_search(ctx: WreathContext, *, max_depth: Optional[int] = None,
     """The verdict of one belief search over the whole context.
 
     A found path must pass ``verify`` (else ``BaseCaseVerificationFailed``);
-    an exhausted graph gives "no" with an ``ExhaustiveBeliefSearch``
-    certificate; a spent ``budget`` or a ``max_depth`` cut gives "unknown".
-    Loop-mode verdicts are flagged conjectural.
+    an exhausted graph gives "no", with an ``ExhaustiveBeliefSearch``
+    certificate carrying the masks entered when spins come every turn.
+    Under a spin period above 1 those masks are not closed under the
+    every-turn step the validator checks, so that "no" has no certificate.
+    A spent ``budget`` or a ``max_depth`` cut gives "unknown".  Loop-mode
+    verdicts are flagged conjectural.
     """
     stats = stats if stats is not None else SearchStats()
-    before = stats.states_explored
 
     def result(verdict, message, **found):
         return DecisionResult(verdict=verdict, message=message,
@@ -478,9 +483,8 @@ def decide_by_search(ctx: WreathContext, *, max_depth: Optional[int] = None,
         return result("yes", "belief search found a strategy", strategy=strat)
     if not stats.exhausted:
         return result("unknown", f"no strategy within depth {max_depth}")
-    cert = ExhaustiveBeliefSearch(
-        context_label=ctx.name,
-        states_explored=stats.states_explored - before)
+    cert = (ExhaustiveBeliefSearch(context_label=ctx.name, beliefs=stats.beliefs)
+            if spin_period in (None, 1) else None)
     return result("no", "belief graph exhausted", certificate=cert)
 
 

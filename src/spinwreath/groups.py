@@ -470,27 +470,6 @@ def maximal_normal_index_p(g: FiniteGroup, p: int,
     return min(candidates, key=lambda s: s.members)
 
 
-def composition_series_p(g: FiniteGroup,
-                         *, order_bound=DEFAULT_SUBGROUP_ORDER_BOUND):
-    """G = G_0 > G_1 > ... > 1 with factors of order p; members in G-indices."""
-    p = p_group_prime(g)
-    if p is None:
-        raise NotPGroup(f"|{g.name}| = {g.order} is not a prime power")
-    chain = [Subgroup(parent=g, members=tuple(range(g.order)), is_normal=True)]
-    if g.order == 1:
-        return chain
-    current_members = tuple(range(g.order))
-    while len(current_members) > 1:
-        sub = Subgroup(parent=g, members=current_members,
-                       is_normal=_is_normal(g, frozenset(current_members)))
-        inner = subgroup_as_group(sub)
-        step = maximal_normal_index_p(inner, p, order_bound=order_bound)
-        current_members = tuple(sorted(sub.members[i] for i in step.members))
-        chain.append(Subgroup(parent=g, members=current_members,
-                              is_normal=_is_normal(g, frozenset(current_members))))
-    return chain
-
-
 def involutions(g: FiniteGroup):
     return [x for x in range(1, g.order) if g.mul[x][x] == 0]
 

@@ -39,9 +39,6 @@ class Strategy:
     def coords(self):
         return tuple(self.ctx.decode(m) for m in self.moves)
 
-    def is_palindromic(self) -> bool:
-        return self.moves == self.moves[::-1]
-
 
 def strategy_from_coords(ctx: WreathContext,
                          moves: Iterable[Sequence[int]]) -> Strategy:
@@ -97,12 +94,6 @@ class VerificationReport:
                                      self.spin_period)
             out[s] = None if mask else used
         return out
-
-    def worst_case_steps(self) -> Optional[int]:
-        if not self.valid:
-            return None
-        return max((v for v in self.solved_at.values() if v is not None),
-                   default=0)
 
 
 def minimal_length_bound(ctx: WreathContext) -> int:

@@ -377,7 +377,11 @@ def _prime_base_strategy(ctx: WreathContext) -> Strategy:
 
 def transport_strategy(phi: Homomorphism, strat: Strategy,
                        target_ctx: WreathContext) -> Strategy:
-    """Push a strategy for G' wr H forward through a surjection G' -> G."""
+    """Push a strategy for G' wr H forward through a surjection G' -> G.
+
+    The constructive form of the quotient lemma behind ``SwitchQuotient``;
+    its test is the only executable check of that lemma.
+    """
     if not phi.surjective:
         raise NotSurjective("transport requires a surjective homomorphism")
     src_ctx = strat.ctx
@@ -398,6 +402,7 @@ def transport_strategy(phi: Homomorphism, strat: Strategy,
 class SearchStats:
     states_explored: int = 0
     exhausted: bool = False
+    beliefs: frozenset = frozenset()
 
 
 def search_belief_path(ctx: WreathContext, *, max_depth: Optional[int] = None,
@@ -416,7 +421,11 @@ def search_belief_path(ctx: WreathContext, *, max_depth: Optional[int] = None,
     ``entered[(mask, phase)]`` is the most moves left that the
     node was entered with, and a node is entered again only with more moves
     left.  Without ``max_depth`` that is infinity, so every reachable node is
-    entered once and ``stats.exhausted`` is set when none leads to empty.
+    entered once and ``stats.exhausted`` is set when none leads to empty;
+    ``stats.beliefs`` then holds the masks entered.  A child is skipped only
+    when it was entered, so with spins every turn these hold the start and
+    each step of each member by each move (see below for the moves not
+    tried): the closed family of an ``ExhaustiveBeliefSearch`` leaf.
 
     When spins come every turn (``spin_period`` None or 1) and every spin
     maps the win set onto itself, only the least move of each H-orbit of K
@@ -488,6 +497,8 @@ def search_belief_path(ctx: WreathContext, *, max_depth: Optional[int] = None,
             if path:
                 path.pop()
     stats.exhausted = max_depth is None
+    stats.beliefs = (frozenset(mask for mask, _phase in entered)
+                     if stats.exhausted else frozenset())
     return None
 
 

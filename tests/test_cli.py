@@ -297,6 +297,11 @@ def test_parse_errors_exit_2(capsys):
     ["decide", "Z2 wr C2", "--spin-period", "0"],
     ["decide", "Z2 wr C2", "--spin-period", "-1"],
     ["expect", "Z2 wr C2", "--model", "montecarlo", "--trials", "0"],
+    # classify and certify answer for spins every turn and (classify) the
+    # win set {0}; decide takes both flags
+    ["certify", "Z2 wr C3", "--spin-period", "3"],
+    ["classify", "Z2 wr C3", "--spin-period", "2"],
+    ["classify", "Z2 wr C3", "--win-set", "0,1,2,3,4,5,6,7"],
 ])
 def test_malformed_flags_are_usage_errors(capsys, argv):
     # argparse exits by SystemExit, the handlers by returning the code
@@ -307,6 +312,39 @@ def test_malformed_flags_are_usage_errors(capsys, argv):
     err = capsys.readouterr().err
     assert code == 2
     assert "error:" in err and "Traceback" not in err
+
+
+def test_flags_that_change_the_game_reach_only_commands_that_use_them(capsys):
+    code, _, _ = run(capsys, "decide", "Z2 wr C3", "--spin-period", "3")
+    assert code == 0
+    code, _, _ = run(capsys, "certify", "Z2 wr C3", "--spin-period", "1")
+    assert code == 3
+    code, _, _ = run(capsys, "classify", "Z2 wr C3", "--win-set", "0")
+    assert code == 3
+    # certify answers "unknown" for a custom win set
+    code, _, _ = run(capsys, "certify", "Z2 wr C3", "--win-set", "0,7")
+    assert code == 4
+
+
+def test_a_malformed_budget_variable_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("SPINWREATH_BUDGET", "abc")
+    code, _, err = run(capsys, "decide", "Z2 wr C2")
+    assert code == 2
+    assert "SPINWREATH_BUDGET" in err and "Traceback" not in err
+    # an explicit --budget does not read the variable
+    code, _, _ = run(capsys, "decide", "Z2 wr C2", "--budget", "100")
+    assert code == 0
+    monkeypatch.setenv("SPINWREATH_BUDGET", "50")
+    code, out, _ = run(capsys, "decide", "S3 wr C2", "--json")
+    assert code == 4 and json.loads(out)["budget"]["limit"] == 50
+
+
+def test_enumerate_long_lengths_run_out_of_budget_not_stack(capsys):
+    # one prefix per move, 3000 deep: the budget stops it, not the stack
+    code, _, err = run(capsys, "enumerate", "Z2 wr 1", "--length", "3000",
+                       "--budget", "10000")
+    assert code == 4
+    assert "budget" in err and "Traceback" not in err
 
 
 def test_missing_files_exit_2(capsys):

@@ -115,12 +115,6 @@ def test_p_group_prime():
     assert groups.p_group_prime(groups.trivial()) == groups.TRIVIAL_P
 
 
-def test_composition_series_p():
-    g = groups.cyclic(8)
-    series = groups.composition_series_p(g)
-    assert [len(s.members) for s in series] == [8, 4, 2, 1]
-
-
 def test_involution_generators():
     assert groups.involution_generators(groups.symmetric(3)) is not None
     assert groups.involution_generators(groups.cyclic(3)) is None

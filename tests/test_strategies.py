@@ -238,7 +238,7 @@ def test_four_switch_fifteen_move_solution():
     report = verify(ctx, strat)
     assert report.valid
     assert report.minimal and len(strat) == 15 == ctx.k_size - 1
-    assert report.worst_case_steps() == 15
+    assert max(report.solved_at.values()) == 15
 
 
 def test_verify_rejects_truncations():
@@ -346,5 +346,5 @@ def test_spin_period_relaxes_the_game():
 def test_strategy_round_trips_and_palindromes():
     ctx = catalog.four_switches_context()
     strat = catalog.four_switches_strategy(ctx)
-    assert strat.is_palindromic()
+    assert strat.moves == strat.moves[::-1]
     assert strategy_from_coords(ctx, strat.coords()) == strat
