@@ -15,8 +15,8 @@ from typing import Optional
 from . import analysis, decision, fileio, synthesis
 from .actions import WreathContext
 from .decision import (DecisionResult, decide_by_search, decide_existence,
-                       find_nonexistence_certificate, min_spin_period,
-                       render_certificate, validate_certificate)
+                       min_spin_period, render_certificate,
+                       validate_certificate)
 from .errors import (BudgetExceeded, CertificateRejected, FileFormatInvalid,
                      LiftedStrategyFailedVerification, NoStrategyWithinDepth,
                      SpinWreathError)
@@ -57,9 +57,6 @@ def _index_set(text: str) -> frozenset:
 
 
 def _load_context(args) -> WreathContext:
-    if args.command in ("classify", "certify") and (args.spin_period or 1) > 1:
-        raise FileFormatInvalid(
-            f"{args.command} answers for spins every turn only")
     text = args.puzzle.strip()
     if text.startswith("@") and " " not in text:
         ctx = fileio.load_context(text[1:])
@@ -72,6 +69,18 @@ def _load_context(args) -> WreathContext:
                                 allow_non_faithful=ctx.allow_non_faithful)
         except ValueError as exc:  # an index outside K
             raise FileFormatInvalid(f"--win-set: {exc}")
+    # the game flags a command cannot honour are usage errors
+    standard = args.command in ("classify", "certify")
+    random = args.command == "expect" and args.model == "random"
+    every_turn = standard or args.command in ("enumerate", "expect",
+                                              "min-spin-period")
+    for refused, scope in (
+            ((args.spin_period or 1) > 1 and every_turn, "spins every turn"),
+            (ctx.win_set != {0} and (standard or random), "the win set {0}"),
+            (ctx.loop_mode and standard, "group switches")):
+        if refused:
+            name = "expect --model random" if random else args.command
+            raise FileFormatInvalid(f"{name} answers for {scope} only")
     if ctx.loop_mode and not args.loop:
         raise FileFormatInvalid(
             "the switch table is a non-associative loop; pass --loop to "
@@ -283,8 +292,6 @@ def _cmd_expect(args, started) -> int:
 
 def _cmd_classify(args, started) -> int:
     ctx = _load_context(args)
-    if ctx.win_set != frozenset({0}):
-        raise FileFormatInvalid("classify answers for the win set {0} only")
     result = decision.classify_abelian(ctx.g_group, ctx.action)
     payload = {"context": ctx.name, "message": result.message}
     if result.certificate is not None:
@@ -296,23 +303,22 @@ def _cmd_classify(args, started) -> int:
 
 def _cmd_certify(args, started) -> int:
     ctx = _load_context(args)
-    stats = synthesis.SearchStats()
-    cert = find_nonexistence_certificate(ctx, budget=args.budget, stats=stats)
-    if cert is None:
+    result = decide_existence(ctx, budget=args.budget)
+    if result.verdict != "no":
         return _emit(args, verdict="unknown",
                      payload={"context": ctx.name},
                      human=f"{ctx.name}: no nonexistence certificate found",
                      exit_code=EXIT_UNKNOWN, started=started,
-                     states_explored=stats.states_explored)
-    if not validate_certificate(ctx, cert):
+                     states_explored=result.states_explored)
+    if not validate_certificate(ctx, result.certificate):
         raise CertificateRejected(
             f"the validator rejected the certificate found for {ctx.name}")
-    text = render_certificate(cert)
+    text = render_certificate(result.certificate)
     return _emit(args, verdict="no",
                  payload={"context": ctx.name, "certificate": text,
                           "validated": True},
                  human=text, exit_code=EXIT_NO, started=started,
-                 states_explored=stats.states_explored)
+                 states_explored=result.states_explored)
 
 
 def _cmd_min_spin_period(args, started) -> int:
@@ -406,7 +412,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("classify", parents=[common],
                    help="abelian-switches solvability classification")
     sub.add_parser("certify", parents=[common],
-                   help="search for a nonexistence certificate")
+                   help="decide, and validate a \"no\" by its certificate")
 
     p = sub.add_parser("min-spin-period", parents=[common],
                        help="smallest spin interval that allows a win")

@@ -1,11 +1,11 @@
 """Existence decisions for surjective strategies.
 
 The theorem comes first: p-groups for one prime always win, by a verified
-construction.  Then the reduction theorems (switch quotients, spin
-subgroups, orbit restrictions) over small base facts look for a certificate
-of nonexistence, and last one belief search of the whole context gives a
-verified strategy or exhausts the graph.  Certificates are validated by an
-independent checker that re-establishes every hypothesis.
+construction.  Then the reductions (switch quotients, spin subgroups,
+orbit restrictions) look for a certificate of nonexistence, and last one
+belief search of the whole context; ``decide_by_search`` alone turns a
+search, of the whole or of a reduction's leaf, into a verdict.  An
+independent checker validates certificates by every hypothesis.
 """
 
 from __future__ import annotations
@@ -211,21 +211,22 @@ def _is_elementary_abelian(g: FiniteGroup) -> Optional[int]:
 
 def find_nonexistence_certificate(ctx: WreathContext,
                                   *, budget: int = DEFAULT_SEARCH_BUDGET,
-                                  depth: int = DEFAULT_CERT_DEPTH,
                                   stats: Optional[SearchStats] = None
                                   ) -> Optional[Certificate]:
-    """Search quotients, orbit restrictions, and spin subgroups for a No proof.
+    """The reductions: quotients, orbit restrictions and spin subgroups,
+    ``DEFAULT_CERT_DEPTH`` deep, down to a base fact or exhaustive leaf.
 
     Only valid for ordinary group contexts with the default winning state.
-    The exhaustive-search leaves add the belief states they explore to
-    ``stats.states_explored``, and ``budget`` caps that running total, states
-    the caller counted before included.  A leaf that runs out of budget
-    gives up, so the search returns None rather than raise.
+    The whole context is never searched here (``decide_existence`` does
+    that).  The leaves add the belief states they explore to
+    ``stats.states_explored``, and ``budget`` caps that running total,
+    states the caller counted before included; a leaf that runs out of
+    budget gives up, so the search returns None rather than raise.
     """
     if ctx.loop_mode or ctx.win_set != frozenset({0}):
         return None
     stats = stats if stats is not None else SearchStats()
-    return _prove_no(ctx.g_group, ctx.action, depth, budget, stats)
+    return _reduce(ctx.g_group, ctx.action, DEFAULT_CERT_DEPTH, budget, stats)
 
 
 def _prove_no(g: FiniteGroup, action: GroupAction, depth: int, budget: int,
@@ -293,17 +294,11 @@ def _reduce(g: FiniteGroup, action: GroupAction, depth: int, budget: int,
 
 def _exhaust(g: FiniteGroup, action: GroupAction, budget: int,
              stats: SearchStats) -> Optional[Certificate]:
-    """Leaf: exhaust the belief graph of a small instance."""
+    """Leaf: ``decide_by_search``'s certificate for a small sub-context."""
     if g.order ** action.omega_size > EXHAUSTIVE_LEAF_K_CAP:
         return None
     ctx = WreathContext(g_group=g, action=action, allow_non_faithful=True)
-    try:
-        path = search_belief_path(ctx, budget=budget, stats=stats)
-    except BudgetExceeded:
-        return None
-    if path is not None:
-        return None
-    return ExhaustiveBeliefSearch(context_label=ctx.name, beliefs=stats.beliefs)
+    return decide_by_search(ctx, budget=budget, stats=stats).certificate
 
 
 # ---------------------------------------------------------------------------
@@ -423,8 +418,9 @@ def decide_existence(ctx: WreathContext,
     For win set {0}, spins every turn and group switches: p-groups for one
     prime spun faithfully are answered by the verified p-group construction
     (a broken one raises ``BaseCaseVerificationFailed``; a p-group too large
-    for its subgroup enumeration falls through), then the reductions look
-    for a certificate.  What is left goes to one ``decide_by_search``.
+    for its subgroup enumeration falls through), then the reductions of
+    ``find_nonexistence_certificate``.  What is left goes to one
+    ``decide_by_search``.  ``certify`` validates this result's "no".
     ``budget`` caps the belief states of the whole decision: the certificate
     leaves and the search count into one ``SearchStats``, which a caller may
     pass to share the total with other decisions, states counted before
@@ -439,8 +435,7 @@ def decide_existence(ctx: WreathContext,
                                   message="p-group construction")
         except (NotSamePrime, NonFaithfulAction, OrderBoundExceeded):
             pass
-        cert = _reduce(ctx.g_group, ctx.action, DEFAULT_CERT_DEPTH, budget,
-                       stats)
+        cert = find_nonexistence_certificate(ctx, budget=budget, stats=stats)
         if cert is not None:
             return DecisionResult(verdict="no", certificate=cert,
                                   states_explored=stats.states_explored,

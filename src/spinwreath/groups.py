@@ -115,9 +115,6 @@ class Homomorphism:
     def is_injective(self) -> bool:
         return len(set(self.map)) == self.source.order
 
-    def __call__(self, a: int) -> int:
-        return self.map[a]
-
 
 # ---------------------------------------------------------------------------
 # construction
@@ -339,12 +336,13 @@ def _is_normal(g: FiniteGroup, members: frozenset) -> bool:
     )
 
 
-def all_subgroups(g: FiniteGroup, *, order_bound=DEFAULT_SUBGROUP_ORDER_BOUND):
+def all_subgroups(g: FiniteGroup):
     """Every subgroup, by closure of generated subsets with memoization."""
     _require_group(g, "subgroup enumeration")
-    if g.order > order_bound:
+    if g.order > DEFAULT_SUBGROUP_ORDER_BOUND:
         raise OrderBoundExceeded(
-            f"|G| = {g.order} exceeds the subgroup enumeration bound {order_bound}"
+            f"|G| = {g.order} exceeds the subgroup enumeration bound "
+            f"{DEFAULT_SUBGROUP_ORDER_BOUND}"
         )
     found = {frozenset({0})}
     queue = [frozenset({0})]
@@ -360,9 +358,9 @@ def all_subgroups(g: FiniteGroup, *, order_bound=DEFAULT_SUBGROUP_ORDER_BOUND):
     return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 
-def normal_subgroups(g: FiniteGroup, *, order_bound=DEFAULT_SUBGROUP_ORDER_BOUND):
+def normal_subgroups(g: FiniteGroup):
     subs = []
-    for members in all_subgroups(g, order_bound=order_bound):
+    for members in all_subgroups(g):
         if _is_normal(g, members):
             subs.append(Subgroup(parent=g, members=tuple(sorted(members)),
                                  is_normal=True))
@@ -442,8 +440,7 @@ def p_group_prime(g: FiniteGroup) -> Optional[int]:
     return factors[0] if len(factors) == 1 else None
 
 
-def sylow_subgroup(g: FiniteGroup, q: int,
-                   *, order_bound=DEFAULT_SUBGROUP_ORDER_BOUND) -> Subgroup:
+def sylow_subgroup(g: FiniteGroup, q: int) -> Subgroup:
     _require_group(g, "sylow_subgroup")
     if g.order % q != 0:
         raise PrimeDoesNotDivideOrder(f"{q} does not divide |G| = {g.order}")
@@ -452,18 +449,17 @@ def sylow_subgroup(g: FiniteGroup, q: int,
     while n % q == 0:
         target *= q
         n //= q
-    for members in all_subgroups(g, order_bound=order_bound):
+    for members in all_subgroups(g):
         if len(members) == target:
             return Subgroup(parent=g, members=tuple(sorted(members)),
                             is_normal=_is_normal(g, members))
     raise AssertionError("Sylow subgroup must exist")  # unreachable for groups
 
 
-def maximal_normal_index_p(g: FiniteGroup, p: int,
-                           *, order_bound=DEFAULT_SUBGROUP_ORDER_BOUND) -> Subgroup:
+def maximal_normal_index_p(g: FiniteGroup, p: int) -> Subgroup:
     """The index-p normal subgroup with lexicographically smallest members."""
     want = g.order // p
-    candidates = [s for s in normal_subgroups(g, order_bound=order_bound)
+    candidates = [s for s in normal_subgroups(g)
                   if len(s.members) == want]
     if not candidates:
         raise NotPGroup(f"{g.name} has no normal subgroup of index {p}")

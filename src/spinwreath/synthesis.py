@@ -112,32 +112,34 @@ def covering_walk(g: FiniteGroup, gens: Sequence[int],
 
 
 def _hamiltonian_walk(g, gens, budget):
-    order = g.order
-
-    def dfs(current, visited, steps):
-        nonlocal nodes_left
-        if len(visited) == order:
+    """Generator indices of a Hamiltonian path from the identity, depth
+    first in generator order on an explicit stack of (element, generators
+    left); None if there is none or the ``budget``-th node would be entered.
+    """
+    visited = {0}
+    steps: List[int] = []
+    stack = [(0, enumerate(gens))]
+    while stack:
+        if len(visited) == g.order:
             return steps
-        for i, t in enumerate(gens):
+        current, untried = stack[-1]
+        for i, t in untried:
             nxt = g.mul[current][t]
             if nxt in visited:
                 continue
-            nodes_left -= 1
-            if nodes_left <= 0:
+            budget -= 1
+            if budget <= 0:
                 return None
             visited.add(nxt)
             steps.append(i)
-            found = dfs(nxt, visited, steps)
-            if found is not None:
-                return found
-            if nodes_left <= 0:
-                return None
-            visited.remove(nxt)
-            steps.pop()
-        return None
-
-    nodes_left = budget
-    return dfs(0, {0}, [])
+            stack.append((nxt, enumerate(gens)))
+            break
+        else:
+            stack.pop()
+            visited.remove(current)
+            if steps:
+                steps.pop()
+    return None
 
 
 def _greedy_walk(g, gens):

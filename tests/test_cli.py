@@ -121,6 +121,31 @@ def test_certify_counts_the_states_of_its_leaves(capsys):
     assert doc["budget"]["states_explored"] >= 704
 
 
+def test_certify_answers_p_groups_by_the_theorem(capsys):
+    # certify is decide plus the validator: a p-group is a "yes" from the
+    # construction, so no belief search runs and no certificate is found
+    code, out, _ = run(capsys, "certify", "Z2 wr C8", "--budget", "2000",
+                       "--json")
+    assert code == 4
+    doc = json.loads(out)
+    assert doc["verdict"] == "unknown"
+    assert doc["budget"]["states_explored"] == 0
+
+
+@pytest.mark.parametrize("puzzle", ["S3 wr C2", "D6 wr C2", "Z6 wr C3",
+                                    "Z2 wr C6", "S4 wr C3", "A4 wr C2",
+                                    "Z2 x Z2 wr C3", "Z2 wr C3"])
+def test_certify_prints_the_certificate_of_decide(capsys, puzzle):
+    code, out, _ = run(capsys, "decide", puzzle, "--json")
+    assert code == 3
+    decided = json.loads(out)["payload"]["certificate"]
+    code, out, _ = run(capsys, "certify", puzzle, "--json")
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["payload"]["validated"] is True
+    assert doc["payload"]["certificate"] == decided
+
+
 def test_construct_verify_round_trip(tmp_path, capsys):
     out_path = tmp_path / "four.strategy"
     code, _, _ = run(capsys, "construct", "Z2 wr C4", "--method", "pgroup",
@@ -297,11 +322,18 @@ def test_parse_errors_exit_2(capsys):
     ["decide", "Z2 wr C2", "--spin-period", "0"],
     ["decide", "Z2 wr C2", "--spin-period", "-1"],
     ["expect", "Z2 wr C2", "--model", "montecarlo", "--trials", "0"],
-    # classify and certify answer for spins every turn and (classify) the
-    # win set {0}; decide takes both flags
+    # classify and certify answer for spins every turn and the win set
+    # {0}; decide takes both flags
     ["certify", "Z2 wr C3", "--spin-period", "3"],
     ["classify", "Z2 wr C3", "--spin-period", "2"],
     ["classify", "Z2 wr C3", "--win-set", "0,1,2,3,4,5,6,7"],
+    ["certify", "Z2 wr C3", "--win-set", "0,7"],
+    # expect, enumerate and min-spin-period answer for spins every turn,
+    # and the closed form of random play for the win set {0}
+    ["expect", "Z2 wr C3", "--model", "random", "--spin-period", "3"],
+    ["enumerate", "Z2 wr C2", "--length", "4", "--spin-period", "2"],
+    ["min-spin-period", "Z2 wr C3", "--spin-period", "2"],
+    ["expect", "Z2 wr C4", "--model", "random", "--win-set", "0,5"],
 ])
 def test_malformed_flags_are_usage_errors(capsys, argv):
     # argparse exits by SystemExit, the handlers by returning the code
@@ -321,9 +353,13 @@ def test_flags_that_change_the_game_reach_only_commands_that_use_them(capsys):
     assert code == 3
     code, _, _ = run(capsys, "classify", "Z2 wr C3", "--win-set", "0")
     assert code == 3
-    # certify answers "unknown" for a custom win set
+    # certify answers for the win set {0} only
     code, _, _ = run(capsys, "certify", "Z2 wr C3", "--win-set", "0,7")
-    assert code == 4
+    assert code == 2
+    # the other models of expect honour a custom win set
+    code, _, _ = run(capsys, "expect", "Z2 wr C4", "--model", "montecarlo",
+                     "--trials", "50", "--win-set", "0,5")
+    assert code == 0
 
 
 def test_a_malformed_budget_variable_is_a_usage_error(capsys, monkeypatch):
@@ -374,3 +410,9 @@ def test_loop_guard(tmp_path, capsys):
     code, out, _ = run(capsys, "decide", f"@{tmp_path}/l5.context", "--loop")
     assert code in (0, 3)
     assert "conjectural" in out
+    # certify and classify answer for group switches only
+    for command in ("certify", "classify"):
+        code, _, err = run(capsys, command, f"@{tmp_path}/l5.context",
+                           "--loop")
+        assert code == 2
+        assert "group switches" in err and "Traceback" not in err

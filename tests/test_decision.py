@@ -197,6 +197,17 @@ def test_decide_no_via_certificate_before_search():
     assert result.message == "nonexistence certificate found"
 
 
+def test_the_reductions_leave_s3_wr_c2_to_the_search():
+    # no reduction proves S3 wr C2; the one search of the whole context,
+    # which decide_existence runs after them, gives the exhaustive leaf
+    ctx = WreathContext(g_group=groups.symmetric(3), action=swap_action())
+    assert find_nonexistence_certificate(ctx) is None
+    result = decide_existence(ctx)
+    assert result.verdict == "no"
+    assert isinstance(result.certificate, ExhaustiveBeliefSearch)
+    assert validate_certificate(ctx, result.certificate)
+
+
 def test_decision_engine_agrees_with_pure_search():
     contexts = [
         ctx_of(z(2), 2), ctx_of(z(2), 3), ctx_of(z(2), 4),

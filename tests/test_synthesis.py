@@ -75,6 +75,77 @@ def test_covering_walk_greedy_fallback_still_covers():
     assert set(walk.prefix_products) == set(range(24))
 
 
+def _recursive_hamiltonian_walk(g, gens, budget):
+    """The former recursive depth-first search, kept as the reference."""
+    order = g.order
+
+    def dfs(current, visited, steps):
+        nonlocal nodes_left
+        if len(visited) == order:
+            return steps
+        for i, t in enumerate(gens):
+            nxt = g.mul[current][t]
+            if nxt in visited:
+                continue
+            nodes_left -= 1
+            if nodes_left <= 0:
+                return None
+            visited.add(nxt)
+            steps.append(i)
+            found = dfs(nxt, visited, steps)
+            if found is not None:
+                return found
+            if nodes_left <= 0:
+                return None
+            visited.remove(nxt)
+            steps.pop()
+        return None
+
+    nodes_left = budget
+    return dfs(0, {0}, [])
+
+
+def _walk_groups():
+    z2 = groups.cyclic(2)
+    return [groups.symmetric(3), groups.symmetric(4), groups.symmetric(5),
+            groups.dihedral(8),
+            groups.direct_product(z2, groups.direct_product(z2, z2))]
+
+
+@pytest.mark.parametrize("budget", [1, 100,
+                                    synthesis.DEFAULT_HAMILTONIAN_BUDGET])
+def test_covering_walk_matches_the_recursive_search(budget):
+    # same generator order, same node accounting, same greedy fallback:
+    # S5 runs out of even the default budget, the rest finish above 1
+    for g in _walk_groups():
+        gens = list(groups.involution_generators(g))
+        reference = _recursive_hamiltonian_walk(g, gens, budget)
+        assert synthesis._hamiltonian_walk(g, gens, budget) == reference
+        walk = synthesis.covering_walk(g, gens, budget=budget)
+        if reference is None:
+            assert walk == synthesis._greedy_walk(g, gens)
+        else:
+            assert walk.steps == tuple(reference) and walk.is_hamiltonian
+
+
+def test_covering_walk_leaves_the_recursion_limit_alone():
+    # the 23-step Hamiltonian path of S4 is deeper than the lowered limit
+    # allows a recursive search to go
+    g = groups.symmetric(4)
+    t = [g.labels.index(lbl) for lbl in ('(1 2)', '(2 3)', '(3 4)')]
+    saved = sys.getrecursionlimit()
+    lowered = len(inspect.stack(0)) + 15
+    sys.setrecursionlimit(lowered)
+    try:
+        walk = synthesis.covering_walk(g, t)
+        limit = sys.getrecursionlimit()
+    finally:
+        sys.setrecursionlimit(saved)
+    assert limit == lowered
+    assert walk.is_hamiltonian
+    assert sorted(walk.prefix_products) == list(range(24))
+
+
 def test_covering_walk_rejects_non_generating_sets():
     with pytest.raises(DoesNotGenerate):
         synthesis.covering_walk(groups.cyclic(4), [2])
