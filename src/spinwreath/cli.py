@@ -132,12 +132,26 @@ def _write_strategy(args, strat: Strategy):
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _validated(ctx: WreathContext, result: DecisionResult) -> bool:
+    """Whether the independent validator re-checked the certificate of a
+    "no"; False when it has none (a spin period above 1).  A rejected
+    certificate raises ``CertificateRejected``."""
+    if result.certificate is None:
+        return False
+    if not validate_certificate(ctx, result.certificate):
+        raise CertificateRejected(
+            f"the validator rejected the certificate found for {ctx.name}")
+    return True
+
+
 def _cmd_decide(args, started) -> int:
     ctx = _load_context(args)
     result = decide_existence(ctx, spin_period=args.spin_period,
                               budget=args.budget)
     payload = {"context": ctx.name, "k_size": ctx.k_size,
                "conjectural": result.conjectural, "message": result.message}
+    if result.verdict == "no":
+        payload["validated"] = _validated(ctx, result)
     lines = [f"{ctx.name}: {result.verdict}"
              + (" (conjectural: loop mode)" if result.conjectural else "")]
     if result.strategy is not None:
@@ -277,8 +291,10 @@ def _cmd_expect(args, started) -> int:
         seed = None
     elif args.model == "montecarlo":
         mean = analysis.monte_carlo_random_play(ctx, args.trials, seed)
-        payload.update({"trials": args.trials, "sample_mean": mean,
-                        "closed_form": str(analysis.random_play_expectation(ctx))})
+        payload.update({"trials": args.trials, "sample_mean": mean})
+        if ctx.win_set == {0}:  # the closed form holds for {0} only
+            payload["closed_form"] = str(
+                analysis.random_play_expectation(ctx))
         human = (f"{ctx.name}: sample mean {mean:.4f} over {args.trials} "
                  f"trials (seed {seed})")
     else:
@@ -310,13 +326,11 @@ def _cmd_certify(args, started) -> int:
                      human=f"{ctx.name}: no nonexistence certificate found",
                      exit_code=EXIT_UNKNOWN, started=started,
                      states_explored=result.states_explored)
-    if not validate_certificate(ctx, result.certificate):
-        raise CertificateRejected(
-            f"the validator rejected the certificate found for {ctx.name}")
+    validated = _validated(ctx, result)
     text = render_certificate(result.certificate)
     return _emit(args, verdict="no",
                  payload={"context": ctx.name, "certificate": text,
-                          "validated": True},
+                          "validated": validated},
                  human=text, exit_code=EXIT_NO, started=started,
                  states_explored=result.states_explored)
 

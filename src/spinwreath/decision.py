@@ -55,12 +55,14 @@ class AbelianClassification:
 
 @dataclass(frozen=True)
 class ExhaustiveBeliefSearch:
-    """Leaf: a family of belief masks closed under every move.
+    """Leaf: an antichain of belief masks closed under every move, up to
+    containment.
 
     ``beliefs`` is the inductive invariant of an exhausted belief search,
-    the masks it entered: it holds the initial belief, not the empty set,
-    and the every-turn step of each member by each move of K.  So every
-    belief a strategy can reach is a nonempty member, and no strategy wins.
+    the ⊆-minimal masks it entered: no member is empty, the initial belief
+    contains a member, and so does the every-turn step of each member by
+    each move of K.  The step is monotone, so every belief a strategy can
+    reach contains a nonempty member, and no strategy wins.
     """
 
     context_label: str
@@ -68,7 +70,7 @@ class ExhaustiveBeliefSearch:
 
     def describe(self):
         return (f"ExhaustiveBeliefSearch({self.context_label}, "
-                f"states={len(self.beliefs)})")
+                f"sets={len(self.beliefs)})")
 
 
 @dataclass(frozen=True)
@@ -309,8 +311,14 @@ def validate_certificate(ctx: WreathContext, cert: Certificate) -> bool:
     """Re-check every hypothesis of the certificate against the context.
 
     An ``ExhaustiveBeliefSearch`` leaf is checked by the closure of the
-    family it carries, in |family| x |K| steps and no search.
+    family it carries, in |family| x |K| steps and no search.  At the root
+    it is checked under the context's own win set, loop switches included:
+    its argument needs the step alone, not associativity.  The other
+    certificates rest on group theory and the win set {0}.
     """
+    if isinstance(cert, ExhaustiveBeliefSearch):
+        return _is_closed_family(ctx.g_group, ctx.action, cert.beliefs,
+                                 ctx.win_set)
     if ctx.loop_mode or ctx.win_set != frozenset({0}):
         return False
     return _validate_node(ctx.g_group, ctx.action, cert)
@@ -362,25 +370,32 @@ def _validate_node(g: FiniteGroup, action: GroupAction,
     return False
 
 
-def _is_closed_family(g: FiniteGroup, action: GroupAction,
-                      family: frozenset) -> bool:
-    """True iff ``family`` holds the initial belief of G wr H with win set
-    {0}, only nonempty masks over K, and the every-turn step of each member
-    by each move of K.  Then every belief reachable by some move sequence
-    is a member, so none is empty.
+def _is_closed_family(g: FiniteGroup, action: GroupAction, family: frozenset,
+                      win_set: frozenset = frozenset({0})) -> bool:
+    """True iff ``family`` holds only nonempty masks over K, the initial
+    belief of G wr H contains a member, and the every-turn step of each
+    member by each move of K contains a member.  The step is monotone, so
+    then every belief reachable by some move sequence contains a member,
+    and none is empty.
 
     Built from ``g.mul`` and ``action.act`` alone, so that it shares no code
     with the belief kernel or the search that made the leaf, and every move
     is checked (no orbit argument).  A move's image list over K sends s to
-    the mask of the H-orbit of s * move, or to 0 when s * move is 0, and a
-    mask steps to the OR of its members' images.  Each list is built once,
-    digit by digit, and dropped after its move, so no |K| x |K| table is
-    kept.
+    the mask of the H-orbit of s * move, or to 0 when s * move is in
+    ``win_set``, and a mask steps to the OR of its members' images.  Each
+    list is built once, digit by digit, and dropped after its move, so no
+    |K| x |K| table is kept.
     """
     n, m = g.order, action.omega_size
     k = n ** m
-    start = (1 << k) - 2
-    if start not in family or not all(0 < f < 1 << k for f in family):
+    if not all(0 < f < 1 << k for f in family):
+        return False
+
+    def holds_a_member(mask):
+        outside = ~mask
+        return any(not f & outside for f in family)
+
+    if not holds_a_member((1 << k) - 1 - sum(1 << s for s in win_set)):
         return False
     weight = [n ** (m - 1 - w) for w in range(m)]
     # a row sends the digit at coordinate w to coordinate row[w]; the rows
@@ -388,8 +403,9 @@ def _is_closed_family(g: FiniteGroup, action: GroupAction,
     spun = [gather(n, [[x * weight[row[w]] for x in range(n)]
                        for w in range(m)])
             for row in set(action.act)]
-    orbit = [0] + [reduce(or_, [1 << image[t] for image in spun])
-                   for t in range(1, k)]
+    orbit = [0 if t in win_set else reduce(or_, [1 << image[t]
+                                                 for image in spun])
+             for t in range(k)]
     # the states of each member, read off its binary digits once; they are
     # picked from one list, so the members share its int objects
     states = list(range(k))
@@ -400,7 +416,7 @@ def _is_closed_family(g: FiniteGroup, action: GroupAction,
             n, [[g.mul[x][move // weight[w] % n] * weight[w]
                  for x in range(n)] for w in range(m)])))
         for f in members:
-            if reduce(or_, map(image.__getitem__, f)) not in family:
+            if not holds_a_member(reduce(or_, map(image.__getitem__, f))):
                 return False
     return True
 
@@ -452,8 +468,8 @@ def decide_by_search(ctx: WreathContext, *, max_depth: Optional[int] = None,
 
     A found path must pass ``verify`` (else ``BaseCaseVerificationFailed``);
     an exhausted graph gives "no", with an ``ExhaustiveBeliefSearch``
-    certificate carrying the masks entered when spins come every turn.
-    Under a spin period above 1 those masks are not closed under the
+    certificate carrying the search's final antichain when spins come every
+    turn.  Under a spin period above 1 those masks are not closed under the
     every-turn step the validator checks, so that "no" has no certificate.
     A spent ``budget`` or a ``max_depth`` cut gives "unknown".  Loop-mode
     verdicts are flagged conjectural.

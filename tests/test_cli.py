@@ -33,15 +33,52 @@ def test_decide_json_schema(capsys):
     assert doc["verdict"] == "no"
     assert "timing_seconds" in doc and "budget" in doc
     assert "certificate" in doc["payload"]
+    assert doc["payload"]["validated"] is True
+
+
+@pytest.mark.parametrize("argv,validated", [
+    # a reduction, an exhaustive leaf, and one under a custom win set
+    (["Z2 wr C3"], True),
+    (["S3 wr C2"], True),
+    (["S3 wr C2", "--win-set", "0,7"], True),
+    # the states of a spin period above 1 are no certificate to validate
+    (["Z2 wr C3", "--spin-period", "2"], False),
+])
+def test_decide_validates_every_no(capsys, argv, validated):
+    code, out, _ = run(capsys, "decide", *argv, "--json")
+    assert code == 3
+    payload = json.loads(out)["payload"]
+    assert payload["validated"] is validated
+    assert ("certificate" in payload) is validated
+
+
+def test_decide_reports_validated_only_for_a_no(capsys):
+    for puzzle, code in (("Z2 wr C2", 0), ("S3 wr C2", 4)):
+        got, out, _ = run(capsys, "decide", puzzle, "--budget", "20",
+                          "--json")
+        assert got == code
+        assert "validated" not in json.loads(out)["payload"]
+
+
+def test_decide_rejected_certificate_is_not_reported(capsys, monkeypatch):
+    from spinwreath import cli
+
+    monkeypatch.setattr(cli, "validate_certificate", lambda *a, **k: False)
+    code, out, err = run(capsys, "decide", "S3 wr C2", "--json")
+    assert code == 4
+    assert out == ""
+    assert "rejected" in err
 
 
 def test_decide_counts_the_states_behind_a_certificate(capsys):
-    # the certificate's exhaustive leaf searches S3 wr C2's 704 belief sets
+    # the reductions' leaves explore 3 belief states, and the search of the
+    # whole context enters 52 before its antichain of 3 sets closes
     code, out, _ = run(capsys, "decide", "S3 wr C2", "--json")
     assert code == 3
     doc = json.loads(out)
     assert "ExhaustiveBeliefSearch" in doc["payload"]["certificate"]
-    assert doc["budget"]["states_explored"] >= 704
+    assert "sets=3" in doc["payload"]["certificate"]
+    assert doc["budget"]["states_explored"] == 55
 
 
 def test_decide_counts_the_states_of_a_failed_certificate_search(capsys):
@@ -118,7 +155,7 @@ def test_certify_counts_the_states_of_its_leaves(capsys):
     assert code == 3
     doc = json.loads(out)
     assert "ExhaustiveBeliefSearch" in doc["payload"]["certificate"]
-    assert doc["budget"]["states_explored"] >= 704
+    assert doc["budget"]["states_explored"] == 55
 
 
 def test_certify_answers_p_groups_by_the_theorem(capsys):
@@ -265,6 +302,18 @@ def test_expect_models(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["seed"] == 5 and doc["payload"]["trials"] == 200
+    assert doc["payload"]["closed_form"] == "3"
+
+
+def test_montecarlo_gives_no_closed_form_for_another_win_set(capsys):
+    # the closed form |K| - 1 of random play holds for the win set {0} only
+    code, out, _ = run(capsys, "expect", "Z2 wr C4", "--model", "montecarlo",
+                       "--trials", "200", "--seed", "1", "--win-set", "0,5",
+                       "--json")
+    assert code == 0
+    payload = json.loads(out)["payload"]
+    assert "closed_form" not in payload
+    assert payload["sample_mean"] < 15
 
 
 def test_classify(capsys):

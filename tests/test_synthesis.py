@@ -307,11 +307,12 @@ def test_search_leaves_the_recursion_limit_alone():
     lowered = len(inspect.stack(0)) + 60
     sys.setrecursionlimit(lowered)
     try:
-        s3 = WreathContext(g_group=groups.symmetric(3),
-                           action=synthesis.swap_action())
+        # D10 wr C2 exhausts along one branch of 270 states
+        d10 = WreathContext(g_group=groups.dihedral(10),
+                            action=synthesis.swap_action())
         stats = synthesis.SearchStats()
-        assert synthesis.search_belief_path(s3, stats=stats) is None
-        assert stats.exhausted and stats.states_explored == 704
+        assert synthesis.search_belief_path(d10, stats=stats) is None
+        assert stats.exhausted and stats.states_explored == 270
         ctx = WreathContext(g_group=groups.cyclic(2),
                             action=cyclic_rotation_action(4))
         path = synthesis.search_belief_path(ctx, max_depth=20)
@@ -346,8 +347,8 @@ def _shortest_win(ctx, spin_period):
 def test_search_under_a_spin_period_tries_the_identity():
     # every (belief mask, phase) node reachable through every move, the
     # identity included; Z2 wr C3 has no strategy with spins every other
-    # turn, so the search must enter each of them once.  Without the
-    # identity it would reach 12 of the 13.
+    # turn.  The search enters 7 of them and steps the identity; each of
+    # the 13 contains a mask of the final antichains.
     ctx = WreathContext(g_group=groups.cyclic(2),
                         action=cyclic_rotation_action(3))
     start = (initial_belief(ctx), 0)
@@ -361,11 +362,14 @@ def test_search_under_a_spin_period_tries_the_identity():
             if node not in seen:
                 seen.add(node)
                 queue.append(node)
+    assert len(seen) == 13
+    path, states, exhausted, steps = _search_counting_steps(ctx,
+                                                            spin_period=2)
+    assert path is None and exhausted and states == 7
+    assert any(mv == 0 for _mask, mv, _spin in steps)
     stats = synthesis.SearchStats()
-    assert synthesis.search_belief_path(ctx, spin_period=2,
-                                        stats=stats) is None
-    assert stats.exhausted
-    assert stats.states_explored == len(seen) == 13
+    synthesis.search_belief_path(ctx, spin_period=2, stats=stats)
+    assert all(any(f & node == f for f in stats.beliefs) for node, _ in seen)
 
 
 def test_max_depth_finds_the_shortest_length():
@@ -402,7 +406,8 @@ def test_max_depth_finds_the_shortest_length():
 
 
 def _search_counting_steps(ctx, **kwargs):
-    """(path, states entered, exhausted, kernel steps) of one search."""
+    """(path, states entered, exhausted, kernel step arguments) of one
+    search."""
     kernel = ctx.belief_kernel
     step, steps = kernel.step, []
 
@@ -416,29 +421,40 @@ def _search_counting_steps(ctx, **kwargs):
         path = synthesis.search_belief_path(ctx, stats=stats, **kwargs)
     finally:
         del kernel.step
-    return path, stats.states_explored, stats.exhausted, len(steps)
+    return path, stats.states_explored, stats.exhausted, steps
 
 
 def test_search_tries_one_move_per_h_orbit():
     # spins every turn and the win set {0}: only the least move of each
-    # H-orbit is stepped, and the same 704 states are entered (24,640
-    # steps without the pruning)
+    # H-orbit is stepped, at most 20 of the 35 non-identity moves of each
+    # of the 52 states entered (the exact memo entered 704 states in 14,080
+    # steps)
     ctx = WreathContext(g_group=groups.symmetric(3),
                         action=synthesis.swap_action())
     path, states, exhausted, steps = _search_counting_steps(ctx)
-    assert path is None and exhausted and states == 704
-    assert steps <= 14080
+    assert path is None and exhausted and states == 52
+    assert len(steps) == 325
 
 
 @pytest.mark.parametrize("ctx,kwargs,found,states,steps", [
     # {0, 5} is not closed under the rotations of Z2 wr C4
     (WreathContext(g_group=groups.cyclic(2), action=cyclic_rotation_action(4),
-                   win_set={0, 5}), {}, True, 17, 133),
+                   win_set={0, 5}), {}, True, 13, 84),
     # spins every other turn leave some masks open under spins
     (WreathContext(g_group=groups.cyclic(2), action=cyclic_rotation_action(3)),
-     {"spin_period": 2}, False, 13, 104),
+     {"spin_period": 2}, False, 7, 46),
 ])
 def test_search_prunes_no_moves_off_its_preconditions(ctx, kwargs, found,
                                                       states, steps):
     path, entered, _exhausted, stepped = _search_counting_steps(ctx, **kwargs)
-    assert (path is not None, entered, stepped) == (found, states, steps)
+    assert (path is not None, entered, len(stepped)) == (found, states, steps)
+
+
+def test_a_depth_limited_search_enters_no_node_without_moves_left():
+    # such a node could try no move; entering them took S3 wr C2, with
+    # spins every other turn and at most 3 moves, from 66 states to 744
+    ctx = WreathContext(g_group=groups.symmetric(3),
+                        action=synthesis.swap_action())
+    path, states, exhausted, _steps = _search_counting_steps(
+        ctx, spin_period=2, max_depth=3)
+    assert path is None and not exhausted and states == 66
