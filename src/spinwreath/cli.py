@@ -6,6 +6,7 @@ Exit codes: 0 = Yes/valid, 2 = usage error, 3 = No/invalid, 4 = Unknown.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -309,12 +310,22 @@ def _cmd_expect(args, started) -> int:
 def _cmd_classify(args, started) -> int:
     ctx = _load_context(args)
     result = decision.classify_abelian(ctx.g_group, ctx.action)
+    stats = synthesis.SearchStats()
+    if result.verdict == "no" and result.certificate is None:
+        # the leaf's own hypotheses fail (Z4 wr C3, say): a reduction to a
+        # context where they hold certifies the same "no"
+        result = dataclasses.replace(
+            result, certificate=decision.find_nonexistence_certificate(
+                ctx, budget=args.budget, stats=stats))
     payload = {"context": ctx.name, "message": result.message}
     if result.certificate is not None:
         payload["certificate"] = render_certificate(result.certificate)
+    if result.verdict == "no":
+        payload["validated"] = _validated(ctx, result)
     return _emit(args, verdict=result.verdict, payload=payload,
                  human=f"{ctx.name}: {result.verdict} ({result.message})",
-                 exit_code=result.exit_code, started=started)
+                 exit_code=result.exit_code, started=started,
+                 states_explored=stats.states_explored)
 
 
 def _cmd_certify(args, started) -> int:

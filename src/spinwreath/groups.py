@@ -304,67 +304,90 @@ def _require_group(g: FiniteGroup, what: str):
 
 
 def closure(g: FiniteGroup, gens: Iterable[int]) -> frozenset:
+    """The subgroup generated by ``gens``: a breadth-first walk of the
+    Cayley graph from the identity, each element reached multiplied on the
+    right by each generator, so |S|·|gens| products for a subgroup S.
+
+    In a finite group the monoid the generators produce is the whole
+    subgroup (an inverse is a positive power), so right products suffice;
+    a loop is not closed that way, hence the group requirement.
+    """
+    _require_group(g, "closure")
+    gens = tuple(set(gens))
     elems = {0}
     frontier = [0]
-    for x in gens:
-        if x not in elems:
-            elems.add(x)
-            frontier.append(x)
-    while frontier:
-        new = []
-        snapshot = list(elems)
-        for a in snapshot:
-            for b in frontier:
-                for c in (g.mul[a][b], g.mul[b][a]):
-                    if c not in elems:
-                        elems.add(c)
-                        new.append(c)
-        frontier = new
+    for a in frontier:  # the walk appends to the list it reads
+        row = g.mul[a]
+        for x in gens:
+            c = row[x]
+            if c not in elems:
+                elems.add(c)
+                frontier.append(c)
     return frozenset(elems)
+
+
+def generating_set(g: FiniteGroup) -> tuple:
+    """A small generating set of G: each element, in index order, that the
+    ones before it do not generate."""
+    gens, members = (), frozenset({0})
+    for x in range(1, g.order):
+        if x not in members:
+            gens += (x,)
+            members = closure(g, gens)
+    return gens
 
 
 def subgroup_generated(g: FiniteGroup, gens: Sequence[int]) -> Subgroup:
     _require_group(g, "subgroup_generated")
     members = tuple(sorted(closure(g, gens)))
     return Subgroup(parent=g, members=members,
-                    is_normal=_is_normal(g, frozenset(members)))
+                    is_normal=_is_normal(g, frozenset(members),
+                                         generating_set(g)))
 
 
-def _is_normal(g: FiniteGroup, members: frozenset) -> bool:
+def _is_normal(g: FiniteGroup, members: frozenset, g_gens: tuple) -> bool:
+    """N is normal iff xNx^-1 ⊆ N for each generator x of G."""
     return all(
-        g.conjugate(x, s) in members for x in range(g.order) for s in members
+        g.conjugate(x, s) in members for x in g_gens for s in members
     )
 
 
 def all_subgroups(g: FiniteGroup):
-    """Every subgroup, by closure of generated subsets with memoization."""
+    """Every subgroup, each extension <S, x> closed from the generating
+    tuple that found S plus x.
+
+    An x in S, or in a coset S·x already tried, is skipped: <S, b·x> =
+    <S, x> for b in S.
+    """
     _require_group(g, "subgroup enumeration")
     if g.order > DEFAULT_SUBGROUP_ORDER_BOUND:
         raise OrderBoundExceeded(
             f"|G| = {g.order} exceeds the subgroup enumeration bound "
             f"{DEFAULT_SUBGROUP_ORDER_BOUND}"
         )
-    found = {frozenset({0})}
+    found = {frozenset({0}): ()}
     queue = [frozenset({0})]
     while queue:
         base = queue.pop()
+        gens = found[base]
+        tried = set(base)
         for x in range(1, g.order):
-            if x in base:
+            if x in tried:
                 continue
-            ext = closure(g, set(base) | {x})
+            tried.update(g.mul[b][x] for b in base)
+            ext_gens = gens + (x,)
+            ext = closure(g, ext_gens)
             if ext not in found:
-                found.add(ext)
+                found[ext] = ext_gens
                 queue.append(ext)
     return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 
 def normal_subgroups(g: FiniteGroup):
-    subs = []
-    for members in all_subgroups(g):
-        if _is_normal(g, members):
-            subs.append(Subgroup(parent=g, members=tuple(sorted(members)),
-                                 is_normal=True))
-    return subs
+    g_gens = generating_set(g)
+    return [Subgroup(parent=g, members=tuple(sorted(members)), is_normal=True)
+            for members in all_subgroups(g)
+            if _is_normal(g, members, g_gens)]
 
 
 def subgroup_as_group(sub: Subgroup) -> FiniteGroup:
@@ -392,7 +415,7 @@ def quotient(g: FiniteGroup, n: Subgroup):
     if n.parent is not g and n.parent != g:
         raise NotNormal("subgroup belongs to a different group")
     members = frozenset(n.members)
-    if not _is_normal(g, members):
+    if not _is_normal(g, members, generating_set(g)):
         raise NotNormal("subgroup is not normal")
     cosets = {}
     for x in range(g.order):
@@ -452,7 +475,8 @@ def sylow_subgroup(g: FiniteGroup, q: int) -> Subgroup:
     for members in all_subgroups(g):
         if len(members) == target:
             return Subgroup(parent=g, members=tuple(sorted(members)),
-                            is_normal=_is_normal(g, members))
+                            is_normal=_is_normal(g, members,
+                                                 generating_set(g)))
     raise AssertionError("Sylow subgroup must exist")  # unreachable for groups
 
 

@@ -32,6 +32,7 @@ from .groups import (
     Subgroup,
     TRIVIAL_P,
     closure,
+    generating_set,
     involution_generators,
     maximal_normal_index_p,
     p_group_prime,
@@ -331,14 +332,16 @@ def _prime_base_strategy(ctx: WreathContext) -> Strategy:
     def sub_vec(a, b):
         return tuple((x - y) % p for x, y in zip(a, b))
 
+    # each level W is H-invariant, so (h-1)v in W for the generators h of
+    # H gives it for all of H: (gh-1)v = g(h-1)v + (g-1)v
+    h_gens = generating_set(ctx.action.h_group)
     all_vectors = sorted(itertools.product(range(p), repeat=m))
     chain = [{tuple([0] * m)}]
     while len(chain[-1]) < p ** m:
         prev = chain[-1]
         nxt = {
             v for v in all_vectors
-            if all(sub_vec(spin_vec(h, v), v) in prev
-                   for h in range(1, ctx.h_order))
+            if all(sub_vec(spin_vec(h, v), v) in prev for h in h_gens)
         }
         if len(nxt) <= len(prev):
             raise BaseCaseVerificationFailed(

@@ -323,6 +323,25 @@ def test_classify(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("puzzle,certificate", [
+    # G is not elementary abelian, or H is no q-group: the classification
+    # leaf does not apply, so classify attaches the reduction certify finds
+    ("Z4 wr C3", "SwitchQuotient(Z4 -> Z4/N2)"),
+    ("Z6 wr C2", "SwitchQuotient(Z6 -> Z6/N2)"),
+    ("Z9 wr C2", "SwitchQuotient(Z9 -> Z9/N3)"),
+    ("Z2 wr C6", "OrbitRestriction(omega=0, orbit={0,2,4}"),
+])
+def test_classify_attaches_the_reduction_certificate(capsys, puzzle,
+                                                     certificate):
+    code, out, _ = run(capsys, "classify", puzzle, "--json")
+    payload = json.loads(out)["payload"]
+    assert code == 3 and payload["message"].startswith("prime mismatch")
+    assert payload["certificate"].startswith(certificate)
+    assert payload["validated"] is True
+    _, out, _ = run(capsys, "certify", puzzle, "--json")
+    assert json.loads(out)["payload"]["certificate"] == payload["certificate"]
+
+
 def test_certify(capsys):
     code, out, _ = run(capsys, "certify", "Z6 wr C3")
     assert code == 3

@@ -1,10 +1,11 @@
+import dataclasses
 import itertools
 
 import pytest
 
 from spinwreath import groups
 from spinwreath.errors import (NoIdentity, NotAbelian, NotAssociative,
-                               TableNotLatin)
+                               NotPGroup, TableNotLatin)
 
 
 def brute_force_subgroups(g):
@@ -146,3 +147,147 @@ def test_subgroup_generated_and_closure():
     sub = groups.subgroup_generated(s4, transpositions[:2])
     assert len(sub.members) in (4, 6)  # two transpositions: S3 or Z2xZ2
     assert len(groups.closure(s4, transpositions)) == 24
+
+
+def test_closure_needs_a_group():
+    # right products alone do not close a loop
+    with pytest.raises(NotAssociative):
+        groups.closure(groups.loop5(), [1])
+
+
+def test_generating_set_generates():
+    for g in [groups.trivial(), groups.cyclic(12), groups.symmetric(4),
+              groups.dihedral(16), _product(2, 2, 2, 2)]:
+        gens = groups.generating_set(g)
+        assert len(groups.closure(g, gens)) == g.order
+        assert len(gens) <= max(1, g.order.bit_length() - 1)
+
+
+# -- the subgroup lattice against the pairwise-product closure ---------------
+
+def _reference_closure(g, gens):
+    """Oracle: close under every product of a member and a new element,
+    both ways, until nothing new appears."""
+    elems = {0}
+    frontier = [0]
+    for x in gens:
+        if x not in elems:
+            elems.add(x)
+            frontier.append(x)
+    while frontier:
+        new = []
+        snapshot = list(elems)
+        for a in snapshot:
+            for b in frontier:
+                for c in (g.mul[a][b], g.mul[b][a]):
+                    if c not in elems:
+                        elems.add(c)
+                        new.append(c)
+        frontier = new
+    return frozenset(elems)
+
+
+def _reference_all_subgroups(g):
+    """Oracle: re-close base | {x} for every subgroup found and every x."""
+    found = {frozenset({0})}
+    queue = [frozenset({0})]
+    while queue:
+        base = queue.pop()
+        for x in range(1, g.order):
+            if x in base:
+                continue
+            ext = _reference_closure(g, set(base) | {x})
+            if ext not in found:
+                found.add(ext)
+                queue.append(ext)
+    return sorted(found, key=lambda s: (len(s), sorted(s)))
+
+
+def _reference_is_normal(g, members):
+    """Oracle: conjugate every member by every element of G."""
+    return all(g.conjugate(x, s) in members
+               for x in range(g.order) for s in members)
+
+
+def _product(*factors):
+    out = groups.cyclic(factors[0])
+    for n in factors[1:]:
+        out = groups.direct_product(out, groups.cyclic(n))
+    return out
+
+
+_S3 = groups.symmetric(3)
+_LATTICE_GROUPS = {
+    "S4": groups.symmetric(4),
+    "S4xZ2": groups.direct_product(groups.symmetric(4), groups.cyclic(2)),
+    "S3xS3": groups.direct_product(_S3, _S3),
+    "A4xZ3": groups.direct_product(groups.alternating(4), groups.cyclic(3)),
+    "D16": groups.dihedral(16),
+    "Z2xD8": groups.direct_product(groups.cyclic(2), groups.dihedral(8)),
+    "Z2^4": _product(2, 2, 2, 2),
+    "Z4xZ4": _product(4, 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LATTICE_GROUPS))
+def test_lattice_matches_the_reference(name):
+    g = _LATTICE_GROUPS[name]
+    reference = _reference_all_subgroups(g)
+    assert groups.all_subgroups(g) == reference
+    normals = [m for m in reference if _reference_is_normal(g, m)]
+    assert [s.members for s in groups.normal_subgroups(g)] == \
+        [tuple(sorted(m)) for m in normals]
+    for p in (2, 3):
+        if g.order % p:
+            continue
+        p_part = p
+        while g.order % (p_part * p) == 0:
+            p_part *= p
+        sylow = groups.sylow_subgroup(g, p)
+        target = next(m for m in reference if len(m) == p_part)
+        assert sylow.members == tuple(sorted(target))
+        assert sylow.is_normal == _reference_is_normal(g, target)
+        index_p = [tuple(sorted(m)) for m in normals
+                   if len(m) * p == g.order]
+        if index_p:
+            assert groups.maximal_normal_index_p(g, p).members == min(index_p)
+        else:
+            with pytest.raises(NotPGroup):
+                groups.maximal_normal_index_p(g, p)
+
+
+@pytest.mark.parametrize("g,subgroups,normal", [
+    (groups.symmetric(4), 30, 4),
+    (groups.alternating(4), 10, 3),
+    (groups.dihedral(8), 10, 6),
+    (groups.dihedral(12), 16, 7),
+    (groups.dihedral(16), 19, 7),
+    (groups.direct_product(_S3, _S3), 60, 10),
+    (_product(2, 2, 2, 2), 67, 67),
+    (groups.alternating(5), 59, 2),
+])
+def test_known_subgroup_counts(g, subgroups, normal):
+    assert len(groups.all_subgroups(g)) == subgroups
+    assert len(groups.normal_subgroups(g)) == normal
+
+
+class _CountingRow(tuple):
+    reads = 0
+
+    def __getitem__(self, i):
+        _CountingRow.reads += 1
+        return tuple.__getitem__(self, i)
+
+
+@pytest.mark.parametrize("g,bound", [
+    # the pairwise-product closure read the table 271,304 times on S4 and
+    # 1,468,408 times on S3 x S3, re-closing base | {x} for every x
+    (groups.symmetric(4), 8_000),
+    (groups.direct_product(_S3, _S3), 25_000),
+])
+def test_lattice_reads_few_table_entries(g, bound):
+    counting = dataclasses.replace(
+        g, mul=tuple(_CountingRow(row) for row in g.mul))
+    _CountingRow.reads = 0
+    assert groups.all_subgroups(counting) == groups.all_subgroups(g)
+    assert _CountingRow.reads <= bound

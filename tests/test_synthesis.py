@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import itertools
 import random
@@ -12,6 +13,7 @@ from spinwreath.actions import (WreathContext, cyclic_rotation_action,
 from spinwreath.errors import (DoesNotGenerate, LiftedStrategyFailedVerification,
                                NotAPermutation, NotInvolutionGenerated,
                                NotSamePrime)
+from spinwreath.puzzle_parser import parse_puzzle
 from spinwreath.strategies import Strategy, initial_belief, verify
 
 
@@ -242,6 +244,28 @@ def test_pgroup_trivial_spin_group_is_allowed():
     ctx = WreathContext(g_group=groups.cyclic(8), action=trivial_action())
     strat = synthesis.construct_pgroup(ctx)
     assert verify(ctx, strat).minimal and len(strat) == 7
+
+
+@pytest.mark.parametrize("puzzle,length,digest", [
+    # H needs more than one generator
+    ("Z2 wr D8", 15, "8e63d03effb0e770"),
+    ("Z2 wr D16", 255, "e79e0596a98a85f2"),
+    ("Z2 x Z2 wr D8", 255, "64f6f3e6240ab4b2"),
+    ("Z4 wr D8", 255, "e5a208324f182eab"),
+    # cyclic H
+    ("Z2 wr C8", 255, "e79e0596a98a85f2"),
+    ("Z3 wr C3", 26, "80961bd75c7042bb"),
+    ("Z4 wr C4", 255, "e5a208324f182eab"),
+    ("D8 wr C2", 63, "4f2968fdb8e737fd"),
+])
+def test_pgroup_strategies_are_pinned(puzzle, length, digest):
+    # digests of the moves as built when every chain level tested all of H
+    # and every subgroup was closed by pairwise products: the generator
+    # tests must pick the same strategy move for move
+    strat = synthesis.construct_pgroup(parse_puzzle(puzzle))
+    text = " ".join(map(str, strat.moves))
+    assert len(strat) == length
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
 # -- transport ---------------------------------------------------------------
