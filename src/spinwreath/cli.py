@@ -1,6 +1,11 @@
 """Command-line interface.
 
 Exit codes: 0 = Yes/valid, 2 = usage error, 3 = No/invalid, 4 = Unknown.
+
+``main`` is the one front door: it parses with the parser built at import,
+loads the context, makes the command's one ``SearchStats`` (every engine
+call of the command counts into it, so ``--budget`` caps the whole command)
+and emits the handler's ``Answer`` as one JSON or human record.
 """
 
 from __future__ import annotations
@@ -8,10 +13,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 import time
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import analysis, decision, fileio, synthesis
 from .actions import WreathContext
@@ -24,8 +28,9 @@ from .errors import (BudgetExceeded, CertificateRejected, FileFormatInvalid,
 from .groups import normal_subgroups, quotient, subgroup_as_group
 from .puzzle_parser import parse_expr, build_context
 from .strategies import Strategy, verify, verify_naive
-from .synthesis import (construct_by_decomposition, construct_involution_pair,
-                        construct_pgroup, construct_trivial)
+from .synthesis import (SearchStats, construct_by_decomposition,
+                        construct_involution_pair, construct_pgroup,
+                        construct_trivial)
 
 JSON_SCHEMA = "spinwreath.cli/1"
 EXIT_YES = 0
@@ -34,13 +39,13 @@ EXIT_NO = 3
 EXIT_UNKNOWN = 4
 
 
-def _default_budget() -> int:
-    raw = os.environ.get("SPINWREATH_BUDGET")
-    try:
-        return int(raw) if raw else synthesis.DEFAULT_SEARCH_BUDGET
-    except ValueError:
-        raise FileFormatInvalid(
-            f"SPINWREATH_BUDGET must be an integer, got {raw!r}")
+class Answer(NamedTuple):
+    """What a handler asks ``main`` to print and return."""
+    verdict: str
+    payload: dict
+    human: str
+    exit_code: int
+    seed: Optional[int] = None
 
 
 def _positive_int(text: str) -> int:
@@ -97,40 +102,8 @@ def _strategy_payload(strat: Strategy):
     }
 
 
-def _emit(args, *, verdict: str, payload: dict, human: str,
-          exit_code: int, started: float, seed: Optional[int] = None,
-          states_explored: int = 0) -> int:
-    if args.json:
-        doc = {
-            "schema": JSON_SCHEMA,
-            "command": args.command,
-            "verdict": verdict,
-            "payload": payload,
-            "timing_seconds": round(time.perf_counter() - started, 6),
-            "budget": {
-                "limit": args.budget,
-                "states_explored": states_explored,
-            },
-        }
-        if seed is not None:
-            doc["seed"] = seed
-        print(json.dumps(doc, indent=2))
-    elif human:
-        print(human)
-    return exit_code
-
-
-def _write_strategy(args, strat: Strategy):
-    text = fileio.format_strategy(strat)
-    if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    elif not args.json:
-        sys.stdout.write(text)
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes (args, ctx, stats) and returns an Answer
 # ---------------------------------------------------------------------------
 
 def _validated(ctx: WreathContext, result: DecisionResult) -> bool:
@@ -145,10 +118,9 @@ def _validated(ctx: WreathContext, result: DecisionResult) -> bool:
     return True
 
 
-def _cmd_decide(args, started) -> int:
-    ctx = _load_context(args)
+def _cmd_decide(args, ctx, stats) -> Answer:
     result = decide_existence(ctx, spin_period=args.spin_period,
-                              budget=args.budget)
+                              budget=args.budget, stats=stats)
     payload = {"context": ctx.name, "k_size": ctx.k_size,
                "conjectural": result.conjectural, "message": result.message}
     if result.verdict == "no":
@@ -162,9 +134,7 @@ def _cmd_decide(args, started) -> int:
         cert_text = render_certificate(result.certificate)
         payload["certificate"] = cert_text
         lines.append(cert_text)
-    return _emit(args, verdict=result.verdict, payload=payload,
-                 human="\n".join(lines), exit_code=result.exit_code,
-                 started=started, states_explored=result.states_explored)
+    return Answer(result.verdict, payload, "\n".join(lines), result.exit_code)
 
 
 def _strategy_of(result: DecisionResult) -> Strategy:
@@ -176,7 +146,7 @@ def _strategy_of(result: DecisionResult) -> Strategy:
     return result.strategy
 
 
-def _construct(args, ctx: WreathContext) -> Strategy:
+def _construct(args, ctx: WreathContext, stats: SearchStats) -> Strategy:
     method = args.method
     if method == "trivial":
         if ctx.h_order != 1:
@@ -191,37 +161,41 @@ def _construct(args, ctx: WreathContext) -> Strategy:
     if method == "search":
         return _strategy_of(decide_by_search(
             ctx, max_depth=args.depth, spin_period=args.spin_period,
-            budget=args.budget))
+            budget=args.budget, stats=stats))
     for sub in reversed(normal_subgroups(ctx.g_group)):
         if 1 < len(sub.members) < ctx.g_group.order:
             n_group = subgroup_as_group(sub)
             quot, _, _ = quotient(ctx.g_group, sub)
             ctx_n = WreathContext(g_group=n_group, action=ctx.action)
             ctx_q = WreathContext(g_group=quot, action=ctx.action)
-            strat_n = _strategy_of(decide_existence(ctx_n, budget=args.budget))
-            strat_q = _strategy_of(decide_existence(ctx_q, budget=args.budget))
+            # both sub-decisions draw on the command's one budget
+            strat_n = _strategy_of(decide_existence(
+                ctx_n, budget=args.budget, stats=stats))
+            strat_q = _strategy_of(decide_existence(
+                ctx_q, budget=args.budget, stats=stats))
             return construct_by_decomposition(ctx, sub, strat_n, strat_q)
     raise FileFormatInvalid(
         "--method decompose needs a proper nontrivial normal subgroup")
 
 
-def _cmd_construct(args, started) -> int:
-    ctx = _load_context(args)
-    strat = _construct(args, ctx)
+def _cmd_construct(args, ctx, stats) -> Answer:
+    strat = _construct(args, ctx, stats)
     report = verify(ctx, strat, spin_period=args.spin_period)
     if not report.valid:
         raise LiftedStrategyFailedVerification(
             f"--method {args.method} gave a strategy that failed verification")
-    _write_strategy(args, strat)
+    text = fileio.format_strategy(strat)
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
     payload = {"context": ctx.name, "method": args.method,
                "strategy": _strategy_payload(strat),
                "minimal": report.minimal}
-    return _emit(args, verdict="yes", payload=payload, human="",
-                 exit_code=EXIT_YES, started=started)
+    return Answer("yes", payload, "" if args.output else text.rstrip("\n"),
+                  EXIT_YES)
 
 
-def _cmd_verify(args, started) -> int:
-    ctx = _load_context(args)
+def _cmd_verify(args, ctx, stats) -> Answer:
     strat = fileio.load_strategy(args.strategy, ctx)
     if args.naive:
         valid = verify_naive(ctx, strat, budget=args.budget,
@@ -235,13 +209,12 @@ def _cmd_verify(args, started) -> int:
         payload["minimal"] = report.minimal
         payload["residual"] = sorted(report.residual)
     verdict = "valid" if valid else "invalid"
-    return _emit(args, verdict=verdict, payload=payload,
-                 human=f"{ctx.name}: {len(strat)}-move strategy is {verdict}",
-                 exit_code=EXIT_YES if valid else EXIT_NO, started=started)
+    return Answer(verdict, payload,
+                  f"{ctx.name}: {len(strat)}-move strategy is {verdict}",
+                  EXIT_YES if valid else EXIT_NO)
 
 
-def _cmd_enumerate(args, started) -> int:
-    ctx = _load_context(args)
+def _cmd_enumerate(args, ctx, stats) -> Answer:
     result = analysis.enumerate_strategies(
         ctx, args.length, palindromic=args.palindromic,
         minimal_only=args.minimal_only, up_to_h=args.up_to_h,
@@ -263,12 +236,10 @@ def _cmd_enumerate(args, started) -> int:
     if result.canonical_count is not None:
         human += (f" ({result.canonical_count} up to spins; "
                   "canonicalization applies one global spin to every move)")
-    return _emit(args, verdict="ok", payload=payload, human=human,
-                 exit_code=EXIT_YES, started=started)
+    return Answer("ok", payload, human, EXIT_YES)
 
 
-def _cmd_expect(args, started) -> int:
-    ctx = _load_context(args)
+def _cmd_expect(args, ctx, stats) -> Answer:
     seed = args.seed if args.seed is not None else 0
     payload = {"context": ctx.name, "model": args.model}
     if args.model == "strategy":
@@ -303,14 +274,11 @@ def _cmd_expect(args, started) -> int:
         payload.update({"trials": args.trials, "sample_mean": mean})
         human = (f"{ctx.name}: non-backtracking sample mean {mean:.4f} "
                  f"over {args.trials} trials (seed {seed})")
-    return _emit(args, verdict="ok", payload=payload, human=human,
-                 exit_code=EXIT_YES, started=started, seed=seed)
+    return Answer("ok", payload, human, EXIT_YES, seed)
 
 
-def _cmd_classify(args, started) -> int:
-    ctx = _load_context(args)
+def _cmd_classify(args, ctx, stats) -> Answer:
     result = decision.classify_abelian(ctx.g_group, ctx.action)
-    stats = synthesis.SearchStats()
     if result.verdict == "no" and result.certificate is None:
         # the leaf's own hypotheses fail (Z4 wr C3, say): a reduction to a
         # context where they hold certifies the same "no"
@@ -322,52 +290,35 @@ def _cmd_classify(args, started) -> int:
         payload["certificate"] = render_certificate(result.certificate)
     if result.verdict == "no":
         payload["validated"] = _validated(ctx, result)
-    return _emit(args, verdict=result.verdict, payload=payload,
-                 human=f"{ctx.name}: {result.verdict} ({result.message})",
-                 exit_code=result.exit_code, started=started,
-                 states_explored=stats.states_explored)
+    return Answer(result.verdict, payload,
+                  f"{ctx.name}: {result.verdict} ({result.message})",
+                  result.exit_code)
 
 
-def _cmd_certify(args, started) -> int:
-    ctx = _load_context(args)
-    result = decide_existence(ctx, budget=args.budget)
+def _cmd_certify(args, ctx, stats) -> Answer:
+    result = decide_existence(ctx, budget=args.budget, stats=stats)
     if result.verdict != "no":
-        return _emit(args, verdict="unknown",
-                     payload={"context": ctx.name},
-                     human=f"{ctx.name}: no nonexistence certificate found",
-                     exit_code=EXIT_UNKNOWN, started=started,
-                     states_explored=result.states_explored)
+        return Answer("unknown", {"context": ctx.name},
+                      f"{ctx.name}: no nonexistence certificate found",
+                      EXIT_UNKNOWN)
     validated = _validated(ctx, result)
     text = render_certificate(result.certificate)
-    return _emit(args, verdict="no",
-                 payload={"context": ctx.name, "certificate": text,
-                          "validated": validated},
-                 human=text, exit_code=EXIT_NO, started=started,
-                 states_explored=result.states_explored)
+    return Answer("no", {"context": ctx.name, "certificate": text,
+                         "validated": validated}, text, EXIT_NO)
 
 
-def _cmd_min_spin_period(args, started) -> int:
-    ctx = _load_context(args)
-    stats = synthesis.SearchStats()
+def _cmd_min_spin_period(args, ctx, stats) -> Answer:
     try:
         r = min_spin_period(ctx, args.bound, budget=args.budget, stats=stats)
     except BudgetExceeded as exc:
-        return _emit(args, verdict="unknown",
-                     payload={"context": ctx.name, "message": str(exc)},
-                     human=f"{ctx.name}: {exc}", exit_code=EXIT_UNKNOWN,
-                     started=started, states_explored=stats.states_explored)
+        return Answer("unknown", {"context": ctx.name, "message": str(exc)},
+                      f"{ctx.name}: {exc}", EXIT_UNKNOWN)
     if r is None:
-        return _emit(args, verdict="no",
-                     payload={"context": ctx.name, "bound": args.bound},
-                     human=(f"{ctx.name}: no winning spin period up to "
-                            f"{args.bound}"),
-                     exit_code=EXIT_NO, started=started,
-                     states_explored=stats.states_explored)
-    return _emit(args, verdict="yes",
-                 payload={"context": ctx.name, "min_spin_period": r},
-                 human=f"{ctx.name}: minimum spin period {r}",
-                 exit_code=EXIT_YES, started=started,
-                 states_explored=stats.states_explored)
+        return Answer("no", {"context": ctx.name, "bound": args.bound},
+                      f"{ctx.name}: no winning spin period up to {args.bound}",
+                      EXIT_NO)
+    return Answer("yes", {"context": ctx.name, "min_spin_period": r},
+                  f"{ctx.name}: minimum spin period {r}", EXIT_YES)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +333,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="machine-readable output")
     common.add_argument("--quiet", action="store_true",
                         help="suppress progress on stderr")
-    common.add_argument("--budget", type=int, default=None,
+    common.add_argument("--budget", type=int,
+                        default=synthesis.DEFAULT_SEARCH_BUDGET,
                         help="search/enumeration state budget")
     common.add_argument("--win-set", type=_index_set, default=None,
                         help="comma-separated winning base-vector indices")
@@ -390,8 +342,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="adversary spins only every r-th turn")
     common.add_argument("--loop", action="store_true",
                         help="allow non-associative switch tables")
-    common.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized paths")
 
     parser = argparse.ArgumentParser(
         prog="spinwreath",
@@ -433,6 +383,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             "nonbacktracking"])
     p.add_argument("--strategy", default=None, help="strategy file")
     p.add_argument("--trials", type=_positive_int, default=100000)
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed of the sampled models")
 
     sub.add_parser("classify", parents=[common],
                    help="abelian-switches solvability classification")
@@ -441,10 +393,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("min-spin-period", parents=[common],
                        help="smallest spin interval that allows a win")
-    p.add_argument("--bound", type=int, default=8)
+    p.add_argument("--bound", type=_positive_int, default=8)
 
     return parser
 
+
+_PARSER = _build_parser()
 
 _HANDLERS = {
     "decide": _cmd_decide,
@@ -459,13 +413,11 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     started = time.perf_counter()
+    stats = SearchStats()
     try:
-        if args.budget is None:
-            args.budget = _default_budget()
-        return _HANDLERS[args.command](args, started)
+        answer = _HANDLERS[args.command](args, _load_context(args), stats)
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN
@@ -478,6 +430,24 @@ def main(argv=None) -> int:
     except (SpinWreathError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if args.json:
+        doc = {
+            "schema": JSON_SCHEMA,
+            "command": args.command,
+            "verdict": answer.verdict,
+            "payload": answer.payload,
+            "timing_seconds": round(time.perf_counter() - started, 6),
+            "budget": {
+                "limit": args.budget,
+                "states_explored": stats.states_explored,
+            },
+        }
+        if answer.seed is not None:
+            doc["seed"] = answer.seed
+        print(json.dumps(doc, indent=2))
+    elif answer.human:
+        print(answer.human)
+    return answer.exit_code
 
 
 if __name__ == "__main__":

@@ -260,6 +260,44 @@ def test_construct_decompose(capsys):
     assert doc["payload"]["minimal"] is True
 
 
+def test_construct_reports_the_states_it_searched(capsys):
+    from spinwreath.decision import decide_by_search
+    from spinwreath.puzzle_parser import parse_puzzle
+
+    states = decide_by_search(parse_puzzle("S3 x Z2 wr 1")).states_explored
+    code, out, _ = run(capsys, "construct", "S3 x Z2 wr 1", "--method",
+                       "search", "--json")
+    assert code == 0
+    assert json.loads(out)["budget"]["states_explored"] == states == 11
+
+
+def test_construct_decompose_charges_one_budget(capsys, monkeypatch):
+    # both sub-decisions count into the command's one SearchStats, so the
+    # states reported are their sum and --budget caps that sum
+    from spinwreath import cli, decision
+
+    calls = []
+
+    def spy(ctx, **kwargs):
+        stats = kwargs["stats"]
+        before = stats.states_explored
+        result = decision.decide_existence(ctx, **kwargs)
+        calls.append((stats, kwargs["budget"],
+                      stats.states_explored - before))
+        return result
+
+    monkeypatch.setattr(cli, "decide_existence", spy)
+    code, out, _ = run(capsys, "construct", "S3 x S3 wr 1", "--method",
+                       "decompose", "--budget", "500", "--json")
+    assert code == 0
+    assert len(calls) == 2 and calls[0][0] is calls[1][0]
+    assert [budget for _, budget, _ in calls] == [500, 500]
+    doc = json.loads(out)
+    assert doc["budget"]["limit"] == 500
+    assert doc["budget"]["states_explored"] == sum(
+        spent for _, _, spent in calls) == 42
+
+
 def test_construct_involution_failure_is_a_usage_error(capsys):
     code, _, err = run(capsys, "construct", "S3 wr C2",
                        "--method", "involution")
@@ -402,6 +440,11 @@ def test_parse_errors_exit_2(capsys):
     ["enumerate", "Z2 wr C2", "--length", "4", "--spin-period", "2"],
     ["min-spin-period", "Z2 wr C3", "--spin-period", "2"],
     ["expect", "Z2 wr C4", "--model", "random", "--win-set", "0,5"],
+    # min-spin-period searches the periods 1..bound, so it needs one
+    ["min-spin-period", "Z2 wr C3", "--bound", "0"],
+    ["min-spin-period", "Z2 wr C3", "--bound", "-2"],
+    # only expect samples, so only expect takes a seed
+    ["decide", "Z2 wr C2", "--seed", "1"],
 ])
 def test_malformed_flags_are_usage_errors(capsys, argv):
     # argparse exits by SystemExit, the handlers by returning the code
@@ -430,17 +473,21 @@ def test_flags_that_change_the_game_reach_only_commands_that_use_them(capsys):
     assert code == 0
 
 
-def test_a_malformed_budget_variable_is_a_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("SPINWREATH_BUDGET", "abc")
-    code, _, err = run(capsys, "decide", "Z2 wr C2")
-    assert code == 2
-    assert "SPINWREATH_BUDGET" in err and "Traceback" not in err
-    # an explicit --budget does not read the variable
-    code, _, _ = run(capsys, "decide", "Z2 wr C2", "--budget", "100")
-    assert code == 0
-    monkeypatch.setenv("SPINWREATH_BUDGET", "50")
-    code, out, _ = run(capsys, "decide", "S3 wr C2", "--json")
-    assert code == 4 and json.loads(out)["budget"]["limit"] == 50
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    import argparse
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for _ in range(2):
+        code, _, _ = run(capsys, "decide", "Z2 wr C2", "--json")
+        assert code == 0
+    assert built == []
 
 
 def test_enumerate_long_lengths_run_out_of_budget_not_stack(capsys):
