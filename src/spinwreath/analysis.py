@@ -18,6 +18,7 @@ from .actions import WreathContext, gather
 from .errors import BudgetExceeded, ContextTooSmall
 from .strategies import (Strategy, initial_belief, minimal_length_bound,
                          verify)
+from .synthesis import SearchStats
 
 
 # ---------------------------------------------------------------------------
@@ -215,16 +216,22 @@ class EnumerationResult:
 
 def enumerate_strategies(ctx: WreathContext, length: int,
                          *, palindromic=False, minimal_only=False,
-                         up_to_h=False, budget: int = 10 ** 7
+                         up_to_h=False, budget: int = 10 ** 7,
+                         stats: Optional[SearchStats] = None
                          ) -> EnumerationResult:
     """All length-N surjective strategies, by backtracking with belief pruning.
 
     A prefix is pruned when the remaining moves cannot eliminate the current
     belief set (at most |win_set| states disappear per step).  Palindromic
     enumeration forces the mirrored half of the sequence.  The backtracking
-    keeps an explicit stack of open prefixes, so no length recurses; every
-    prefix entered counts against ``budget``.
+    keeps an explicit stack of open prefixes, so no length recurses.
+
+    Every prefix entered counts into ``stats.states_explored``, and
+    ``budget`` caps that running total, states the caller counted before
+    included: once it has reached ``budget``, entering one more prefix
+    raises ``BudgetExceeded``.
     """
+    stats = stats if stats is not None else SearchStats()
     if minimal_only and length != minimal_length_bound(ctx):
         return EnumerationResult(strategies=(), count=0,
                                  canonical_count=0 if up_to_h else None)
@@ -233,15 +240,16 @@ def enumerate_strategies(ctx: WreathContext, length: int,
     found: List[Tuple[int, ...]] = []
     moves: List[int] = []  # the prefix of the node on top of the stack
     stack = []  # (mask, spin, candidates left) of each open prefix
-    visited = 0
+    # the hot loop counts locally and adds its count to stats at the end
+    visited, limit = 0, budget - stats.states_explored
     step = ctx.belief_kernel.step
 
     def enter(mask):
         """Count the prefix ``moves`` and open it; False for a leaf."""
         nonlocal visited
-        visited += 1
-        if visited > budget:
+        if visited >= limit:
             raise BudgetExceeded("enumeration budget exceeded")
+        visited += 1
         depth = len(moves)
         if depth == length:
             if mask == 0:
@@ -256,18 +264,21 @@ def enumerate_strategies(ctx: WreathContext, length: int,
         stack.append((mask, remaining > 1, iter(candidates)))
         return True
 
-    enter(initial_belief(ctx))
-    while stack:
-        mask, spin, candidates = stack[-1]
-        for mv in candidates:
-            moves.append(mv)
-            if enter(step(mask, mv, spin)):
-                break
-            moves.pop()
-        else:
-            stack.pop()
-            if moves:
+    try:
+        enter(initial_belief(ctx))
+        while stack:
+            mask, spin, candidates = stack[-1]
+            for mv in candidates:
+                moves.append(mv)
+                if enter(step(mask, mv, spin)):
+                    break
                 moves.pop()
+            else:
+                stack.pop()
+                if moves:
+                    moves.pop()
+    finally:
+        stats.states_explored += visited
     strategies = tuple(Strategy(ctx=ctx, moves=m) for m in found)
     canonical_count = None
     if up_to_h:

@@ -54,6 +54,12 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _non_negative_int(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {text}")
+    return int(text)
+
+
 def _index_set(text: str) -> frozenset:
     try:
         return frozenset(int(tok) for tok in text.split(","))
@@ -218,7 +224,7 @@ def _cmd_enumerate(args, ctx, stats) -> Answer:
     result = analysis.enumerate_strategies(
         ctx, args.length, palindromic=args.palindromic,
         minimal_only=args.minimal_only, up_to_h=args.up_to_h,
-        budget=args.budget,
+        budget=args.budget, stats=stats,
     )
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -333,7 +339,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="machine-readable output")
     common.add_argument("--quiet", action="store_true",
                         help="suppress progress on stderr")
-    common.add_argument("--budget", type=int,
+    common.add_argument("--budget", type=_positive_int,
                         default=synthesis.DEFAULT_SEARCH_BUDGET,
                         help="search/enumeration state budget")
     common.add_argument("--win-set", type=_index_set, default=None,
@@ -358,7 +364,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=["trivial", "involution", "pgroup", "decompose",
                             "search"])
     p.add_argument("--output", default=None, help="write the strategy file here")
-    p.add_argument("--depth", type=int, default=None,
+    p.add_argument("--depth", type=_non_negative_int, default=None,
                    help="depth limit for --method search")
 
     p = sub.add_parser("verify", parents=[common],
@@ -369,7 +375,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", parents=[common],
                        help="count/list surjective strategies of a length")
-    p.add_argument("--length", type=int, required=True)
+    p.add_argument("--length", type=_non_negative_int, required=True)
     p.add_argument("--palindromic", action="store_true")
     p.add_argument("--minimal-only", action="store_true")
     p.add_argument("--up-to-h", action="store_true")

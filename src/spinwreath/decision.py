@@ -1,11 +1,12 @@
 """Existence decisions for surjective strategies.
 
 The theorem comes first: p-groups for one prime always win, by a verified
-construction.  Then the reductions (switch quotients, spin subgroups,
-orbit restrictions) look for a certificate of nonexistence, and last one
-belief search of the whole context; ``decide_by_search`` alone turns a
-search, of the whole or of a reduction's leaf, into a verdict.  An
-independent checker validates certificates by every hypothesis.
+construction.  Then the reductions (switch quotients, orbit restrictions
+to a subgroup of H on one orbit or every position) look for a certificate
+of nonexistence, and last one belief search of the whole context;
+``decide_by_search`` alone turns a search, of the whole or of a
+reduction's leaf, into a verdict.  An independent checker validates
+certificates by every hypothesis.
 """
 
 from __future__ import annotations
@@ -85,19 +86,9 @@ class SwitchQuotient:
 
 
 @dataclass(frozen=True)
-class SpinSubgroup:
-    """Restrict the adversary to an embedded subgroup of H."""
-
-    embedding: Homomorphism  # H0 -> H, injective
-    child: "Certificate"
-
-    def describe(self):
-        return f"SpinSubgroup({self.embedding.source.name} <= {self.embedding.target.name})"
-
-
-@dataclass(frozen=True)
 class OrbitRestriction:
-    """Restrict to the orbit of one position under an embedded subgroup."""
+    """Restrict to the orbit of one position, every position included,
+    under an embedded subgroup."""
 
     embedding: Homomorphism  # H0 -> H, injective
     omega: int
@@ -111,7 +102,7 @@ class OrbitRestriction:
 
 
 Certificate = Union[AbelianClassification, ExhaustiveBeliefSearch,
-                    SwitchQuotient, SpinSubgroup, OrbitRestriction]
+                    SwitchQuotient, OrbitRestriction]
 
 
 def render_certificate(cert: Certificate, indent: int = 0) -> str:
@@ -188,11 +179,21 @@ def classify_abelian(g: FiniteGroup, action: GroupAction) -> DecisionResult:
     if p is not None and p == q:
         return DecisionResult(verdict="yes",
                               message="both p-groups for one prime")
-    cert = None
-    if None not in (p, q) and _is_elementary_abelian(g) == p:
-        cert = AbelianClassification(p_switch=p, q_spin=q)
-    return DecisionResult(verdict="no", certificate=cert,
+    return DecisionResult(verdict="no", certificate=_abelian_leaf(g, action),
                           message="prime mismatch between switches and spins")
+
+
+def _abelian_leaf(g: FiniteGroup, action: GroupAction
+                  ) -> Optional[AbelianClassification]:
+    """The leaf where its hypotheses hold: G a vector space over F_p spun
+    faithfully by a q-group, q != p; else None."""
+    p = _is_elementary_abelian(g)
+    if p is None or not action.is_faithful():
+        return None
+    q = p_group_prime(action.h_group)
+    if q in (None, TRIVIAL_P, p):
+        return None
+    return AbelianClassification(p_switch=p, q_spin=q)
 
 
 def _is_elementary_abelian(g: FiniteGroup) -> Optional[int]:
@@ -215,7 +216,8 @@ def find_nonexistence_certificate(ctx: WreathContext,
                                   *, budget: int = DEFAULT_SEARCH_BUDGET,
                                   stats: Optional[SearchStats] = None
                                   ) -> Optional[Certificate]:
-    """The reductions: quotients, orbit restrictions and spin subgroups,
+    """The reductions: switch quotients, then orbit restrictions (one orbit
+    of a proper subgroup of H, or every position for a transitive one),
     ``DEFAULT_CERT_DEPTH`` deep, down to a base fact or exhaustive leaf.
 
     Only valid for ordinary group contexts with the default winning state.
@@ -240,17 +242,10 @@ def _prove_no(g: FiniteGroup, action: GroupAction, depth: int, budget: int,
 def _reduce(g: FiniteGroup, action: GroupAction, depth: int, budget: int,
             stats: SearchStats) -> Optional[Certificate]:
     """The base fact, then every reduction to a smaller context."""
+    leaf = _abelian_leaf(g, action)
+    if leaf is not None or depth == 0 or not g.is_associative:
+        return leaf
     h = action.h_group
-
-    # base fact: vector-space switches spun faithfully by a q-group, q != p
-    p = _is_elementary_abelian(g)
-    if p is not None and action.is_faithful():
-        q = p_group_prime(h)
-        if q not in (None, TRIVIAL_P, p):
-            return AbelianClassification(p_switch=p, q_spin=q)
-
-    if depth == 0 or not g.is_associative:
-        return None
 
     # switch quotients, smallest quotient first
     if g.order <= groups.DEFAULT_SUBGROUP_ORDER_BOUND:
@@ -267,30 +262,17 @@ def _reduce(g: FiniteGroup, action: GroupAction, depth: int, budget: int,
     subs = [tuple(sorted(s)) for s in all_subgroups(h) if 1 < len(s) < h.order]
     subs.sort(key=lambda members: (len(members), members))
 
-    # orbit restrictions: one position's orbit under a proper subgroup
+    # orbit restrictions: each orbit of a proper subgroup, every position
+    # for a transitive one; disjoint orbits sort by their least position
     for members in subs:
-        seen_orbits = set()
-        for omega in range(action.omega_size):
-            orbit = _orbit(action, members, omega)
-            if orbit in seen_orbits or len(orbit) == action.omega_size:
-                continue
-            seen_orbits.add(orbit)
+        for orbit in sorted({_orbit(action, members, w)
+                             for w in range(action.omega_size)}):
             sub_action = _restricted_action(action, members, orbit)
             child = _prove_no(g, sub_action, depth - 1, budget, stats)
             if child is not None:
-                return OrbitRestriction(
-                    embedding=_embedding_hom(h, members),
-                    omega=min(orbit), orbit=orbit, child=child,
-                )
-
-    # spin subgroups on the full position set
-    positions = tuple(range(action.omega_size))
-    for members in subs:
-        sub_action = _restricted_action(action, members, positions)
-        child = _prove_no(g, sub_action, depth - 1, budget, stats)
-        if child is not None:
-            return SpinSubgroup(embedding=_embedding_hom(h, members),
-                                child=child)
+                return OrbitRestriction(embedding=_embedding_hom(h, members),
+                                        omega=orbit[0], orbit=orbit,
+                                        child=child)
     return None
 
 
@@ -344,22 +326,10 @@ def _validate_node(g: FiniteGroup, action: GroupAction,
             return False
         return _validate_node(phi.target, action, cert.child)
 
-    if isinstance(cert, SpinSubgroup):
-        emb = cert.embedding
-        if emb.target != action.h_group or not emb.is_injective():
-            return False
-        if not emb.check():
-            return False
-        members = tuple(emb.map)
-        positions = tuple(range(action.omega_size))
-        sub_action = _restricted_action(action, tuple(sorted(members)), positions)
-        return _validate_node(g, sub_action, cert.child)
-
     if isinstance(cert, OrbitRestriction):
         emb = cert.embedding
-        if emb.target != action.h_group or not emb.is_injective():
-            return False
-        if not emb.check():
+        if (emb.target != action.h_group or not emb.is_injective()
+                or not emb.check()):
             return False
         members = tuple(sorted(emb.map))
         if _orbit(action, members, cert.omega) != cert.orbit:

@@ -175,51 +175,44 @@ def verify_naive(ctx: WreathContext, strategy: Strategy,
         # every initial state along every path directly
         return _naive_simulate(ctx, strategy, spins_per_turn)
 
-    def explore(turn, p_base, spin_sigma, covered):
-        # covered: initial states already guaranteed solved along this path
+    # depth first over the spin paths, on an explicit stack of
+    # (turn, p(m_turn), sigma_turn, covered): covered holds the initial
+    # states already guaranteed solved along the path; m_0 is the identity
+    stack = [(0, 0, 0, frozenset(win))]
+    while stack:
+        turn, p_base, spin_sigma, covered = stack.pop()
         if len(covered) == ctx.k_size:
-            return True
+            continue
         if turn == n:
             return False
-        move = strategy.moves[turn]
-        for h in spins_per_turn[turn]:
-            # p(m_{j}) = p(m_{j-1}) * act(sigma_{j-1}, k_j); the trailing spin
-            # does not touch the projection
-            new_base = ctx.k_mul(p_base, ctx.k_act(spin_sigma, move))
-            inv_sigma = h_group.inv[spin_sigma]
-            solved = {
-                ctx.k_mul(ctx.k_act(inv_sigma, w), ctx.k_inv(new_base))
-                for w in win
-            }
-            new_sigma = h_group.mul[spin_sigma][h]
-            if not explore(turn + 1, new_base, new_sigma, covered | solved):
-                return False
-        return True
-
-    covered0 = frozenset(w for w in win)  # m_0 = identity prefix
-    if len(covered0) == ctx.k_size:
-        return True
-    return explore(0, 0, 0, covered0)
+        # p(m_{j}) = p(m_{j-1}) * act(sigma_{j-1}, k_j); the trailing spin
+        # does not touch the projection
+        new_base = ctx.k_mul(p_base, ctx.k_act(spin_sigma, strategy.moves[turn]))
+        inv_sigma = h_group.inv[spin_sigma]
+        new_base_inv = ctx.k_inv(new_base)
+        covered = covered | {ctx.k_mul(ctx.k_act(inv_sigma, w), new_base_inv)
+                             for w in win}
+        stack.extend((turn + 1, new_base, h_group.mul[spin_sigma][h], covered)
+                     for h in reversed(spins_per_turn[turn]))
+    return True
 
 
 def _naive_simulate(ctx: WreathContext, strategy: Strategy, spins_per_turn):
     win = ctx.win_set
-
-    def explore(turn, live):
-        # live: current positions of initial states not yet solved on this path
+    n = len(strategy.moves)
+    # depth first over the spin paths, on an explicit stack of (turn, live):
+    # live holds the current positions of the initial states not yet solved
+    # on the path
+    stack = [(0, [s for s in range(ctx.k_size) if s not in win])]
+    while stack:
+        turn, live = stack.pop()
         if not live:
-            return True
-        if turn == len(strategy.moves):
+            continue
+        if turn == n:
             return False
         move = strategy.moves[turn]
-        moved = [ctx.k_mul(s, move) for s in live]
-        moved = [t for t in moved if t not in win]
-        if not moved:
-            return True
-        for h in spins_per_turn[turn]:
-            if not explore(turn + 1, [ctx.k_act(h, t) for t in moved]):
-                return False
-        return True
-
-    start = [s for s in range(ctx.k_size) if s not in win]
-    return explore(0, start)
+        moved = [t for t in (ctx.k_mul(s, move) for s in live) if t not in win]
+        if moved:
+            stack.extend((turn + 1, [ctx.k_act(h, t) for t in moved])
+                         for h in reversed(spins_per_turn[turn]))
+    return True

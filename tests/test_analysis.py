@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 
 from spinwreath import analysis, catalog, groups
 from spinwreath.actions import WreathContext, cyclic_rotation_action, trivial_action
-from spinwreath.errors import ContextTooSmall
+from spinwreath.errors import BudgetExceeded, ContextTooSmall
 from spinwreath.puzzle_parser import parse_puzzle
 from spinwreath.strategies import Strategy, verify
+from spinwreath.synthesis import SearchStats
 from test_decision import BUDGET_PUZZLES
 from test_strategies import KERNEL_CONTEXTS
 
@@ -216,6 +217,46 @@ def test_minimal_count_for_s3_without_an_adversary():
     ctx = WreathContext(g_group=groups.symmetric(3), action=trivial_action())
     result = analysis.enumerate_strategies(ctx, 5)
     assert result.count == 120
+
+
+@pytest.mark.parametrize("ctx,length,flags", [
+    (WreathContext(g_group=groups.symmetric(3), action=trivial_action()), 5,
+     {}),
+    (ctx_of(groups.cyclic(2), 3), 7, {}),
+    (ctx_of(groups.cyclic(2), 2), 3, {"palindromic": True}),
+], ids=["S3-1", "Z2-C3", "Z2-C2-palindromic"])
+def test_enumeration_counts_the_prefixes_it_enters(monkeypatch, ctx, length,
+                                                   flags):
+    # every prefix but the empty one is entered by one belief step
+    kernel = ctx.belief_kernel
+    steps = []
+    step = kernel.step
+
+    def counting(mask, move, spin):
+        steps.append(move)
+        return step(mask, move, spin)
+
+    monkeypatch.setattr(kernel, "step", counting)
+    stats = SearchStats()
+    analysis.enumerate_strategies(ctx, length, stats=stats, **flags)
+    assert stats.states_explored == len(steps) + 1
+
+
+def test_enumeration_budget_caps_the_running_total():
+    ctx = WreathContext(g_group=groups.symmetric(3), action=trivial_action())
+    stats = SearchStats()
+    analysis.enumerate_strategies(ctx, 5, stats=stats)
+    entered = stats.states_explored
+    # states counted before the call share the budget, and the total never
+    # passes it
+    stats = SearchStats(states_explored=entered - 1)
+    analysis.enumerate_strategies(ctx, 5, stats=stats, budget=2 * entered - 1)
+    assert stats.states_explored == 2 * entered - 1
+    stats = SearchStats(states_explored=entered)
+    with pytest.raises(BudgetExceeded):
+        analysis.enumerate_strategies(ctx, 5, stats=stats,
+                                      budget=2 * entered - 1)
+    assert stats.states_explored == 2 * entered - 1
 
 
 def test_backtracker_agrees_with_plain_product_enumeration():

@@ -445,6 +445,11 @@ def test_parse_errors_exit_2(capsys):
     ["min-spin-period", "Z2 wr C3", "--bound", "-2"],
     # only expect samples, so only expect takes a seed
     ["decide", "Z2 wr C2", "--seed", "1"],
+    # a budget admits at least one state; a length or a depth may be 0
+    ["decide", "S3 wr C2", "--budget", "-5", "--json"],
+    ["decide", "S3 wr C2", "--budget", "0"],
+    ["enumerate", "Z2 wr C2", "--length", "-1"],
+    ["construct", "Z2 wr C2", "--method", "search", "--depth", "-1"],
 ])
 def test_malformed_flags_are_usage_errors(capsys, argv):
     # argparse exits by SystemExit, the handlers by returning the code
@@ -488,6 +493,39 @@ def test_main_builds_its_parser_once(capsys, monkeypatch):
         code, _, _ = run(capsys, "decide", "Z2 wr C2", "--json")
         assert code == 0
     assert built == []
+
+
+def test_enumerate_reports_the_prefixes_it_entered(capsys):
+    from spinwreath.analysis import enumerate_strategies
+    from spinwreath.puzzle_parser import parse_puzzle
+    from spinwreath.synthesis import SearchStats
+
+    stats = SearchStats()
+    enumerate_strategies(parse_puzzle("S3 wr 1"), 5, stats=stats)
+    code, out, _ = run(capsys, "enumerate", "S3 wr 1", "--length", "5",
+                       "--json")
+    assert code == 0
+    assert json.loads(out)["budget"]["states_explored"] == \
+        stats.states_explored > 0
+
+
+def test_zero_length_and_depth_still_answer(capsys):
+    code, out, _ = run(capsys, "enumerate", "Z2 wr C2", "--length", "0")
+    assert code == 0 and "0 strategies of length 0" in out
+    code, _, err = run(capsys, "construct", "Z2 wr C2", "--method", "search",
+                       "--depth", "0")
+    assert code == 4 and "depth 0" in err
+
+
+def test_verify_naive_gives_a_verdict_on_a_long_strategy(tmp_path, capsys):
+    # 1,500 identity moves, one spin on the last turn: two spin paths, each
+    # 1,500 turns deep, and neither wins
+    path = tmp_path / "long.strategy"
+    path.write_text("strategy Z2 wr C2 1500\n" + "0 0\n" * 1500)
+    code, out, err = run(capsys, "verify", "Z2 wr C2", "--strategy",
+                         str(path), "--naive", "--spin-period", "1500")
+    assert code == 3 and "invalid" in out
+    assert "Traceback" not in err
 
 
 def test_enumerate_long_lengths_run_out_of_budget_not_stack(capsys):

@@ -93,6 +93,62 @@ def test_certificate_for_z2_wr_c6_restricts_to_an_orbit():
     assert validate_certificate(ctx, cert)
 
 
+@pytest.mark.parametrize("puzzle,q", [("Z2 wr S3", 3), ("Z2 wr D10", 5)])
+def test_a_transitive_spin_subgroup_restricts_to_every_position(puzzle, q):
+    # the adversary commits to the rotations C_q, which are transitive, so
+    # the orbit restriction keeps every switch and meets the prime mismatch
+    ctx = parse_puzzle(puzzle)
+    cert = find_nonexistence_certificate(ctx)
+    assert isinstance(cert, OrbitRestriction)
+    assert cert.orbit == tuple(range(ctx.omega_size)) and cert.omega == 0
+    assert cert.embedding.source.order == q
+    assert cert.child == AbelianClassification(p_switch=2, q_spin=q)
+    assert validate_certificate(ctx, cert)
+    assert decide_existence(ctx).certificate == cert
+
+
+def test_a_full_orbit_claimed_for_an_intransitive_subgroup_is_rejected():
+    # each C2 <= S3 swaps two of the three positions and fixes the third,
+    # so no position has the orbit (0, 1, 2) under it
+    ctx = parse_puzzle("Z2 wr S3")
+    h = ctx.action.h_group
+    cert = find_nonexistence_certificate(ctx)
+    assert validate_certificate(ctx, cert)
+    c2s = [tuple(sorted(sub)) for sub in groups.all_subgroups(h)
+           if len(sub) == 2]
+    assert len(c2s) == 3
+    for members in c2s:
+        for omega in range(3):
+            forged = replace(cert, omega=omega,
+                             embedding=decision._embedding_hom(h, members))
+            assert not validate_certificate(ctx, forged)
+
+
+# G in {Z2, Z4, Z6, S3} x H in {C2, C3, C6, S3, D10, A4, S4}, |K| <= 4096
+CENSUS_SLICE = [
+    f"{g} wr {h}"
+    for g in ("Z2", "Z4", "Z6", "S3")
+    for h in ("C2", "C3", "C6", "S3", "D10", "A4", "S4")
+    if parse_puzzle(f"{g} wr {h}").k_size <= 4096
+]
+
+
+def test_census_slice_certificates_validate():
+    # Z2 wr C2 and Z4 wr C2 are p-groups for one prime, so they have
+    # strategies; S3 wr C2 has none, but no reduction reaches it (the
+    # whole-context search of decide does)
+    certified = set()
+    for puzzle in CENSUS_SLICE:
+        ctx = parse_puzzle(puzzle)
+        cert = find_nonexistence_certificate(ctx, budget=2000)
+        if cert is not None:
+            assert validate_certificate(ctx, cert), puzzle
+            certified.add(puzzle)
+    assert len(CENSUS_SLICE) == 24 and len(certified) == 21
+    assert set(CENSUS_SLICE) - certified == {"Z2 wr C2", "Z4 wr C2",
+                                             "S3 wr C2"}
+
+
 def test_certificate_for_s4_switches():
     ctx = ctx_of(groups.symmetric(4), 3)
     cert = find_nonexistence_certificate(ctx)

@@ -348,3 +348,22 @@ def test_strategy_round_trips_and_palindromes():
     strat = catalog.four_switches_strategy(ctx)
     assert strat.moves == strat.moves[::-1]
     assert strategy_from_coords(ctx, strat.coords()) == strat
+
+
+@pytest.mark.parametrize("g", [groups.cyclic(2), groups.loop5()],
+                         ids=["Z2", "loop5"])
+@pytest.mark.parametrize("spin_period", [500, 1500])
+def test_verify_naive_walks_long_strategies_without_recursing(g, spin_period):
+    # 1,500 moves with spins on a few turns only: both enumerations walk
+    # one path 1,500 turns deep, far past Python's recursion limit, and the
+    # loop switches take the direct simulation rather than the projection
+    ctx = WreathContext(g_group=g, action=swap_action())
+    assert ctx.loop_mode == (g.order == 5)
+    path = search_belief_path(ctx, spin_period=1500)
+    for moves in (path, (), path[:-1]):
+        strat = Strategy(ctx=ctx, moves=moves + (0,) * (1500 - len(moves)))
+        assert verify_naive(ctx, strat, spin_period=spin_period) == verify(
+            ctx, strat, spin_period=spin_period).valid
+    # the winning path padded with identity moves wins under either period
+    assert verify_naive(ctx, Strategy(ctx=ctx, moves=path + (0,) * (
+        1500 - len(path))), spin_period=spin_period)
