@@ -29,6 +29,7 @@ from .groups import (
     all_subgroups,
     p_group_prime,
     quotient,
+    same_prime,
     subgroup_as_group,
 )
 from .strategies import Strategy, verify
@@ -219,6 +220,8 @@ def find_nonexistence_certificate(ctx: WreathContext,
     """The reductions: switch quotients, then orbit restrictions (one orbit
     of a proper subgroup of H, or every position for a transitive one),
     ``DEFAULT_CERT_DEPTH`` deep, down to a base fact or exhaustive leaf.
+    A sub-context of p-groups for one prime, either possibly trivial, has
+    a strategy by the theorem and is skipped: Z8 wr C4 costs no state.
 
     Only valid for ordinary group contexts with the default winning state.
     The whole context is never searched here (``decide_existence`` does
@@ -235,6 +238,8 @@ def find_nonexistence_certificate(ctx: WreathContext,
 
 def _prove_no(g: FiniteGroup, action: GroupAction, depth: int, budget: int,
               stats: SearchStats) -> Optional[Certificate]:
+    if same_prime(g, action.h_group):  # solvable: it has no certificate
+        return None
     return (_reduce(g, action, depth, budget, stats)
             or _exhaust(g, action, budget, stats))
 
@@ -278,7 +283,8 @@ def _reduce(g: FiniteGroup, action: GroupAction, depth: int, budget: int,
 
 def _exhaust(g: FiniteGroup, action: GroupAction, budget: int,
              stats: SearchStats) -> Optional[Certificate]:
-    """Leaf: ``decide_by_search``'s certificate for a small sub-context."""
+    """Leaf: ``decide_by_search``'s certificate for a small sub-context
+    that ``_prove_no`` has not skipped as a p-group for one prime."""
     if g.order ** action.omega_size > EXHAUSTIVE_LEAF_K_CAP:
         return None
     ctx = WreathContext(g_group=g, action=action, allow_non_faithful=True)

@@ -463,6 +463,12 @@ def p_group_prime(g: FiniteGroup) -> Optional[int]:
     return factors[0] if len(factors) == 1 else None
 
 
+def same_prime(a: FiniteGroup, b: FiniteGroup) -> bool:
+    """True iff A and B are p-groups for one prime, either possibly trivial."""
+    p, q = p_group_prime(a), p_group_prime(b)
+    return None not in (p, q) and (p == q or TRIVIAL_P in (p, q))
+
+
 def sylow_subgroup(g: FiniteGroup, q: int) -> Subgroup:
     _require_group(g, "sylow_subgroup")
     if g.order % q != 0:

@@ -10,6 +10,7 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import reduce
 from typing import List, Optional, Sequence, Tuple
 
 from . import groups
@@ -30,13 +31,13 @@ from .groups import (
     FiniteGroup,
     Homomorphism,
     Subgroup,
-    TRIVIAL_P,
     closure,
     generating_set,
     involution_generators,
     maximal_normal_index_p,
     p_group_prime,
     quotient,
+    same_prime,
     subgroup_as_group,
 )
 from .strategies import Strategy, bits, initial_belief, interleave, verify
@@ -267,18 +268,15 @@ def construct_by_decomposition(ctx: WreathContext, n: Subgroup,
 # ---------------------------------------------------------------------------
 
 def construct_pgroup(ctx: WreathContext) -> Strategy:
-    """Recursive strategy for G wr H when G and H are p-groups for one prime."""
-    p = p_group_prime(ctx.g_group)
-    q = p_group_prime(ctx.action.h_group)
-    if p is None or q is None or (p != q and TRIVIAL_P not in (p, q)):
+    """Strategy for G wr H when G and H are p-groups for one prime."""
+    if not same_prime(ctx.g_group, ctx.action.h_group):
         raise NotSamePrime(
             f"{ctx.g_group.name} and {ctx.action.h_group.name} must be "
             "p-groups for the same prime"
         )
     ctx.action.require_faithful()
     strat = _pgroup_strategy(ctx)
-    report = verify(ctx, strat)
-    if not report.valid:
+    if not verify(ctx, strat).valid:
         raise BaseCaseVerificationFailed(
             "p-group construction produced an invalid strategy"
         )
@@ -286,94 +284,81 @@ def construct_pgroup(ctx: WreathContext) -> Strategy:
 
 
 def _pgroup_strategy(ctx: WreathContext) -> Strategy:
+    """One interleave of layer moves down G > N > ... > 1.
+
+    Each N is the index-p normal subgroup with lexicographically least
+    members.  G/N walks the layers of ``_chain_layers``, coordinate c lifted
+    to the least member of x^c N, x the least element outside N.  As
+    ``interleave`` is associative, folding every quotient's layers, deepest
+    first, interleaves N wr H with the lifted (G/N) wr H at each level.
+    """
     g = ctx.g_group
     if g.order == 1:
         return Strategy(ctx=ctx, moves=())
     p = p_group_prime(g)
-    if g.order == p:
-        return _prime_base_strategy(ctx)
-    n = maximal_normal_index_p(g, p)
-    n_group = subgroup_as_group(n)
-    ctx_n = WreathContext(g_group=n_group, action=ctx.action)
-    strat_n = _pgroup_strategy(ctx_n)
-    quot, reps, _proj = quotient(g, n)
-    ctx_q = WreathContext(g_group=quot, action=ctx.action)
-    strat_q = _pgroup_strategy(ctx_q)
-    embedded = embed_strategy(ctx_n, ctx, n.members, strat_n)
-    lifted = embed_strategy(ctx_q, ctx, reps, strat_q)
-    return interleave(embedded, lifted)
+    lifts, sub, into_g = [], g, range(g.order)  # into_g[i]: sub's i in G
+    while sub.order > 1:
+        n = (maximal_normal_index_p(sub, p) if sub.order > p
+             else Subgroup(parent=sub, members=(0,), is_normal=True))
+        x = next(y for y in sub.elements() if y not in n.members)
+        lift, power = [], 0  # power runs through x^c
+        for _ in range(p):
+            lift.append(into_g[min(sub.mul[power][y] for y in n.members)])
+            power = sub.mul[power][x]
+        lifts.append(lift)
+        sub, into_g = subgroup_as_group(n), [into_g[y] for y in n.members]
+    layers = _chain_layers(ctx.action, p)
+    return reduce(interleave, (
+        Strategy(ctx=ctx, moves=tuple(ctx.encode([lift[c] for c in v])
+                                      for v in layer))
+        for lift in reversed(lifts) for layer in layers
+    ), Strategy(ctx=ctx, moves=()))
 
 
-def _prime_base_strategy(ctx: WreathContext) -> Strategy:
-    """Base case: switches of prime order p, spun by a p-group (or trivial) H.
+def _chain_layers(action: GroupAction, p: int) -> List[List[Tuple[int, ...]]]:
+    """The moves of each level of the fixed-subspace chain of F_p^Omega.
 
-    K is the F_p-coordinate space on Omega.  The H-fixed subspace W = K^H is
-    nonzero for p-group H, and its moves are spin-immune; the strategy walks
-    W, recurses on the quotient module K/W (whose fixed points are again
-    nonzero), and interleaves, lifting quotient moves through deterministic
-    coset representatives.
+    W_0 = 0, and W_(j+1) holds the v with (h-1)v in W_j for each generator
+    h of H (W_j is H-invariant and (gh-1)v = g(h-1)v + (g-1)v).  A p-group
+    fixes a nonzero vector of each nonzero module, so the chain reaches
+    F_p^Omega.  Layer j steps through the least vector of each coset of W_j
+    in W_(j+1), ascending.  A vector's index reads its coordinates as
+    base-p digits, position 0 first, so indices sort as the vectors do.
     """
-    g = ctx.g_group
-    p = g.order
-    m = ctx.omega_size
-    # iso Z_p -> G: values are powers of the first non-identity element
-    gen = 1 if g.order > 1 else 0
-    powers = [0]
-    for _ in range(p - 1):
-        powers.append(g.mul[powers[-1]][gen])
+    m = action.omega_size
+    vectors = list(itertools.product(range(p), repeat=m))
+    weight = [p ** (m - 1 - w) for w in range(m)]
 
-    act = ctx.action.act
-    h_inv = ctx.action.h_group.inv
+    def index(digits):
+        return sum(d % p * wt for d, wt in zip(digits, weight))
 
-    def spin_vec(h, v):
-        row = act[h_inv[h]]
-        return tuple(v[row[w]] for w in range(m))
-
-    def sub_vec(a, b):
-        return tuple((x - y) % p for x, y in zip(a, b))
-
-    # each level W is H-invariant, so (h-1)v in W for the generators h of
-    # H gives it for all of H: (gh-1)v = g(h-1)v + (g-1)v
-    h_gens = generating_set(ctx.action.h_group)
-    all_vectors = sorted(itertools.product(range(p), repeat=m))
-    chain = [{tuple([0] * m)}]
-    while len(chain[-1]) < p ** m:
-        prev = chain[-1]
-        nxt = {
-            v for v in all_vectors
-            if all(sub_vec(spin_vec(h, v), v) in prev for h in h_gens)
-        }
-        if len(nxt) <= len(prev):
+    h_inv = action.h_group.inv
+    # the index of (h-1)v, per generator h and vector v
+    moved = [[index([v[r] - x for r, x in zip(action.act[h_inv[h]], v)])
+              for v in vectors] for h in generating_set(action.h_group)]
+    inside = bytearray(len(vectors))  # marks the current level
+    inside[0] = 1
+    level, layers = [0], []
+    while len(level) < len(vectors):
+        upper = range(len(vectors))
+        for d in moved:
+            upper = [v for v in upper if inside[d[v]]]
+        if len(upper) <= len(level):
             raise BaseCaseVerificationFailed(
                 "fixed-subspace chain stopped growing; H is not a p-group "
                 "on this module"
             )
-        chain.append(nxt)
-
-    def build(level):
-        if len(chain[level]) == p ** m:
-            return []
-        lower, upper = chain[level], chain[level + 1]
-        # the first vector of each coset of lower in upper, in sorted order
-        reps, covered = [], set()
-        for v in sorted(upper):
-            if v not in covered:
-                reps.append(v)
-                covered.update(tuple((x + u) % p for x, u in zip(v, w))
-                               for w in lower)
-        deltas = [sub_vec(reps[j], reps[j - 1]) for j in range(1, len(reps))]
-        inner = build(level + 1)
-        out = list(deltas)
-        for move in inner:
-            out.append(move)
-            out.extend(deltas)
-        return out
-
-    vec_moves = build(0)
-    moves = tuple(
-        ctx.encode([powers[c] for c in v]) for v in vec_moves
-    )
-    return Strategy(ctx=ctx, moves=moves)
+        inside, reps = bytearray(len(vectors)), []
+        for v in upper:  # marking each coset of the level as it is met
+            if not inside[v]:
+                reps.append(vectors[v])
+                for w in level:
+                    inside[index([a + b for a, b in zip(vectors[v],
+                                                        vectors[w])])] = 1
+        layers.append([tuple((b - a) % p for a, b in zip(prev, rep))
+                       for prev, rep in zip(reps, reps[1:])])
+        level = upper
+    return layers
 
 
 # ---------------------------------------------------------------------------

@@ -71,26 +71,27 @@ def test_decide_rejected_certificate_is_not_reported(capsys, monkeypatch):
 
 
 def test_decide_counts_the_states_behind_a_certificate(capsys):
-    # the reductions' leaves explore 3 belief states, and the search of the
-    # whole context enters 52 before its antichain of 3 sets closes
+    # the reductions' one leaf, the quotient Z2 wr C2, is a p-group for one
+    # prime and is not searched, so the states are those the search of the
+    # whole context enters before its antichain of 3 sets closes
     code, out, _ = run(capsys, "decide", "S3 wr C2", "--json")
     assert code == 3
     doc = json.loads(out)
     assert "ExhaustiveBeliefSearch" in doc["payload"]["certificate"]
     assert "sets=3" in doc["payload"]["certificate"]
-    assert doc["budget"]["states_explored"] == 55
+    assert doc["budget"]["states_explored"] == 52
 
 
 def test_decide_counts_the_states_of_a_failed_certificate_search(capsys):
-    # Z6 wr 1 is no p-group: the exhaustive leaves of the quotients Z2 and Z3
-    # explore 3 belief states without finding a proof, and the one search of
-    # the whole context finds a strategy in 5 more
+    # Z6 wr 1 is no p-group, but its quotients Z2 and Z3 are, so no
+    # reduction searches a leaf, and the one search of the whole context
+    # finds a strategy in 5 states
     code, out, _ = run(capsys, "decide", "Z6 wr 1", "--json")
     assert code == 0
     doc = json.loads(out)
     assert doc["verdict"] == "yes"
     assert doc["payload"]["message"] == "belief search found a strategy"
-    assert doc["budget"]["states_explored"] == 8
+    assert doc["budget"]["states_explored"] == 5
 
 
 def test_decide_answers_p_groups_by_the_theorem(capsys):
@@ -155,7 +156,7 @@ def test_certify_counts_the_states_of_its_leaves(capsys):
     assert code == 3
     doc = json.loads(out)
     assert "ExhaustiveBeliefSearch" in doc["payload"]["certificate"]
-    assert doc["budget"]["states_explored"] == 55
+    assert doc["budget"]["states_explored"] == 52
 
 
 def test_certify_answers_p_groups_by_the_theorem(capsys):
@@ -295,7 +296,7 @@ def test_construct_decompose_charges_one_budget(capsys, monkeypatch):
     doc = json.loads(out)
     assert doc["budget"]["limit"] == 500
     assert doc["budget"]["states_explored"] == sum(
-        spent for _, _, spent in calls) == 42
+        spent for _, _, spent in calls) == 37
 
 
 def test_construct_involution_failure_is_a_usage_error(capsys):

@@ -280,6 +280,30 @@ def test_the_reductions_leave_s3_wr_c2_to_the_search():
     assert validate_certificate(ctx, result.certificate)
 
 
+def test_the_reductions_search_no_sub_context_the_theorem_solves(
+        monkeypatch):
+    # p-groups for one prime have strategies, so no leaf below them can
+    # hold a certificate: Z8 wr C4's quotients and restrictions are all
+    # such groups and cost no state, where a leaf search spent 1,792
+    stats = SearchStats()
+    assert find_nonexistence_certificate(parse_puzzle("Z8 wr C4"),
+                                         budget=2000, stats=stats) is None
+    assert stats.states_explored == 0
+    searched = []
+
+    def spy(ctx, **kwargs):
+        searched.append(ctx)
+        return decide_by_search(ctx, **kwargs)
+
+    monkeypatch.setattr(decision, "decide_by_search", spy)
+    for text in ("S3 wr C2", "Z6 wr 1", "Z2 wr S3"):
+        decide_existence(parse_puzzle(text))
+    # only the whole contexts that no reduction decides are searched
+    assert [ctx.name for ctx in searched] == ["S3 wr C2", "Z6 wr 1"]
+    assert not any(groups.same_prime(ctx.g_group, ctx.action.h_group)
+                   for ctx in searched)
+
+
 def test_decision_engine_agrees_with_pure_search():
     contexts = [
         ctx_of(z(2), 2), ctx_of(z(2), 3), ctx_of(z(2), 4),

@@ -10,11 +10,12 @@ import pytest
 from spinwreath import decision, groups, synthesis
 from spinwreath.actions import (WreathContext, cyclic_rotation_action,
                                 regular_action, trivial_action)
-from spinwreath.errors import (DoesNotGenerate, LiftedStrategyFailedVerification,
+from spinwreath.errors import (BaseCaseVerificationFailed, DoesNotGenerate,
+                               LiftedStrategyFailedVerification,
                                NotAPermutation, NotInvolutionGenerated,
                                NotSamePrime)
 from spinwreath.puzzle_parser import parse_puzzle
-from spinwreath.strategies import Strategy, initial_belief, verify
+from spinwreath.strategies import Strategy, initial_belief, interleave, verify
 
 
 # -- trivial wreath walks ----------------------------------------------------
@@ -266,6 +267,99 @@ def test_pgroup_strategies_are_pinned(puzzle, length, digest):
     text = " ".join(map(str, strat.moves))
     assert len(strat) == length
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+def _reference_pgroup_strategy(ctx):
+    """The former recursive construction, kept as the reference: a context
+    for N and one for G/N at each composition factor, each strategy
+    re-encoded into G, and the fixed-subspace chain of each factor of
+    order p rebuilt from every tuple vector."""
+    g = ctx.g_group
+    if g.order == 1:
+        return Strategy(ctx=ctx, moves=())
+    p = groups.p_group_prime(g)
+    if g.order == p:
+        return _reference_prime_base_strategy(ctx)
+    n = groups.maximal_normal_index_p(g, p)
+    ctx_n = WreathContext(g_group=groups.subgroup_as_group(n),
+                          action=ctx.action)
+    quot, reps, _proj = groups.quotient(g, n)
+    ctx_q = WreathContext(g_group=quot, action=ctx.action)
+    embedded = synthesis.embed_strategy(ctx_n, ctx, n.members,
+                                        _reference_pgroup_strategy(ctx_n))
+    lifted = synthesis.embed_strategy(ctx_q, ctx, reps,
+                                      _reference_pgroup_strategy(ctx_q))
+    return interleave(embedded, lifted)
+
+
+def _reference_prime_base_strategy(ctx):
+    g = ctx.g_group
+    p, m = g.order, ctx.omega_size
+    powers = [0]
+    for _ in range(p - 1):
+        powers.append(g.mul[powers[-1]][1])
+    act = ctx.action.act
+    h_inv = ctx.action.h_group.inv
+
+    def spin_vec(h, v):
+        row = act[h_inv[h]]
+        return tuple(v[row[w]] for w in range(m))
+
+    def sub_vec(a, b):
+        return tuple((x - y) % p for x, y in zip(a, b))
+
+    h_gens = groups.generating_set(ctx.action.h_group)
+    all_vectors = sorted(itertools.product(range(p), repeat=m))
+    chain = [{tuple([0] * m)}]
+    while len(chain[-1]) < p ** m:
+        prev = chain[-1]
+        nxt = {v for v in all_vectors
+               if all(sub_vec(spin_vec(h, v), v) in prev for h in h_gens)}
+        if len(nxt) <= len(prev):
+            raise BaseCaseVerificationFailed(
+                "fixed-subspace chain stopped growing; H is not a p-group "
+                "on this module")
+        chain.append(nxt)
+
+    def build(level):
+        if len(chain[level]) == p ** m:
+            return []
+        lower, upper = chain[level], chain[level + 1]
+        reps, covered = [], set()
+        for v in sorted(upper):
+            if v not in covered:
+                reps.append(v)
+                covered.update(tuple((x + u) % p for x, u in zip(v, w))
+                               for w in lower)
+        deltas = [sub_vec(reps[j], reps[j - 1]) for j in range(1, len(reps))]
+        out = list(deltas)
+        for move in build(level + 1):
+            out.append(move)
+            out.extend(deltas)
+        return out
+
+    return Strategy(ctx=ctx, moves=tuple(ctx.encode([powers[c] for c in v])
+                                         for v in build(0)))
+
+
+@pytest.mark.parametrize("g", ["Z2", "Z3", "Z4", "Z8", "Z9", "Z2 x Z2",
+                               "Z2 x Z4", "Z3 x Z3", "D8"])
+def test_pgroup_strategies_match_the_recursive_construction(g):
+    # the one loop down the composition series folds the same layers the
+    # recursion interleaved, and a chain that stalls (H of another prime)
+    # raises the same error
+    for h in ("1", "C2", "C3", "C4", "D8", "Z2 x Z2"):
+        ctx = parse_puzzle(f"{g} wr {h}")
+        if ctx.k_size > 4096:
+            continue
+        try:
+            reference = _reference_pgroup_strategy(ctx)
+        except BaseCaseVerificationFailed as exc:
+            with pytest.raises(BaseCaseVerificationFailed) as raised:
+                synthesis._pgroup_strategy(ctx)
+            assert str(raised.value) == str(exc)
+        else:
+            assert synthesis._pgroup_strategy(ctx).moves == reference.moves
 
 
 # -- transport ---------------------------------------------------------------
