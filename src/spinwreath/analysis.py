@@ -216,8 +216,7 @@ class EnumerationResult:
 
 def enumerate_strategies(ctx: WreathContext, length: int,
                          *, palindromic=False, minimal_only=False,
-                         up_to_h=False, budget: int = 10 ** 7,
-                         stats: Optional[SearchStats] = None
+                         up_to_h=False, stats: Optional[SearchStats] = None
                          ) -> EnumerationResult:
     """All length-N surjective strategies, by backtracking with belief pruning.
 
@@ -226,10 +225,8 @@ def enumerate_strategies(ctx: WreathContext, length: int,
     enumeration forces the mirrored half of the sequence.  The backtracking
     keeps an explicit stack of open prefixes, so no length recurses.
 
-    Every prefix entered counts into ``stats.states_explored``, and
-    ``budget`` caps that running total, states the caller counted before
-    included: once it has reached ``budget``, entering one more prefix
-    raises ``BudgetExceeded``.
+    Every prefix entered counts against ``stats.limit`` as a state (see
+    ``SearchStats``).
     """
     stats = stats if stats is not None else SearchStats()
     if minimal_only and length != minimal_length_bound(ctx):
@@ -241,7 +238,7 @@ def enumerate_strategies(ctx: WreathContext, length: int,
     moves: List[int] = []  # the prefix of the node on top of the stack
     stack = []  # (mask, spin, candidates left) of each open prefix
     # the hot loop counts locally and adds its count to stats at the end
-    visited, limit = 0, budget - stats.states_explored
+    visited, limit = 0, stats.limit - stats.states_explored
     step = ctx.belief_kernel.step
 
     def enter(mask):

@@ -4,8 +4,9 @@ Exit codes: 0 = Yes/valid, 2 = usage error, 3 = No/invalid, 4 = Unknown.
 
 ``main`` is the one front door: it parses with the parser built at import,
 loads the context, makes the command's one ``SearchStats`` (every engine
-call of the command counts into it, so ``--budget`` caps the whole command)
-and emits the handler's ``Answer`` as one JSON or human record.
+call of the command counts into it, and its ``limit`` is ``--budget``, so
+the budget caps the whole command) and emits the handler's ``Answer`` as
+one JSON or human record.
 """
 
 from __future__ import annotations
@@ -125,8 +126,7 @@ def _validated(ctx: WreathContext, result: DecisionResult) -> bool:
 
 
 def _cmd_decide(args, ctx, stats) -> Answer:
-    result = decide_existence(ctx, spin_period=args.spin_period,
-                              budget=args.budget, stats=stats)
+    result = decide_existence(ctx, spin_period=args.spin_period, stats=stats)
     payload = {"context": ctx.name, "k_size": ctx.k_size,
                "conjectural": result.conjectural, "message": result.message}
     if result.verdict == "no":
@@ -161,13 +161,16 @@ def _construct(args, ctx: WreathContext, stats: SearchStats) -> Strategy:
         perm = list(range(1, ctx.g_group.order))
         return construct_trivial(ctx.g_group, perm, action=ctx.action)
     if method == "involution":
+        if ctx.omega_size != 2:
+            raise FileFormatInvalid(
+                "--method involution needs two positions (G wr C2)")
         return construct_involution_pair(ctx.g_group, ctx.action)
     if method == "pgroup":
         return construct_pgroup(ctx)
     if method == "search":
         return _strategy_of(decide_by_search(
             ctx, max_depth=args.depth, spin_period=args.spin_period,
-            budget=args.budget, stats=stats))
+            stats=stats))
     for sub in reversed(normal_subgroups(ctx.g_group)):
         if 1 < len(sub.members) < ctx.g_group.order:
             n_group = subgroup_as_group(sub)
@@ -175,10 +178,8 @@ def _construct(args, ctx: WreathContext, stats: SearchStats) -> Strategy:
             ctx_n = WreathContext(g_group=n_group, action=ctx.action)
             ctx_q = WreathContext(g_group=quot, action=ctx.action)
             # both sub-decisions draw on the command's one budget
-            strat_n = _strategy_of(decide_existence(
-                ctx_n, budget=args.budget, stats=stats))
-            strat_q = _strategy_of(decide_existence(
-                ctx_q, budget=args.budget, stats=stats))
+            strat_n = _strategy_of(decide_existence(ctx_n, stats=stats))
+            strat_q = _strategy_of(decide_existence(ctx_q, stats=stats))
             return construct_by_decomposition(ctx, sub, strat_n, strat_q)
     raise FileFormatInvalid(
         "--method decompose needs a proper nontrivial normal subgroup")
@@ -223,8 +224,7 @@ def _cmd_verify(args, ctx, stats) -> Answer:
 def _cmd_enumerate(args, ctx, stats) -> Answer:
     result = analysis.enumerate_strategies(
         ctx, args.length, palindromic=args.palindromic,
-        minimal_only=args.minimal_only, up_to_h=args.up_to_h,
-        budget=args.budget, stats=stats,
+        minimal_only=args.minimal_only, up_to_h=args.up_to_h, stats=stats,
     )
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -290,7 +290,7 @@ def _cmd_classify(args, ctx, stats) -> Answer:
         # context where they hold certifies the same "no"
         result = dataclasses.replace(
             result, certificate=decision.find_nonexistence_certificate(
-                ctx, budget=args.budget, stats=stats))
+                ctx, stats=stats))
     payload = {"context": ctx.name, "message": result.message}
     if result.certificate is not None:
         payload["certificate"] = render_certificate(result.certificate)
@@ -302,7 +302,7 @@ def _cmd_classify(args, ctx, stats) -> Answer:
 
 
 def _cmd_certify(args, ctx, stats) -> Answer:
-    result = decide_existence(ctx, budget=args.budget, stats=stats)
+    result = decide_existence(ctx, stats=stats)
     if result.verdict != "no":
         return Answer("unknown", {"context": ctx.name},
                       f"{ctx.name}: no nonexistence certificate found",
@@ -315,7 +315,7 @@ def _cmd_certify(args, ctx, stats) -> Answer:
 
 def _cmd_min_spin_period(args, ctx, stats) -> Answer:
     try:
-        r = min_spin_period(ctx, args.bound, budget=args.budget, stats=stats)
+        r = min_spin_period(ctx, args.bound, stats=stats)
     except BudgetExceeded as exc:
         return Answer("unknown", {"context": ctx.name, "message": str(exc)},
                       f"{ctx.name}: {exc}", EXIT_UNKNOWN)
@@ -418,18 +418,28 @@ _HANDLERS = {
 }
 
 
+def _stopped(ctx: WreathContext, exc: SpinWreathError,
+             exhausted: bool = False) -> Answer:
+    """The record of a command that an exhausted search ("no") or a spent
+    budget ("unknown") stopped; its line went to stderr."""
+    verdict, code = ("no", EXIT_NO) if exhausted else ("unknown", EXIT_UNKNOWN)
+    return Answer(verdict, {"context": ctx.name, "message": str(exc)}, "",
+                  code)
+
+
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     started = time.perf_counter()
-    stats = SearchStats()
+    stats = SearchStats(limit=args.budget)
     try:
-        answer = _HANDLERS[args.command](args, _load_context(args), stats)
+        ctx = _load_context(args)
+        answer = _HANDLERS[args.command](args, ctx, stats)
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_UNKNOWN
+        answer = _stopped(ctx, exc)
     except NoStrategyWithinDepth as exc:
         print(f"no strategy: {exc}", file=sys.stderr)
-        return EXIT_NO if exc.exhausted else EXIT_UNKNOWN
+        answer = _stopped(ctx, exc, exc.exhausted)
     except CertificateRejected as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN
@@ -444,7 +454,7 @@ def main(argv=None) -> int:
             "payload": answer.payload,
             "timing_seconds": round(time.perf_counter() - started, 6),
             "budget": {
-                "limit": args.budget,
+                "limit": stats.limit,
                 "states_explored": stats.states_explored,
             },
         }

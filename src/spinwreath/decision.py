@@ -33,8 +33,7 @@ from .groups import (
     subgroup_as_group,
 )
 from .strategies import Strategy, verify
-from .synthesis import (DEFAULT_SEARCH_BUDGET, SearchStats, construct_pgroup,
-                        search_belief_path)
+from .synthesis import SearchStats, construct_pgroup, search_belief_path
 
 EXHAUSTIVE_LEAF_K_CAP = 2 ** 12
 DEFAULT_CERT_DEPTH = 3
@@ -140,16 +139,13 @@ def _restricted_action(action: GroupAction, members: Tuple[int, ...],
     act = tuple(
         tuple(pos[action.act[h][w]] for w in positions) for h in members
     )
-    sub = Subgroup(parent=action.h_group, members=members,
-                   is_normal=False)
-    h0 = subgroup_as_group(sub)
+    h0 = subgroup_as_group(Subgroup(parent=action.h_group, members=members))
     return GroupAction(h_group=h0, omega_size=len(positions), act=act,
                        name=f"{action.name}|{len(positions)}pts")
 
 
 def _embedding_hom(h: FiniteGroup, members: Tuple[int, ...]) -> Homomorphism:
-    sub = Subgroup(parent=h, members=members, is_normal=False)
-    h0 = subgroup_as_group(sub)
+    h0 = subgroup_as_group(Subgroup(parent=h, members=members))
     return Homomorphism(source=h0, target=h, map=tuple(members))
 
 
@@ -214,8 +210,7 @@ def _is_elementary_abelian(g: FiniteGroup) -> Optional[int]:
 # ---------------------------------------------------------------------------
 
 def find_nonexistence_certificate(ctx: WreathContext,
-                                  *, budget: int = DEFAULT_SEARCH_BUDGET,
-                                  stats: Optional[SearchStats] = None
+                                  *, stats: Optional[SearchStats] = None
                                   ) -> Optional[Certificate]:
     """The reductions: switch quotients, then orbit restrictions (one orbit
     of a proper subgroup of H, or every position for a transitive one),
@@ -225,26 +220,24 @@ def find_nonexistence_certificate(ctx: WreathContext,
 
     Only valid for ordinary group contexts with the default winning state.
     The whole context is never searched here (``decide_existence`` does
-    that).  The leaves add the belief states they explore to
-    ``stats.states_explored``, and ``budget`` caps that running total,
-    states the caller counted before included; a leaf that runs out of
-    budget gives up, so the search returns None rather than raise.
+    that).  The leaves count their belief states into ``stats``; a leaf
+    that runs out of budget gives up, so the search returns None rather
+    than raise.
     """
     if ctx.loop_mode or ctx.win_set != frozenset({0}):
         return None
     stats = stats if stats is not None else SearchStats()
-    return _reduce(ctx.g_group, ctx.action, DEFAULT_CERT_DEPTH, budget, stats)
+    return _reduce(ctx.g_group, ctx.action, DEFAULT_CERT_DEPTH, stats)
 
 
-def _prove_no(g: FiniteGroup, action: GroupAction, depth: int, budget: int,
+def _prove_no(g: FiniteGroup, action: GroupAction, depth: int,
               stats: SearchStats) -> Optional[Certificate]:
     if same_prime(g, action.h_group):  # solvable: it has no certificate
         return None
-    return (_reduce(g, action, depth, budget, stats)
-            or _exhaust(g, action, budget, stats))
+    return _reduce(g, action, depth, stats) or _exhaust(g, action, stats)
 
 
-def _reduce(g: FiniteGroup, action: GroupAction, depth: int, budget: int,
+def _reduce(g: FiniteGroup, action: GroupAction, depth: int,
             stats: SearchStats) -> Optional[Certificate]:
     """The base fact, then every reduction to a smaller context."""
     leaf = _abelian_leaf(g, action)
@@ -258,7 +251,7 @@ def _reduce(g: FiniteGroup, action: GroupAction, depth: int, budget: int,
                    if 1 < len(s.members) < g.order]
         for n in sorted(normals, key=lambda s: -len(s.members)):
             quot, _reps, proj = quotient(g, n)
-            child = _prove_no(quot, action, depth - 1, budget, stats)
+            child = _prove_no(quot, action, depth - 1, stats)
             if child is not None:
                 return SwitchQuotient(phi=proj, child=child)
 
@@ -273,7 +266,7 @@ def _reduce(g: FiniteGroup, action: GroupAction, depth: int, budget: int,
         for orbit in sorted({_orbit(action, members, w)
                              for w in range(action.omega_size)}):
             sub_action = _restricted_action(action, members, orbit)
-            child = _prove_no(g, sub_action, depth - 1, budget, stats)
+            child = _prove_no(g, sub_action, depth - 1, stats)
             if child is not None:
                 return OrbitRestriction(embedding=_embedding_hom(h, members),
                                         omega=orbit[0], orbit=orbit,
@@ -281,14 +274,14 @@ def _reduce(g: FiniteGroup, action: GroupAction, depth: int, budget: int,
     return None
 
 
-def _exhaust(g: FiniteGroup, action: GroupAction, budget: int,
+def _exhaust(g: FiniteGroup, action: GroupAction,
              stats: SearchStats) -> Optional[Certificate]:
     """Leaf: ``decide_by_search``'s certificate for a small sub-context
     that ``_prove_no`` has not skipped as a p-group for one prime."""
     if g.order ** action.omega_size > EXHAUSTIVE_LEAF_K_CAP:
         return None
     ctx = WreathContext(g_group=g, action=action, allow_non_faithful=True)
-    return decide_by_search(ctx, budget=budget, stats=stats).certificate
+    return decide_by_search(ctx, stats=stats).certificate
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +396,6 @@ def _is_closed_family(g: FiniteGroup, action: GroupAction, family: frozenset,
 
 def decide_existence(ctx: WreathContext,
                      *, spin_period: Optional[int] = None,
-                     budget: int = DEFAULT_SEARCH_BUDGET,
                      stats: Optional[SearchStats] = None) -> DecisionResult:
     """Decide whether a surjective strategy exists, by one fixed pipeline.
 
@@ -413,10 +405,8 @@ def decide_existence(ctx: WreathContext,
     for its subgroup enumeration falls through), then the reductions of
     ``find_nonexistence_certificate``.  What is left goes to one
     ``decide_by_search``.  ``certify`` validates this result's "no".
-    ``budget`` caps the belief states of the whole decision: the certificate
-    leaves and the search count into one ``SearchStats``, which a caller may
-    pass to share the total with other decisions, states counted before
-    included.
+    The certificate leaves and the search count into one ``SearchStats``,
+    so its ``limit`` caps the belief states of the whole decision.
     """
     stats = stats if stats is not None else SearchStats()
     if spin_period in (None, 1) and ctx.win_set == frozenset({0}) \
@@ -427,18 +417,16 @@ def decide_existence(ctx: WreathContext,
                                   message="p-group construction")
         except (NotSamePrime, NonFaithfulAction, OrderBoundExceeded):
             pass
-        cert = find_nonexistence_certificate(ctx, budget=budget, stats=stats)
+        cert = find_nonexistence_certificate(ctx, stats=stats)
         if cert is not None:
             return DecisionResult(verdict="no", certificate=cert,
                                   states_explored=stats.states_explored,
                                   message="nonexistence certificate found")
-    return decide_by_search(ctx, spin_period=spin_period, budget=budget,
-                            stats=stats)
+    return decide_by_search(ctx, spin_period=spin_period, stats=stats)
 
 
 def decide_by_search(ctx: WreathContext, *, max_depth: Optional[int] = None,
                      spin_period: Optional[int] = None,
-                     budget: int = DEFAULT_SEARCH_BUDGET,
                      stats: Optional[SearchStats] = None) -> DecisionResult:
     """The verdict of one belief search over the whole context.
 
@@ -447,7 +435,7 @@ def decide_by_search(ctx: WreathContext, *, max_depth: Optional[int] = None,
     certificate carrying the search's final antichain when spins come every
     turn.  Under a spin period above 1 those masks are not closed under the
     every-turn step the validator checks, so that "no" has no certificate.
-    A spent ``budget`` or a ``max_depth`` cut gives "unknown".  Loop-mode
+    A spent ``stats.limit`` or a ``max_depth`` cut gives "unknown".  Loop-mode
     verdicts are flagged conjectural.
     """
     stats = stats if stats is not None else SearchStats()
@@ -458,7 +446,7 @@ def decide_by_search(ctx: WreathContext, *, max_depth: Optional[int] = None,
                               conjectural=ctx.loop_mode, **found)
 
     try:
-        path = search_belief_path(ctx, max_depth=max_depth, budget=budget,
+        path = search_belief_path(ctx, max_depth=max_depth,
                                   spin_period=spin_period, stats=stats)
     except BudgetExceeded:
         return result("unknown", "belief search budget exceeded")
@@ -476,17 +464,15 @@ def decide_by_search(ctx: WreathContext, *, max_depth: Optional[int] = None,
 
 
 def min_spin_period(ctx: WreathContext, bound: int,
-                    *, budget: int = DEFAULT_SEARCH_BUDGET,
-                    stats: Optional[SearchStats] = None) -> Optional[int]:
+                    *, stats: Optional[SearchStats] = None) -> Optional[int]:
     """Smallest r <= bound allowing a win when spins happen every r turns.
 
-    Every period's decision counts into one ``SearchStats``, so ``budget``
-    caps the belief states of all of them together.
+    Every period's decision counts into one ``SearchStats``, so its
+    ``limit`` caps the belief states of all of them together.
     """
     stats = stats if stats is not None else SearchStats()
     for r in range(1, bound + 1):
-        result = decide_existence(ctx, spin_period=r, budget=budget,
-                                  stats=stats)
+        result = decide_existence(ctx, spin_period=r, stats=stats)
         if result.verdict == "yes":
             return r
         if result.verdict == "unknown":

@@ -179,7 +179,10 @@ def load_context(path: str) -> WreathContext:
     g = load_group(fields["group"])
     h = load_group(fields["spin-group"])
     action = load_action(fields["action"], h)
-    return WreathContext(g_group=g, action=action, win_set=win, name=name)
+    try:
+        return WreathContext(g_group=g, action=action, win_set=win, name=name)
+    except ValueError as exc:  # a win index outside K
+        raise FileFormatInvalid(f"win set: {exc}")
 
 
 # ---------------------------------------------------------------------------

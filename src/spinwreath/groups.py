@@ -83,7 +83,6 @@ class FiniteGroup:
 class Subgroup:
     parent: FiniteGroup
     members: tuple  # sorted element indices
-    is_normal: bool
 
     @property
     def order(self) -> int:
@@ -120,7 +119,7 @@ class Homomorphism:
 # construction
 # ---------------------------------------------------------------------------
 
-def _validate_table(mul, order, *, loop_mode, name):
+def _validate_table(mul, order, *, name):
     universe = set(range(order))
     for row in mul:
         if set(row) != universe:
@@ -157,7 +156,7 @@ def from_table(raw: Sequence[Sequence[int]], *, loop_mode=False,
     if order < 1 or any(len(row) != order for row in raw):
         raise TableNotLatin(f"{name}: table is not square")
     mul = tuple(tuple(int(x) for x in row) for row in raw)
-    identity = _validate_table(mul, order, loop_mode=loop_mode, name=name)
+    identity = _validate_table(mul, order, name=name)
     if identity != 0:
         mul, labels = _relabel(mul, identity, labels)
     inv = []
@@ -339,10 +338,7 @@ def generating_set(g: FiniteGroup) -> tuple:
 
 def subgroup_generated(g: FiniteGroup, gens: Sequence[int]) -> Subgroup:
     _require_group(g, "subgroup_generated")
-    members = tuple(sorted(closure(g, gens)))
-    return Subgroup(parent=g, members=members,
-                    is_normal=_is_normal(g, frozenset(members),
-                                         generating_set(g)))
+    return Subgroup(parent=g, members=tuple(sorted(closure(g, gens))))
 
 
 def _is_normal(g: FiniteGroup, members: frozenset, g_gens: tuple) -> bool:
@@ -385,7 +381,7 @@ def all_subgroups(g: FiniteGroup):
 
 def normal_subgroups(g: FiniteGroup):
     g_gens = generating_set(g)
-    return [Subgroup(parent=g, members=tuple(sorted(members)), is_normal=True)
+    return [Subgroup(parent=g, members=tuple(sorted(members)))
             for members in all_subgroups(g)
             if _is_normal(g, members, g_gens)]
 
@@ -480,9 +476,7 @@ def sylow_subgroup(g: FiniteGroup, q: int) -> Subgroup:
         n //= q
     for members in all_subgroups(g):
         if len(members) == target:
-            return Subgroup(parent=g, members=tuple(sorted(members)),
-                            is_normal=_is_normal(g, members,
-                                                 generating_set(g)))
+            return Subgroup(parent=g, members=tuple(sorted(members)))
     raise AssertionError("Sylow subgroup must exist")  # unreachable for groups
 
 

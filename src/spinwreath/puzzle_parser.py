@@ -133,6 +133,10 @@ class _Parser:
                 f"unknown group family {family!r} at position {tok.pos}",
                 position=tok.pos, expected=("Z", "C", "S", "A", "D"),
             )
+        if n < 1:
+            raise ParseError(f"{t} at position {tok.pos}: a group order "
+                             "must be at least 1", position=tok.pos,
+                             expected=("an order of at least 1",))
         return GroupAtom(family=family, n=n)
 
     def term(self) -> GroupTerm:

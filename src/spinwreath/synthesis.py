@@ -23,7 +23,6 @@ from .errors import (
     LiftedStrategyFailedVerification,
     NotAPermutation,
     NotInvolutionGenerated,
-    NotNormal,
     NotSamePrime,
     NotSurjective,
 )
@@ -237,11 +236,10 @@ def construct_by_decomposition(ctx: WreathContext, n: Subgroup,
 
     strat_n lives in N wr H (N as a standalone group); strat_q lives in
     (G/N) wr H.  The lift walks every coset through every element, so the
-    interleave covers K; the output is re-verified regardless.
+    interleave covers K; the output is re-verified regardless.  ``quotient``
+    raises ``NotNormal`` unless N is normal.
     """
     g = ctx.g_group
-    if not n.is_normal:
-        raise NotNormal("decomposition requires a normal subgroup")
     n_group = subgroup_as_group(n)
     quot, reps, _proj = quotient(g, n)
     ctx_n = WreathContext(g_group=n_group, action=ctx.action,
@@ -299,7 +297,7 @@ def _pgroup_strategy(ctx: WreathContext) -> Strategy:
     lifts, sub, into_g = [], g, range(g.order)  # into_g[i]: sub's i in G
     while sub.order > 1:
         n = (maximal_normal_index_p(sub, p) if sub.order > p
-             else Subgroup(parent=sub, members=(0,), is_normal=True))
+             else Subgroup(parent=sub, members=(0,)))
         x = next(y for y in sub.elements() if y not in n.members)
         lift, power = [], 0  # power runs through x^c
         for _ in range(p):
@@ -390,13 +388,21 @@ def transport_strategy(phi: Homomorphism, strat: Strategy,
 
 @dataclass
 class SearchStats:
+    """The states a command's searches entered, and the budget they share.
+
+    Every search and enumeration handed this object adds the states it
+    enters to ``states_explored``, a running total that callers may share
+    across several searches.  ``limit`` caps that total, states counted
+    before included: once it has reached ``limit``, entering one more state
+    raises ``BudgetExceeded``, so the total never exceeds it.
+    """
     states_explored: int = 0
     exhausted: bool = False
     beliefs: frozenset = frozenset()
+    limit: int = DEFAULT_SEARCH_BUDGET
 
 
 def search_belief_path(ctx: WreathContext, *, max_depth: Optional[int] = None,
-                       budget: int = DEFAULT_SEARCH_BUDGET,
                        spin_period: Optional[int] = None,
                        stats: Optional[SearchStats] = None
                        ) -> Optional[Tuple[int, ...]]:
@@ -445,10 +451,7 @@ def search_belief_path(ctx: WreathContext, *, max_depth: Optional[int] = None,
     later one would give a child that is entered or contains a member with
     at least as many moves left, so it would be skipped.
 
-    ``budget`` caps ``stats.states_explored``, the running total of states
-    entered, which callers may share across several searches: once it has
-    reached ``budget``, entering one more state raises ``BudgetExceeded``,
-    so the total never exceeds it.
+    Each state entered counts against ``stats.limit`` (see ``SearchStats``).
     """
     stats = stats if stats is not None else SearchStats()
     kernel = ctx.belief_kernel
@@ -476,7 +479,7 @@ def search_belief_path(ctx: WreathContext, *, max_depth: Optional[int] = None,
     path: List[int] = []
 
     def enter(mask, phase, moves_left):
-        if stats.states_explored >= budget:
+        if stats.states_explored >= stats.limit:
             raise BudgetExceeded("belief search budget exceeded")
         stats.states_explored += 1
         members = antichain[phase]

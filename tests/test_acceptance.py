@@ -359,7 +359,8 @@ def test_criterion_13_loop_engine():
     # exploratory: the order-5 loop with two interchangeable positions;
     # the verdict is reported, not asserted
     l5 = WreathContext(g_group=groups.loop5(), action=swap_action())
-    result = decision.decide_existence(l5, budget=10 ** 7)
+    result = decision.decide_existence(
+        l5, stats=synthesis.SearchStats(limit=10 ** 7))
     ok = ok and result.verdict in ("yes", "no", "unknown") and result.conjectural
     print(f"    loop L5 with two swapped positions: verdict {result.verdict} "
           f"(conjectural, {result.states_explored} belief states)",

@@ -249,13 +249,12 @@ def test_enumeration_budget_caps_the_running_total():
     entered = stats.states_explored
     # states counted before the call share the budget, and the total never
     # passes it
-    stats = SearchStats(states_explored=entered - 1)
-    analysis.enumerate_strategies(ctx, 5, stats=stats, budget=2 * entered - 1)
+    stats = SearchStats(states_explored=entered - 1, limit=2 * entered - 1)
+    analysis.enumerate_strategies(ctx, 5, stats=stats)
     assert stats.states_explored == 2 * entered - 1
-    stats = SearchStats(states_explored=entered)
+    stats = SearchStats(states_explored=entered, limit=2 * entered - 1)
     with pytest.raises(BudgetExceeded):
-        analysis.enumerate_strategies(ctx, 5, stats=stats,
-                                      budget=2 * entered - 1)
+        analysis.enumerate_strategies(ctx, 5, stats=stats)
     assert stats.states_explored == 2 * entered - 1
 
 

@@ -283,8 +283,7 @@ def test_construct_decompose_charges_one_budget(capsys, monkeypatch):
         stats = kwargs["stats"]
         before = stats.states_explored
         result = decision.decide_existence(ctx, **kwargs)
-        calls.append((stats, kwargs["budget"],
-                      stats.states_explored - before))
+        calls.append((stats, stats.limit, stats.states_explored - before))
         return result
 
     monkeypatch.setattr(cli, "decide_existence", spy)
@@ -315,6 +314,27 @@ def test_construct_search_failure_exit_codes(capsys):
                        "--depth", "2")
     assert code == 4
     assert "no strategy" in err
+
+
+def test_json_prints_a_record_on_every_verdict_exit(tmp_path, capsys):
+    # a spent budget or an exhausted search stops the command with its line
+    # on stderr, and --json still prints one record with the states counted
+    idle = tmp_path / "idle.strategy"
+    idle.write_text("strategy Z2 wr C2 4\n" + "0 0\n" * 4)
+    for argv, code, verdict, states in (
+            (["enumerate", "S3 wr 1", "--length", "5", "--budget", "100"],
+             4, "unknown", 100),
+            (["construct", "S3 wr C2", "--method", "search"], 3, "no", 52),
+            (["verify", "Z2 wr C2", "--strategy", str(idle), "--naive",
+              "--budget", "10"], 4, "unknown", 0)):
+        got, out, err = run(capsys, *argv, "--json")
+        assert got == code
+        doc = json.loads(out)
+        assert doc["schema"] == "spinwreath.cli/1"
+        assert doc["verdict"] == verdict
+        assert doc["payload"] == {"context": argv[1],
+                                  "message": err.split(": ", 1)[1].rstrip()}
+        assert doc["budget"]["states_explored"] == states
 
 
 def test_enumerate_palindromic_s3(capsys):
@@ -451,6 +471,14 @@ def test_parse_errors_exit_2(capsys):
     ["decide", "S3 wr C2", "--budget", "0"],
     ["enumerate", "Z2 wr C2", "--length", "-1"],
     ["construct", "Z2 wr C2", "--method", "search", "--depth", "-1"],
+    # a family of order 0, in the switch or the spin term
+    ["decide", "Z0 wr C2"],
+    ["decide", "Z2 wr C0"],
+    ["decide", "S0 wr 1"],
+    ["decide", "A0 wr 1"],
+    ["decide", "D0 wr 1"],
+    # the involution-pair construction needs exactly two positions
+    ["construct", "Z2 wr C4", "--method", "involution"],
 ])
 def test_malformed_flags_are_usage_errors(capsys, argv):
     # argparse exits by SystemExit, the handlers by returning the code

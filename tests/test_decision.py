@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from spinwreath import decision, groups
 from spinwreath.actions import (WreathContext, cyclic_rotation_action,
                                 natural_symmetric_action, regular_action)
+from spinwreath.analysis import enumerate_strategies
 from spinwreath.decision import (AbelianClassification, ExhaustiveBeliefSearch,
                                  OrbitRestriction, SwitchQuotient,
                                  classify_abelian, decide_by_search,
@@ -16,7 +17,7 @@ from spinwreath.decision import (AbelianClassification, ExhaustiveBeliefSearch,
                                  validate_certificate)
 from spinwreath.errors import BudgetExceeded, NotAbelian
 from spinwreath.puzzle_parser import parse_puzzle
-from spinwreath.strategies import initial_belief, verify
+from spinwreath.strategies import initial_belief, minimal_length_bound, verify
 from spinwreath.synthesis import SearchStats, search_belief_path, swap_action
 
 
@@ -140,7 +141,8 @@ def test_census_slice_certificates_validate():
     certified = set()
     for puzzle in CENSUS_SLICE:
         ctx = parse_puzzle(puzzle)
-        cert = find_nonexistence_certificate(ctx, budget=2000)
+        cert = find_nonexistence_certificate(ctx,
+                                             stats=SearchStats(limit=2000))
         if cert is not None:
             assert validate_certificate(ctx, cert), puzzle
             certified.add(puzzle)
@@ -285,9 +287,9 @@ def test_the_reductions_search_no_sub_context_the_theorem_solves(
     # p-groups for one prime have strategies, so no leaf below them can
     # hold a certificate: Z8 wr C4's quotients and restrictions are all
     # such groups and cost no state, where a leaf search spent 1,792
-    stats = SearchStats()
+    stats = SearchStats(limit=2000)
     assert find_nonexistence_certificate(parse_puzzle("Z8 wr C4"),
-                                         budget=2000, stats=stats) is None
+                                         stats=stats) is None
     assert stats.states_explored == 0
     searched = []
 
@@ -377,28 +379,53 @@ BUDGET_PUZZLES = [
 def test_no_belief_search_explores_more_states_than_its_budget(puzzle, budget,
                                                                data):
     ctx = parse_puzzle(puzzle)
-    assert decide_existence(ctx, budget=budget).states_explored <= budget
+    assert decide_existence(
+        ctx, stats=SearchStats(limit=budget)).states_explored <= budget
 
-    stats = SearchStats()
-    find_nonexistence_certificate(ctx, budget=budget, stats=stats)
+    stats = SearchStats(limit=budget)
+    find_nonexistence_certificate(ctx, stats=stats)
     assert stats.states_explored <= budget
 
     # every spin period's decision counts into one total
-    stats = SearchStats()
+    stats = SearchStats(limit=budget)
     try:
-        min_spin_period(ctx, 3, budget=budget, stats=stats)
+        min_spin_period(ctx, 3, stats=stats)
     except BudgetExceeded:
         pass
     assert stats.states_explored <= budget
 
     # a total shared with earlier searches counts against the same budget
     spent = data.draw(st.integers(min_value=0, max_value=budget))
-    stats = SearchStats(states_explored=spent)
+    stats = SearchStats(states_explored=spent, limit=budget)
     try:
-        search_belief_path(ctx, budget=budget, stats=stats)
+        search_belief_path(ctx, stats=stats)
     except BudgetExceeded:
         assert stats.states_explored == budget
     assert stats.states_explored <= budget
+
+
+# 64 < |K| <= 1,024; decide answers the p-group Z2 wr C8 by the theorem,
+# so only enumeration and the direct search spend its budget
+LARGE_BUDGET_PUZZLES = ["A4 wr C2", "S3 wr C3", "D10 wr C2", "Z2 wr C8"]
+
+
+@settings(max_examples=15, deadline=None)
+@given(puzzle=st.sampled_from(LARGE_BUDGET_PUZZLES),
+       budget=st.integers(min_value=1, max_value=500))
+def test_one_search_stats_caps_every_engine_above_k_64(puzzle, budget):
+    ctx = parse_puzzle(puzzle)
+    stats = SearchStats(limit=budget)
+    for engine in (lambda: decide_existence(ctx, stats=stats),
+                   lambda: find_nonexistence_certificate(ctx, stats=stats),
+                   lambda: min_spin_period(ctx, 2, stats=stats),
+                   lambda: enumerate_strategies(
+                       ctx, minimal_length_bound(ctx), stats=stats),
+                   lambda: search_belief_path(ctx, stats=stats)):
+        try:
+            engine()
+        except BudgetExceeded:
+            assert stats.states_explored == budget
+        assert stats.states_explored <= budget
 
 
 def test_validator_reads_no_tables_and_no_kernel(monkeypatch):

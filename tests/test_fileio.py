@@ -95,6 +95,19 @@ def test_context_requires_all_three_parts(tmp_path):
         fileio.load_context(str(tmp_path / "broken.context"))
 
 
+def test_context_win_index_outside_k_is_rejected(tmp_path):
+    # Z2 wr C2 has |K| = 4, so the win index 99 names no base vector
+    action = cyclic_rotation_action(2)
+    fileio.save_group(groups.cyclic(2), str(tmp_path / "g.group"))
+    fileio.save_group(action.h_group, str(tmp_path / "h.group"))
+    fileio.save_action(action, str(tmp_path / "spin.action"))
+    (tmp_path / "far.context").write_text(
+        "context far\ngroup g.group\nspin-group h.group\n"
+        "action spin.action\nwin 99\n")
+    with pytest.raises(FileFormatInvalid):
+        fileio.load_context(str(tmp_path / "far.context"))
+
+
 def test_strategy_round_trip(tmp_path):
     ctx = catalog.four_switches_context()
     strat = catalog.four_switches_strategy(ctx)

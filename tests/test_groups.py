@@ -246,7 +246,6 @@ def test_lattice_matches_the_reference(name):
         sylow = groups.sylow_subgroup(g, p)
         target = next(m for m in reference if len(m) == p_part)
         assert sylow.members == tuple(sorted(target))
-        assert sylow.is_normal == _reference_is_normal(g, target)
         index_p = [tuple(sorted(m)) for m in normals
                    if len(m) * p == g.order]
         if index_p:

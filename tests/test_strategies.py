@@ -16,7 +16,7 @@ from spinwreath.errors import BudgetExceeded
 from spinwreath.strategies import (Strategy, bits, initial_belief, interleave,
                                    minimal_length_bound, strategy_from_coords,
                                    verify, verify_naive)
-from spinwreath.synthesis import search_belief_path, swap_action
+from spinwreath.synthesis import SearchStats, search_belief_path, swap_action
 
 
 def ctx_z2c2():
@@ -193,9 +193,10 @@ def test_belief_consumers_build_no_dense_tables(g_order, n):
                         action=cyclic_rotation_action(n))
     verify(ctx, Strategy(ctx=ctx, moves=tuple(range(1, 40))))
     with pytest.raises(BudgetExceeded):
-        search_belief_path(ctx, budget=20)
+        search_belief_path(ctx, stats=SearchStats(limit=20))
     with pytest.raises(BudgetExceeded):
-        enumerate_strategies(ctx, minimal_length_bound(ctx), budget=20)
+        enumerate_strategies(ctx, minimal_length_bound(ctx),
+                             stats=SearchStats(limit=20))
     for table in ("_k_mul_table", "_k_act_table", "_k_inv_table",
                   "orbit_masks"):
         assert table not in ctx.__dict__
