@@ -43,6 +43,8 @@ def uniform_adversary(ctx: WreathContext) -> Dict[int, Fraction]:
 
 def uniform_initial(ctx: WreathContext) -> Dict[int, Fraction]:
     states = [s for s in range(ctx.k_size) if s not in ctx.win_set]
+    if not states:
+        raise ContextTooSmall("every state is in the win set")
     return {s: Fraction(1, len(states)) for s in states}
 
 
@@ -153,6 +155,9 @@ def _game_lengths(ctx: WreathContext, rng: random.Random,
     """
     k = ctx.k_size
     win = ctx.win_set
+    if len(win) == k:
+        raise ContextTooSmall("every state is in the win set")
+    low = 1 if 0 in win else 0  # the least start that may be unsolved
     undo = {}
     if exclude_constant_backtrack:
         # the constant move (g, ..., g) is undone by (g^-1, ..., g^-1)
@@ -165,9 +170,9 @@ def _game_lengths(ctx: WreathContext, rng: random.Random,
     randrange = rng.randrange
     h_order = ctx.h_order
     while True:
-        state = randrange(1, k)
+        state = randrange(low, k)
         while state in win:
-            state = randrange(1, k)
+            state = randrange(low, k)
         banned = None
         for turn in range(1, MAX_TURNS + 1):
             move = randrange(1, k)

@@ -1,7 +1,8 @@
 """Constructive strategy builders.
 
-Constructors always re-verify their output before returning it; the
-verification pass is the safety net for every lifting argument used here.
+Each constructor verifies its strategy in the context it is given, win set
+included, before returning it; that one verification pass is the safety net
+for every lifting argument used here.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from functools import reduce
 from typing import List, Optional, Sequence, Tuple
 
 from . import groups
-from .actions import GroupAction, WreathContext, trivial_action
+from .actions import GroupAction, WreathContext
 from .errors import (
     BaseCaseVerificationFailed,
     BudgetExceeded,
@@ -49,16 +50,16 @@ DEFAULT_SEARCH_BUDGET = 10 ** 7
 # trivial wreath walks
 # ---------------------------------------------------------------------------
 
-def construct_trivial(g: FiniteGroup, perm: Sequence[int],
-                      action: Optional[GroupAction] = None) -> Strategy:
-    """Strategy for G wr 1 from a permutation of the non-identity elements.
+def construct_trivial(ctx: WreathContext, perm: Sequence[int]) -> Strategy:
+    """Strategy for G wr 1 from a permutation of the non-identity elements,
+    verified in ``ctx``, its win set included.
 
     perm lists G \\ {id} in the order the walk should visit it; the moves are
     the successive differences k_1, k_1^-1 k_2, ...
     """
+    g = ctx.g_group
     if sorted(perm) != list(range(1, g.order)):
         raise NotAPermutation("perm must order the non-identity elements of G")
-    ctx = WreathContext(g_group=g, action=action or trivial_action())
     moves = []
     prev = 0
     for target in perm:
@@ -183,10 +184,9 @@ def swap_action() -> GroupAction:
                        name="C2-swap")
 
 
-def construct_involution_pair(g: FiniteGroup,
-                              action: Optional[GroupAction] = None
-                              ) -> Strategy:
-    """Strategy for two interchangeable copies of an involution-generated G.
+def construct_involution_pair(ctx: WreathContext) -> Strategy:
+    """Strategy for two interchangeable copies of an involution-generated G,
+    verified in ``ctx`` (two positions), its win set included.
 
     Doubled moves (t, t) preserve the difference a b^-1 of a hidden state
     (a, b) while walking the first coordinate; single-sided separators
@@ -200,13 +200,12 @@ def construct_involution_pair(g: FiniteGroup,
     S3 wr C2 has no strategy at all, while D8 wr C2 is a 2-group and has
     one from ``construct_pgroup``.
     """
+    g = ctx.g_group
     gens = involution_generators(g)
     if gens is None:
         raise NotInvolutionGenerated(f"{g.name} is not generated by involutions")
-    action = action or swap_action()
-    if action.omega_size != 2:
+    if ctx.omega_size != 2:
         raise ValueError("involution-pair construction needs two positions")
-    ctx = WreathContext(g_group=g, action=action)
     walk = covering_walk(g, gens)
     ts = walk.step_elements()
     doubled = Strategy(ctx=ctx, moves=tuple(ctx.encode((t, t)) for t in ts))

@@ -140,14 +140,16 @@ def test_criterion_05_involution_pair_s3():
     ok = True
     for g, length in ((z2, 3), (z2_2, 15),
                       (groups.direct_product(z2_2, z2), 63)):
-        strat = synthesis.construct_involution_pair(g)
+        strat = synthesis.construct_involution_pair(
+            WreathContext(g_group=g, action=swap_action()))
         report = verify(strat.ctx, strat)
         ok = ok and report.valid and report.minimal \
             and len(strat) == length == strat.ctx.k_size - 1
 
     s3 = groups.symmetric(3)
     try:
-        synthesis.construct_involution_pair(s3)
+        synthesis.construct_involution_pair(
+            WreathContext(g_group=s3, action=swap_action()))
         ok = False
     except LiftedStrategyFailedVerification:
         pass

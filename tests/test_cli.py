@@ -200,22 +200,61 @@ def test_construct_verify_round_trip(tmp_path, capsys):
     assert fileio.format_strategy(strat) == first
 
 
-def test_construct_with_a_spin_period(tmp_path, capsys):
+@pytest.mark.parametrize("period", [2, 3])
+@pytest.mark.parametrize("puzzle,method", [
+    ("S3 wr 1", "trivial"), ("Z2 x Z2 wr C2", "involution"),
+    ("Z2 wr C4", "pgroup"), ("Z4 wr C2", "decompose")])
+def test_construct_with_a_spin_period(tmp_path, capsys, puzzle, method,
+                                      period):
+    # construct checks each strategy once, against spins every turn; one
+    # that beats them beats spins every r-th turn too
     from spinwreath.puzzle_parser import parse_puzzle
     from spinwreath.strategies import verify
 
     out_path = tmp_path / "period.strategy"
-    code, _, _ = run(capsys, "construct", "Z2 wr C4", "--method", "pgroup",
-                     "--spin-period", "2", "--output", str(out_path))
+    code, _, _ = run(capsys, "construct", puzzle, "--method", method,
+                     "--spin-period", str(period), "--output", str(out_path))
     assert code == 0
-    ctx = parse_puzzle("Z2 wr C4")
+    ctx = parse_puzzle(puzzle)
     strat = fileio.load_strategy(str(out_path), ctx)
-    assert verify(ctx, strat, spin_period=2).valid
+    assert verify(ctx, strat, spin_period=period).valid
+
+
+@pytest.mark.parametrize("puzzle,method", [
+    ("Z2 wr C8", "pgroup"), ("S3 wr 1", "trivial"),
+    ("Z2 x Z2 wr C2", "involution")])
+def test_construct_verifies_once(capsys, monkeypatch, puzzle, method):
+    from spinwreath import cli, strategies, synthesis
+
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return strategies.verify(*args, **kwargs)
+
+    monkeypatch.setattr(synthesis, "verify", spy)
+    monkeypatch.setattr(cli, "verify", spy)
+    code, _, _ = run(capsys, "construct", puzzle, "--method", method)
+    assert code == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("puzzle,method,header", [
+    ("Z5 wr 1", "trivial", "strategy Z5 wr 1 4"),
+    ("Z2 wr C2", "involution", "strategy Z2 wr C2 3"),
+    ("Z2 wr C2", "pgroup", "strategy Z2 wr C2 3"),
+    ("Z2 wr C2", "search", "strategy Z2 wr C2 3"),
+    ("Z4 wr 1", "decompose", "strategy Z4 wr 1 3")])
+def test_construct_names_the_context_typed(capsys, puzzle, method, header):
+    code, out, _ = run(capsys, "construct", puzzle, "--method", method)
+    assert code == 0
+    assert out.splitlines()[0] == header
 
 
 def test_construct_checks_a_win_set_the_constructor_did_not_use(capsys):
-    # the involution construction verifies against win set {0}; a strategy
-    # for it need not win when only state 1 = (0, 1) counts as solved
+    # the involution construction builds its strategy for the win set {0}
+    # and verifies it against the win set given; a strategy for {0} need not
+    # win when only state 1 = (0, 1) counts as solved
     code, _, err = run(capsys, "construct", "Z2 wr C2",
                        "--method", "involution", "--win-set", "1")
     assert code == 2
@@ -326,7 +365,9 @@ def test_json_prints_a_record_on_every_verdict_exit(tmp_path, capsys):
              4, "unknown", 100),
             (["construct", "S3 wr C2", "--method", "search"], 3, "no", 52),
             (["verify", "Z2 wr C2", "--strategy", str(idle), "--naive",
-              "--budget", "10"], 4, "unknown", 0)):
+              "--budget", "10"], 4, "unknown", 0),
+            (["min-spin-period", "S3 wr C2", "--budget", "10"], 4, "unknown",
+             10)):
         got, out, err = run(capsys, *argv, "--json")
         assert got == code
         doc = json.loads(out)
@@ -373,6 +414,26 @@ def test_montecarlo_gives_no_closed_form_for_another_win_set(capsys):
     payload = json.loads(out)["payload"]
     assert "closed_form" not in payload
     assert payload["sample_mean"] < 15
+
+
+def test_montecarlo_draws_an_unsolved_identity(capsys):
+    # with the win set {1}, the identity 0 is the only unsolved state of
+    # Z2 wr 1, and the one move 1 wins from it
+    code, out, _ = run(capsys, "expect", "Z2 wr 1", "--model", "montecarlo",
+                       "--win-set", "1", "--trials", "50", "--json")
+    assert code == 0
+    assert json.loads(out)["payload"]["sample_mean"] == 1.0
+
+
+def test_expect_needs_an_unsolved_state(tmp_path, capsys):
+    one = tmp_path / "one.strategy"
+    one.write_text("strategy Z2 wr 1 1\n1\n")
+    for argv in (["Z1 wr 1", "--model", "montecarlo"],
+                 ["Z2 wr 1", "--model", "montecarlo", "--win-set", "0,1"],
+                 ["Z2 wr 1", "--strategy", str(one), "--win-set", "0,1"]):
+        code, _, err = run(capsys, "expect", *argv)
+        assert code == 2
+        assert "win set" in err and "Traceback" not in err
 
 
 def test_classify(capsys):
@@ -479,6 +540,10 @@ def test_parse_errors_exit_2(capsys):
     ["decide", "D0 wr 1"],
     # the involution-pair construction needs exactly two positions
     ["construct", "Z2 wr C4", "--method", "involution"],
+    # a path that is a directory is no file to read or write
+    ["verify", "Z2 wr C2", "--strategy", "."],
+    ["construct", "Z2 wr C2", "--method", "pgroup", "--output", "."],
+    ["decide", "@."],
 ])
 def test_malformed_flags_are_usage_errors(capsys, argv):
     # argparse exits by SystemExit, the handlers by returning the code

@@ -21,15 +21,17 @@ from spinwreath.strategies import Strategy, initial_belief, interleave, verify
 # -- trivial wreath walks ----------------------------------------------------
 
 def test_trivial_z2_is_the_single_move():
-    strat = synthesis.construct_trivial(groups.cyclic(2), (1,))
+    ctx = WreathContext(g_group=groups.cyclic(2), action=trivial_action())
+    strat = synthesis.construct_trivial(ctx, (1,))
     assert strat.moves == (1,)
     assert verify(strat.ctx, strat).minimal
 
 
 def test_trivial_z3_orderings_give_distinct_strategies():
     g = groups.cyclic(3)
-    a = synthesis.construct_trivial(g, (1, 2))
-    b = synthesis.construct_trivial(g, (2, 1))
+    ctx = WreathContext(g_group=g, action=trivial_action())
+    a = synthesis.construct_trivial(ctx, (1, 2))
+    b = synthesis.construct_trivial(ctx, (2, 1))
     assert a.moves != b.moves
     for s in (a, b):
         assert verify(s.ctx, s).valid and len(s) == 2
@@ -37,19 +39,21 @@ def test_trivial_z3_orderings_give_distinct_strategies():
 
 def test_trivial_s3_every_ordering_verifies():
     g = groups.symmetric(3)
+    ctx = WreathContext(g_group=g, action=trivial_action())
     rng = random.Random(11)
     perms = list(itertools.permutations(range(1, 6)))
     for perm in rng.sample(perms, 40):
-        strat = synthesis.construct_trivial(g, perm)
+        strat = synthesis.construct_trivial(ctx, perm)
         report = verify(strat.ctx, strat)
         assert report.valid and report.minimal
 
 
 def test_trivial_rejects_bad_perm():
+    ctx = WreathContext(g_group=groups.cyclic(3), action=trivial_action())
     with pytest.raises(NotAPermutation):
-        synthesis.construct_trivial(groups.cyclic(3), (1, 1))
+        synthesis.construct_trivial(ctx, (1, 1))
     with pytest.raises(NotAPermutation):
-        synthesis.construct_trivial(groups.cyclic(3), (0, 1, 2))
+        synthesis.construct_trivial(ctx, (0, 1, 2))
 
 
 # -- covering walks ----------------------------------------------------------
@@ -159,21 +163,24 @@ def test_covering_walk_rejects_non_generating_sets():
 # -- two interchangeable switches --------------------------------------------
 
 def test_involution_pair_z2_is_the_classic_three_mover():
-    strat = synthesis.construct_involution_pair(groups.cyclic(2))
+    strat = synthesis.construct_involution_pair(WreathContext(
+        g_group=groups.cyclic(2), action=synthesis.swap_action()))
     assert strat.coords() == ((1, 1), (1, 0), (1, 1))
     assert verify(strat.ctx, strat).minimal
 
 
 def test_involution_pair_klein_is_minimal_fifteen():
     klein = groups.direct_product(groups.cyclic(2), groups.cyclic(2))
-    strat = synthesis.construct_involution_pair(klein)
+    strat = synthesis.construct_involution_pair(
+        WreathContext(g_group=klein, action=synthesis.swap_action()))
     report = verify(strat.ctx, strat)
     assert report.valid and report.minimal and len(strat) == 15
 
 
 def test_involution_pair_needs_involution_generators():
     with pytest.raises(NotInvolutionGenerated):
-        synthesis.construct_involution_pair(groups.cyclic(3))
+        synthesis.construct_involution_pair(WreathContext(
+            g_group=groups.cyclic(3), action=synthesis.swap_action()))
 
 
 def test_involution_pair_fails_for_s3():
@@ -185,7 +192,8 @@ def test_involution_pair_fails_for_s3():
     # search shows S3 with two swapped positions has no surjective strategy
     # at all (see test_decision.py).
     with pytest.raises(LiftedStrategyFailedVerification):
-        synthesis.construct_involution_pair(groups.symmetric(3))
+        synthesis.construct_involution_pair(WreathContext(
+            g_group=groups.symmetric(3), action=synthesis.swap_action()))
 
 
 # -- decomposition along a normal subgroup -----------------------------------
