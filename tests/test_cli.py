@@ -200,12 +200,25 @@ def test_construct_verify_round_trip(tmp_path, capsys):
     assert fileio.format_strategy(strat) == first
 
 
+def test_construct_with_a_spin_period(tmp_path, capsys):
+    from spinwreath.puzzle_parser import parse_puzzle
+    from spinwreath.strategies import verify
+
+    out_path = tmp_path / "period.strategy"
+    code, _, _ = run(capsys, "construct", "Z2 wr C4", "--method", "pgroup",
+                     "--spin-period", "2", "--output", str(out_path))
+    assert code == 0
+    ctx = parse_puzzle("Z2 wr C4")
+    strat = fileio.load_strategy(str(out_path), ctx)
+    assert verify(ctx, strat, spin_period=2).valid
+
+
 @pytest.mark.parametrize("period", [2, 3])
 @pytest.mark.parametrize("puzzle,method", [
     ("S3 wr 1", "trivial"), ("Z2 x Z2 wr C2", "involution"),
     ("Z2 wr C4", "pgroup"), ("Z4 wr C2", "decompose")])
-def test_construct_with_a_spin_period(tmp_path, capsys, puzzle, method,
-                                      period):
+def test_construct_with_a_spin_period_by_method(tmp_path, capsys, puzzle,
+                                                method, period):
     # construct checks each strategy once, against spins every turn; one
     # that beats them beats spins every r-th turn too
     from spinwreath.puzzle_parser import parse_puzzle
