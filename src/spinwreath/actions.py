@@ -92,12 +92,17 @@ def regular_action(h: FiniteGroup) -> GroupAction:
                        name=f"{h.name}-regular")
 
 
-def gather(n: int, digits) -> List[int]:
-    """Index list over K whose entry at u is the sum over the coordinates w
-    of digits[w][u_w], u_w being the base-n digit w of u (w = 0 first)."""
+def coordinate_map(n: int, maps, row=None) -> List[int]:
+    """Index list over K whose entry u is the base vector with digit
+    maps[w][u_w] at coordinate row[w] (at coordinate w when row is None),
+    u_w being the base-n digit w of u; coordinate 0 is the most significant.
+    """
+    m = len(maps)
     out = [0]
-    for values in digits:
-        out = [c + v for c in out for v in values]
+    for w, values in enumerate(maps):
+        weight = n ** (m - 1 - (w if row is None else row[w]))
+        scaled = [x * weight for x in values]
+        out = [c + y for c in out for y in scaled]
     return out
 
 
@@ -172,12 +177,13 @@ class WreathContext:
         return BeliefKernel(self.g_group, self.action, self.win_set)
 
     # -- dense tables for small K -------------------------------------------
-    # Read element by element through k_mul / k_act / k_inv: by Monte Carlo
-    # play (k_mul, k_act) and canonicalize_strategy (k_act) in the analysis
-    # code, verify_naive (all three) and the wreath arithmetic.  The belief
-    # kernel, the belief search, the exact expectation and the certificate
-    # validator never build them; orbit_masks is read only by tests and by
-    # the table timing of perfbench/spans.py.
+    # Each is a coordinate map per row.  Read element by element through
+    # k_mul / k_act / k_inv: by Monte Carlo play (k_mul, k_act) and
+    # canonicalize_strategy (k_act) in the analysis code, verify_naive (all
+    # three) and the wreath arithmetic.  The belief kernel, the belief
+    # search, the exact expectation and the certificate validator never
+    # build them; orbit_masks is read only by tests and by the table timing
+    # of perfbench/spans.py.
 
     @cached_property
     def _dense(self) -> bool:
@@ -185,27 +191,21 @@ class WreathContext:
 
     @cached_property
     def _k_mul_table(self):
-        mul = self.g_group.mul
-        coords = [self.decode(i) for i in range(self.k_size)]
-        return tuple(
-            tuple(self.encode([mul[x][y] for x, y in zip(a, b)]) for b in coords)
-            for a in coords
-        )
+        n, mul = self.g_group.order, self.g_group.mul
+        return tuple(coordinate_map(n, [mul[x] for x in self.decode(a)])
+                     for a in range(self.k_size))
 
     @cached_property
     def _k_inv_table(self):
-        inv = self.g_group.inv
-        return tuple(
-            self.encode([inv[x] for x in self.decode(i)])
-            for i in range(self.k_size)
-        )
+        return coordinate_map(self.g_group.order,
+                              [self.g_group.inv] * self.omega_size)
 
     @cached_property
     def _k_act_table(self):
-        return tuple(
-            tuple(self._act_slow(h, i) for i in range(self.k_size))
-            for h in range(self.h_order)
-        )
+        # row h puts coordinate w of the input at coordinate act[h][w]
+        n, m = self.g_group.order, self.omega_size
+        return tuple(coordinate_map(n, [range(n)] * m, row)
+                     for row in self.action.act)
 
     @cached_property
     def orbit_masks(self):
@@ -235,17 +235,13 @@ class WreathContext:
         inv = self.g_group.inv
         return self.encode([inv[x] for x in self.decode(a)])
 
-    def _act_slow(self, h: int, a: int) -> int:
-        hinv = self.action.h_group.inv[h]
-        row = self.action.act[hinv]
-        coords = self.decode(a)
-        return self.encode([coords[row[w]] for w in range(self.omega_size)])
-
     def k_act(self, h: int, a: int) -> int:
         """Coordinate w of the result is coordinate act[h^-1][w] of the input."""
         if self._dense:
             return self._k_act_table[h][a]
-        return self._act_slow(h, a)
+        row = self.action.act[self.action.h_group.inv[h]]
+        coords = self.decode(a)
+        return self.encode([coords[row[w]] for w in range(self.omega_size)])
 
     def require_same(self, other: "WreathContext"):
         if (self.g_group != other.g_group or self.action != other.action

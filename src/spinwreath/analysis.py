@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .actions import WreathContext, gather
+from .actions import WreathContext, coordinate_map
 from .errors import BudgetExceeded, ContextTooSmall
 from .strategies import (Strategy, initial_belief, minimal_length_bound,
                          verify)
@@ -60,8 +60,8 @@ def exact_expected_moves(ctx: WreathContext, strategy: Strategy,
     d0 * da^i, where d0 and da are the least common denominators of the
     initial masses and of the adversary's weights, and only the mass
     absorbed at a step becomes a ``Fraction``.  A move moves mass by one
-    gather list over K, and so does each spin of nonzero weight; both are
-    built from coordinates, once per call and distinct move or spin.
+    coordinate map over K, and so does each spin of nonzero weight; each is
+    built once per call and distinct move or spin.
     """
     adversary = adversary if adversary is not None else uniform_adversary(ctx)
     initial = initial if initial is not None else uniform_initial(ctx)
@@ -70,7 +70,10 @@ def exact_expected_moves(ctx: WreathContext, strategy: Strategy,
     if sum(initial.values()) != 1:
         raise ValueError("initial probabilities must sum to 1")
     n, m, k = ctx.g_group.order, ctx.omega_size, ctx.k_size
-    place = [n ** (m - 1 - w) for w in range(m)]  # of coordinate w's digit
+    if not all(0 <= h < ctx.h_order for h in adversary):
+        raise ValueError("adversary keys must be spins in range(|H|)")
+    if not all(0 <= s < k for s in initial):
+        raise ValueError("initial keys must be states in range(|K|)")
     weights = {h: Fraction(p) for h, p in adversary.items() if p != 0}
     start = {s: Fraction(p) for s, p in initial.items()}
     da = math.lcm(*(p.denominator for p in weights.values()))
@@ -81,24 +84,19 @@ def exact_expected_moves(ctx: WreathContext, strategy: Strategy,
     # spin h sends t to u with coordinate w of u = coordinate act[h^-1][w]
     # of t, so new mass at u gathers the mass of that t
     h_inv, act = ctx.action.h_group.inv, ctx.action.act
-    spins: Dict[int, List[List[int]]] = {}  # numerator -> gather lists
+    spins: Dict[int, List[List[int]]] = {}  # numerator -> source lists
     for h, p in weights.items():
-        row = act[h_inv[h]]
         spins.setdefault(p.numerator * (da // p.denominator), []).append(
-            gather(n, [[x * place[row[w]] for x in range(n)]
-                        for w in range(m)]))
-    # mass at t after a move comes from the state s with s * move = t
+            coordinate_map(n, [range(n)] * m, act[h_inv[h]]))
+    # mass at t after a move comes from the state s with s * move = t, so
+    # each digit of s is a right division: div[c][x * c] = x
     mul = ctx.g_group.mul
-    sources: Dict[int, List[int]] = {}
-    for move in strategy.moves:
-        if move not in sources:
-            digits = []
-            for w, g in enumerate(ctx.decode(move)):
-                div = [0] * n
-                for x in range(n):
-                    div[mul[x][g]] = x * place[w]
-                digits.append(div)
-            sources[move] = gather(n, digits)
+    div = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for c in range(n):
+            div[c][mul[x][c]] = x
+    sources = {move: coordinate_map(n, [div[c] for c in ctx.decode(move)])
+               for move in set(strategy.moves)}
     win = sorted(ctx.win_set)
     denominator = d0
     absorbed: List[Tuple[int, Fraction]] = []
@@ -149,9 +147,9 @@ def _game_lengths(ctx: WreathContext, rng: random.Random,
                   *, exclude_constant_backtrack=False) -> Iterator[int]:
     """The turns to win of successive games of uniform random play.
 
-    The set-up (the dense tables, the rng's bound method and, for play that
-    never backtracks, the move that undoes each constant move) is made once
-    for all the games the caller draws.
+    The set-up (the dense tables, one coordinate map per row, the rng's
+    bound method and, for play that never backtracks, the move that undoes
+    each constant move) is made once for all the games the caller draws.
     """
     k = ctx.k_size
     win = ctx.win_set

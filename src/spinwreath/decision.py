@@ -13,12 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import compress
+from itertools import compress, product
 from operator import or_
 from typing import Optional, Tuple, Union
 
 from . import groups
-from .actions import GroupAction, WreathContext, gather
+from .actions import GroupAction, WreathContext, coordinate_map
 from .errors import (BaseCaseVerificationFailed, BudgetExceeded,
                      NonFaithfulAction, NotSamePrime, OrderBoundExceeded)
 from .groups import (
@@ -351,9 +351,10 @@ def _is_closed_family(g: FiniteGroup, action: GroupAction, family: frozenset,
     with the belief kernel or the search that made the leaf, and every move
     is checked (no orbit argument).  A move's image list over K sends s to
     the mask of the H-orbit of s * move, or to 0 when s * move is in
-    ``win_set``, and a mask steps to the OR of its members' images.  Each
-    list is built once, digit by digit, and dropped after its move, so no
-    |K| x |K| table is kept.
+    ``win_set``, and a mask steps to the OR of its members' images.  The
+    moves are walked as digit tuples, each digit a column x -> x * c of
+    ``g.mul``; each list is one coordinate map, dropped after its move, so
+    no |K| x |K| table is kept.
     """
     n, m = g.order, action.omega_size
     k = n ** m
@@ -366,12 +367,9 @@ def _is_closed_family(g: FiniteGroup, action: GroupAction, family: frozenset,
 
     if not holds_a_member((1 << k) - 1 - sum(1 << s for s in win_set)):
         return False
-    weight = [n ** (m - 1 - w) for w in range(m)]
     # a row sends the digit at coordinate w to coordinate row[w]; the rows
     # are the whole image of H, so their images of t are the orbit of t
-    spun = [gather(n, [[x * weight[row[w]] for x in range(n)]
-                       for w in range(m)])
-            for row in set(action.act)]
+    spun = [coordinate_map(n, [range(n)] * m, row) for row in set(action.act)]
     orbit = [0 if t in win_set else reduce(or_, [1 << image[t]
                                                  for image in spun])
              for t in range(k)]
@@ -380,10 +378,9 @@ def _is_closed_family(g: FiniteGroup, action: GroupAction, family: frozenset,
     states = list(range(k))
     members = [list(compress(states, map("1".__eq__, reversed(f"{f:b}"))))
                for f in family]
-    for move in range(k):
-        image = list(map(orbit.__getitem__, gather(
-            n, [[g.mul[x][move // weight[w] % n] * weight[w]
-                 for x in range(n)] for w in range(m)])))
+    columns = [[row[c] for row in g.mul] for c in range(n)]
+    for move in product(columns, repeat=m):
+        image = list(map(orbit.__getitem__, coordinate_map(n, move)))
         for f in members:
             if not holds_a_member(reduce(or_, map(image.__getitem__, f))):
                 return False

@@ -105,7 +105,7 @@ def covering_walk(g: FiniteGroup, gens: Sequence[int],
     falls back to a greedy nearest-uncovered walk when the budget runs out.
     """
     gens = list(dict.fromkeys(gens))
-    if not gens or len(closure(g, gens)) != g.order:
+    if len(closure(g, gens)) != g.order:
         raise DoesNotGenerate("generators do not generate G")
     steps = _hamiltonian_walk(g, gens, budget)
     if steps is None:

@@ -2,13 +2,16 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinwreath import groups
 from spinwreath.actions import (GroupAction, WreathContext, WreathElement,
-                                cyclic_rotation_action, dihedral_action,
-                                natural_symmetric_action, regular_action,
-                                trivial_action, wreath_identity,
-                                wreath_inverse, wreath_multiply)
+                                coordinate_map, cyclic_rotation_action,
+                                dihedral_action, natural_symmetric_action,
+                                regular_action, trivial_action,
+                                wreath_identity, wreath_inverse,
+                                wreath_multiply)
 from spinwreath.errors import NonFaithfulAction
 from spinwreath.puzzle_parser import default_action, parse_expr
 
@@ -99,6 +102,24 @@ def test_encode_decode_round_trip():
     for i in range(ctx.k_size):
         assert ctx.encode(ctx.decode(i)) == i
     assert ctx.encode((1, 0, 0)) == 9  # omega = 0 is the most significant digit
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_coordinate_map_puts_each_digit_at_its_coordinate(data):
+    n, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    ctx = WreathContext(g_group=groups.cyclic(n),
+                        action=cyclic_rotation_action(m))
+    maps = [data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+            for _ in range(m)]
+    row = data.draw(st.none() | st.permutations(range(m)))
+    expected = []
+    for u in range(ctx.k_size):
+        coords = [0] * m
+        for w, x in enumerate(ctx.decode(u)):
+            coords[w if row is None else row[w]] = maps[w][x]
+        expected.append(ctx.encode(coords))
+    assert coordinate_map(n, maps, row) == expected
 
 
 def test_wreath_group_axioms_random_triples():

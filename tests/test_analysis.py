@@ -141,6 +141,17 @@ def test_expectation_is_eight_even_against_a_biased_spinner():
         analysis.exact_expected_moves(ctx, strat, initial={1: Fraction(1, 2)})
 
 
+@pytest.mark.parametrize("keyword,key", [
+    ("initial", -1), ("initial", 16), ("adversary", -1), ("adversary", 4)])
+def test_expectation_rejects_keys_outside_k_and_h(keyword, key):
+    # a negative key would otherwise index from the end of a list over K or
+    # H, and one past the end would raise a bare IndexError
+    ctx = catalog.four_switches_context()
+    strat = catalog.four_switches_strategy(ctx)
+    with pytest.raises(ValueError):
+        analysis.exact_expected_moves(ctx, strat, **{keyword: {key: 1}})
+
+
 def test_empty_strategy_absorbs_nothing():
     ctx = catalog.four_switches_context()
     report = analysis.exact_expected_moves(ctx, Strategy(ctx=ctx, moves=()))

@@ -257,7 +257,10 @@ def test_construct_verifies_once(capsys, monkeypatch, puzzle, method):
     ("Z2 wr C2", "involution", "strategy Z2 wr C2 3"),
     ("Z2 wr C2", "pgroup", "strategy Z2 wr C2 3"),
     ("Z2 wr C2", "search", "strategy Z2 wr C2 3"),
-    ("Z4 wr 1", "decompose", "strategy Z4 wr 1 3")])
+    ("Z4 wr 1", "decompose", "strategy Z4 wr 1 3"),
+    # the trivial group has the empty involution generating set
+    ("Z1 wr C2", "involution", "strategy Z1 wr C2 0"),
+    ("1 wr C2", "involution", "strategy 1 wr C2 0")])
 def test_construct_names_the_context_typed(capsys, puzzle, method, header):
     code, out, _ = run(capsys, "construct", puzzle, "--method", method)
     assert code == 0

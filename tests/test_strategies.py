@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinwreath import catalog, groups
-from spinwreath.actions import (GroupAction, WreathContext,
+from spinwreath.actions import (DENSE_TABLE_CAP, GroupAction, WreathContext,
                                 cyclic_rotation_action, dihedral_action,
                                 natural_symmetric_action, regular_action,
                                 trivial_action)
@@ -185,6 +185,26 @@ def test_orbit_minima_hold_the_least_member_of_each_orbit(label):
     ctx = KERNEL_CONTEXTS[label]
     least = {min(bits(orbit)) for orbit in ctx.orbit_masks}
     assert ctx.belief_kernel.orbit_minima == sum(1 << s for s in least)
+
+
+@pytest.mark.parametrize("label", sorted(KERNEL_CONTEXTS))
+def test_dense_tables_match_their_definitions(label):
+    ctx = KERNEL_CONTEXTS[label]
+    g, action, m = ctx.g_group, ctx.action, ctx.omega_size
+    h_inv = action.h_group.inv
+    coords = [ctx.decode(a) for a in range(ctx.k_size)]
+    # above the cap k_mul reads no table, and S4 wr C3's would hold |K|^2
+    # = 191M entries
+    if ctx.k_size <= DENSE_TABLE_CAP:
+        assert [list(row) for row in ctx._k_mul_table] == [
+            [ctx.encode([g.mul[x][y] for x, y in zip(a, b)]) for b in coords]
+            for a in coords]
+    assert list(ctx._k_inv_table) == [ctx.encode([g.inv[x] for x in a])
+                                      for a in coords]
+    assert [list(row) for row in ctx._k_act_table] == [
+        [ctx.encode([a[action.act[h_inv[h]][w]] for w in range(m)])
+         for a in coords]
+        for h in range(ctx.h_order)]
 
 
 @pytest.mark.parametrize("g_order,n", [(2, 8), (32, 2)])
