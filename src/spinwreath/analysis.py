@@ -16,8 +16,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .actions import WreathContext, coordinate_map
 from .errors import BudgetExceeded, ContextTooSmall
-from .strategies import (Strategy, initial_belief, minimal_length_bound,
-                         verify)
+from .strategies import Strategy, initial_belief, minimal_length_bound
 from .synthesis import SearchStats
 
 
@@ -147,9 +146,14 @@ def _game_lengths(ctx: WreathContext, rng: random.Random,
                   *, exclude_constant_backtrack=False) -> Iterator[int]:
     """The turns to win of successive games of uniform random play.
 
-    The set-up (the dense tables, one coordinate map per row, the rng's
-    bound method and, for play that never backtracks, the move that undoes
-    each constant move) is made once for all the games the caller draws.
+    Each number is drawn straight from ``rng.getrandbits`` by the rejection
+    rule of ``randrange(a, b)``: draw r from (b - a).bit_length() bits until
+    r < b - a, and take a + r.  A rejected start (one in the win set)
+    or move (the one that undoes the last constant move) is drawn again the
+    same way, so the games are those of ``randrange`` with the same seed.
+    The set-up (the dense tables, the bit widths of the start, move and spin
+    draws and, for play that never backtracks, the move that undoes each
+    constant move) is made once for all the games the caller draws.
     """
     k = ctx.k_size
     win = ctx.win_set
@@ -165,22 +169,29 @@ def _game_lengths(ctx: WreathContext, rng: random.Random,
     # hot loop: localize the dense tables (cached on the context) and the rng
     mul = ctx._k_mul_table if ctx._dense else None
     act = ctx._k_act_table if ctx._dense else None
-    randrange = rng.randrange
+    getrandbits = rng.getrandbits
     h_order = ctx.h_order
+    # starts lie in [low, k), moves in [1, k) and spins in [0, |H|); a
+    # spin is drawn from one bit even when |H| = 1, as randrange(1) does
+    start_bits = (k - low).bit_length()
+    move_bits = (k - 1).bit_length()
+    spin_bits = h_order.bit_length()
     while True:
-        state = randrange(low, k)
-        while state in win:
-            state = randrange(low, k)
+        state = getrandbits(start_bits) + low
+        while state >= k or state in win:
+            state = getrandbits(start_bits) + low
         banned = None
         for turn in range(1, MAX_TURNS + 1):
-            move = randrange(1, k)
-            while move == banned:
-                move = randrange(1, k)
+            move = getrandbits(move_bits) + 1
+            while move >= k or move == banned:
+                move = getrandbits(move_bits) + 1
             state = mul[state][move] if mul else ctx.k_mul(state, move)
             if state in win:
                 break
             banned = undo.get(move)
-            spin = randrange(h_order)
+            spin = getrandbits(spin_bits)
+            while spin >= h_order:
+                spin = getrandbits(spin_bits)
             state = act[spin][state] if act else ctx.k_act(spin, state)
         else:
             raise RuntimeError("simulation did not terminate")
@@ -228,8 +239,12 @@ def enumerate_strategies(ctx: WreathContext, length: int,
     enumeration forces the mirrored half of the sequence.  The backtracking
     keeps an explicit stack of open prefixes, so no length recurses.
 
-    Every prefix entered counts against ``stats.limit`` as a state (see
-    ``SearchStats``).
+    Many prefixes share a belief set, so each distinct (belief, move, spin)
+    is stepped by the kernel once per call and its child looked up after
+    that.  The memo lives only for the call and gains at most one entry per
+    prefix stepped into, so the budget bounds its size.  Every prefix entered still
+    counts against ``stats.limit`` as a state (see ``SearchStats``),
+    whether its belief was stepped or looked up.
     """
     stats = stats if stats is not None else SearchStats()
     if minimal_only and length != minimal_length_bound(ctx):
@@ -243,6 +258,8 @@ def enumerate_strategies(ctx: WreathContext, length: int,
     # the hot loop counts locally and adds its count to stats at the end
     visited, limit = 0, stats.limit - stats.states_explored
     step = ctx.belief_kernel.step
+    # the child belief of each (mask, move, spin) stepped so far
+    children: Dict[Tuple[int, int, bool], int] = {}
 
     def enter(mask):
         """Count the prefix ``moves`` and open it; False for a leaf."""
@@ -256,7 +273,7 @@ def enumerate_strategies(ctx: WreathContext, length: int,
                 found.append(tuple(moves))
             return False
         remaining = length - depth
-        if bin(mask).count("1") > remaining * win_size:
+        if mask.bit_count() > remaining * win_size:
             return False
         mirror = length - 1 - depth
         candidates = [moves[mirror]] if palindromic and mirror < depth else range(k)
@@ -270,7 +287,11 @@ def enumerate_strategies(ctx: WreathContext, length: int,
             mask, spin, candidates = stack[-1]
             for mv in candidates:
                 moves.append(mv)
-                if enter(step(mask, mv, spin)):
+                key = (mask, mv, spin)
+                child = children.get(key)
+                if child is None:
+                    child = children[key] = step(mask, mv, spin)
+                if enter(child):
                     break
                 moves.pop()
             else:
@@ -286,19 +307,6 @@ def enumerate_strategies(ctx: WreathContext, length: int,
         canonical_count = len(canonical)
     return EnumerationResult(strategies=strategies, count=len(strategies),
                              canonical_count=canonical_count)
-
-
-def enumerate_strategies_exhaustive(ctx: WreathContext, length: int,
-                                    *, palindromic=False) -> List[Strategy]:
-    """Plain product enumeration; the cross-check oracle for the backtracker."""
-    out = []
-    for seq in itertools.product(range(ctx.k_size), repeat=length):
-        if palindromic and seq != seq[::-1]:
-            continue
-        strat = Strategy(ctx=ctx, moves=seq)
-        if verify(ctx, strat).valid:
-            out.append(strat)
-    return out
 
 
 def canonicalize_strategy(ctx: WreathContext, strat: Strategy) -> Tuple[int, ...]:

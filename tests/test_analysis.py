@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinwreath import analysis, catalog, groups
-from spinwreath.actions import WreathContext, cyclic_rotation_action, trivial_action
+from spinwreath.actions import (DENSE_TABLE_CAP, WreathContext,
+                                cyclic_rotation_action, trivial_action)
 from spinwreath.errors import BudgetExceeded, ContextTooSmall
 from spinwreath.puzzle_parser import parse_puzzle
-from spinwreath.strategies import Strategy, verify
+from spinwreath.strategies import Strategy, initial_belief, verify
 from spinwreath.synthesis import SearchStats
 from test_decision import BUDGET_PUZZLES
 from test_strategies import KERNEL_CONTEXTS
@@ -207,6 +210,63 @@ def test_monte_carlo_draws_are_pinned(seed, uniform, non_backtracking):
         non_backtracking
 
 
+def _randrange_game_lengths(ctx, rng, exclude_constant_backtrack=False):
+    """The games of uniform random play drawn with ``rng.randrange``."""
+    k, win = ctx.k_size, ctx.win_set
+    low = 1 if 0 in win else 0
+    undo = {}
+    if exclude_constant_backtrack:
+        m, inv = ctx.omega_size, ctx.g_group.inv
+        undo = {ctx.encode([g] * m): ctx.encode([inv[g]] * m)
+                for g in range(ctx.g_group.order)}
+    while True:
+        state = rng.randrange(low, k)
+        while state in win:
+            state = rng.randrange(low, k)
+        banned = None
+        turn = 0
+        while True:
+            turn += 1
+            move = rng.randrange(1, k)
+            while move == banned:
+                move = rng.randrange(1, k)
+            state = ctx.k_mul(state, move)
+            if state in win:
+                break
+            banned = undo.get(move)
+            state = ctx.k_act(rng.randrange(ctx.h_order), state)
+        yield turn
+
+
+# (puzzle, win set, games): 0 in the win set or not, |H| = 1, and |K| above
+# DENSE_TABLE_CAP, where the games step through the per-element k_mul/k_act
+MONTE_CARLO_CASES = [
+    ("Z2 wr C3", None, 300),
+    ("Z2 wr C3", {5}, 300),
+    ("Z2 wr C3", {0, 3, 6}, 300),
+    ("Z3 wr 1", None, 300),
+    ("Z3 wr 1", {2}, 300),
+    ("Z4 wr C2", {1, 14}, 200),
+    ("Z2 wr C13", None, 3),
+]
+
+
+@pytest.mark.parametrize("backtrack_free", [False, True],
+                         ids=["uniform", "non-backtracking"])
+@pytest.mark.parametrize("puzzle,win_set,games", MONTE_CARLO_CASES)
+def test_monte_carlo_draws_what_randrange_draws(puzzle, win_set, games,
+                                                backtrack_free):
+    ctx = parse_puzzle(puzzle, win_set=win_set)
+    assert (ctx.k_size > DENSE_TABLE_CAP) == (puzzle == "Z2 wr C13")
+    for seed in (1, 2024):
+        got = analysis._game_lengths(
+            ctx, random.Random(seed), exclude_constant_backtrack=backtrack_free)
+        want = _randrange_game_lengths(ctx, random.Random(seed),
+                                       backtrack_free)
+        assert list(itertools.islice(got, games)) == \
+            list(itertools.islice(want, games))
+
+
 def test_monte_carlo_is_reproducible():
     ctx = ctx_of(groups.cyclic(2), 2)
     a = analysis.monte_carlo_random_play(ctx, trials=500, seed=42)
@@ -230,6 +290,39 @@ def test_minimal_count_for_s3_without_an_adversary():
     assert result.count == 120
 
 
+def _unmemoized_walk(ctx, length, palindromic=False):
+    """The pruned prefix tree of ``enumerate_strategies``, one step per prefix.
+
+    Returns the winning sequences in the order the walk finds them, the
+    number of prefixes entered and the set of distinct kernel inputs.
+    """
+    k, win_size = ctx.k_size, len(ctx.win_set)
+    step = ctx.belief_kernel.step
+    found, inputs = [], set()
+    entered = 0
+
+    def enter(moves, mask):
+        nonlocal entered
+        entered += 1
+        depth = len(moves)
+        if depth == length:
+            if mask == 0:
+                found.append(tuple(moves))
+            return
+        remaining = length - depth
+        if bin(mask).count("1") > remaining * win_size:
+            return
+        mirror = length - 1 - depth
+        spin = remaining > 1
+        for mv in ([moves[mirror]] if palindromic and mirror < depth
+                   else range(k)):
+            inputs.add((mask, mv, spin))
+            enter(moves + [mv], step(mask, mv, spin))
+
+    enter([], initial_belief(ctx))
+    return found, entered, inputs
+
+
 @pytest.mark.parametrize("ctx,length,flags", [
     (WreathContext(g_group=groups.symmetric(3), action=trivial_action()), 5,
      {}),
@@ -238,19 +331,58 @@ def test_minimal_count_for_s3_without_an_adversary():
 ], ids=["S3-1", "Z2-C3", "Z2-C2-palindromic"])
 def test_enumeration_counts_the_prefixes_it_enters(monkeypatch, ctx, length,
                                                    flags):
-    # every prefix but the empty one is entered by one belief step
+    # every prefix of the pruned tree counts as a state, while the kernel
+    # steps each distinct (belief, move, spin) once
+    _, entered, inputs = _unmemoized_walk(ctx, length, **flags)
     kernel = ctx.belief_kernel
-    steps = []
+    calls = []
     step = kernel.step
 
     def counting(mask, move, spin):
-        steps.append(move)
+        calls.append((mask, move, spin))
         return step(mask, move, spin)
 
     monkeypatch.setattr(kernel, "step", counting)
     stats = SearchStats()
     analysis.enumerate_strategies(ctx, length, stats=stats, **flags)
-    assert stats.states_explored == len(steps) + 1
+    assert stats.states_explored == entered
+    assert len(calls) == len(set(calls)) == len(inputs)
+    assert set(calls) == inputs
+
+
+def _canonical_count(ctx, found):
+    """The number of H-orbits of sequences under one spin of every move."""
+    return len({min(tuple(ctx.k_act(h, mv) for mv in moves)
+                    for h in range(ctx.h_order)) for moves in found})
+
+
+@pytest.mark.parametrize("puzzle,length,flags", [
+    ("Z2 wr C4", 15, {}),
+    ("Z2 wr C4", 15, {"palindromic": True}),
+    ("Z2 wr C4", 15, {"minimal_only": True}),
+    ("Z2 wr C4", 15, {"up_to_h": True}),
+    # longer than minimal: beliefs of one size recur at different depths,
+    # where the last move is stepped without spins
+    ("Z2 wr C2", 7, {}),
+    ("Z2 wr C2", 7, {"up_to_h": True, "palindromic": True}),
+    ("S3 wr 1", 5, {"palindromic": True, "minimal_only": True}),
+])
+def test_enumeration_matches_the_unmemoized_walk(puzzle, length, flags):
+    ctx = parse_puzzle(puzzle)
+    found, entered, _ = _unmemoized_walk(
+        ctx, length, palindromic=flags.get("palindromic", False))
+    stats = SearchStats()
+    result = analysis.enumerate_strategies(ctx, length, stats=stats, **flags)
+    assert [s.moves for s in result.strategies] == found
+    assert result.count == len(found)
+    assert result.canonical_count == (
+        _canonical_count(ctx, found) if flags.get("up_to_h") else None)
+    assert stats.states_explored == entered
+    # a budget one short of the walk stops it at the last prefix
+    stats = SearchStats(limit=entered - 1)
+    with pytest.raises(BudgetExceeded):
+        analysis.enumerate_strategies(ctx, length, stats=stats, **flags)
+    assert stats.states_explored == entered - 1
 
 
 def test_enumeration_budget_caps_the_running_total():
@@ -269,13 +401,25 @@ def test_enumeration_budget_caps_the_running_total():
     assert stats.states_explored == 2 * entered - 1
 
 
+def enumerate_strategies_exhaustive(ctx, length, *, palindromic=False):
+    """Plain product enumeration; the cross-check oracle for the backtracker."""
+    out = []
+    for seq in itertools.product(range(ctx.k_size), repeat=length):
+        if palindromic and seq != seq[::-1]:
+            continue
+        strat = Strategy(ctx=ctx, moves=seq)
+        if verify(ctx, strat).valid:
+            out.append(strat)
+    return out
+
+
 def test_backtracker_agrees_with_plain_product_enumeration():
     for ctx, length in [(ctx_of(groups.cyclic(2), 2), 3),
                         (ctx_of(groups.cyclic(2), 2), 4),
                         (WreathContext(g_group=groups.cyclic(3),
                                        action=trivial_action()), 2)]:
         fast = analysis.enumerate_strategies(ctx, length)
-        slow = analysis.enumerate_strategies_exhaustive(ctx, length)
+        slow = enumerate_strategies_exhaustive(ctx, length)
         assert sorted(s.moves for s in fast.strategies) == \
             sorted(s.moves for s in slow)
 
@@ -306,7 +450,7 @@ def test_palindromic_s3_strategies_match_the_known_twelve():
 def test_palindromic_enumeration_agrees_with_filtered_exhaustive():
     ctx = ctx_of(groups.cyclic(2), 2)
     fast = analysis.enumerate_strategies(ctx, 3, palindromic=True)
-    slow = analysis.enumerate_strategies_exhaustive(ctx, 3, palindromic=True)
+    slow = enumerate_strategies_exhaustive(ctx, 3, palindromic=True)
     assert sorted(s.moves for s in fast.strategies) == \
         sorted(s.moves for s in slow)
     for s in fast.strategies:
