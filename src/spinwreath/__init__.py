@@ -17,7 +17,7 @@ from .puzzle_parser import parse_expr, parse_puzzle, print_expr
 from .strategies import (Strategy, VerificationReport, initial_belief,
                          interleave, minimal_length_bound,
                          strategy_from_coords, verify, verify_naive)
-from .synthesis import (construct_by_decomposition, construct_involution_pair,
-                        construct_pgroup, construct_trivial, covering_walk)
+from .synthesis import (construct_involution_pair, construct_pgroup,
+                        construct_trivial, covering_walk)
 
 __version__ = "0.1.0"

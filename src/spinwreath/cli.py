@@ -25,12 +25,10 @@ from .decision import (DecisionResult, decide_by_search, decide_existence,
                        validate_certificate)
 from .errors import (BudgetExceeded, CertificateRejected, FileFormatInvalid,
                      NoStrategyWithinDepth, SpinWreathError)
-from .groups import normal_subgroups, quotient, subgroup_as_group
 from .puzzle_parser import parse_expr, build_context
 from .strategies import Strategy, minimal_length_bound, verify, verify_naive
-from .synthesis import (SearchStats, construct_by_decomposition,
-                        construct_involution_pair, construct_pgroup,
-                        construct_trivial)
+from .synthesis import (SearchStats, construct_involution_pair,
+                        construct_pgroup, construct_trivial)
 
 JSON_SCHEMA = "spinwreath.cli/1"
 EXIT_YES = 0
@@ -165,22 +163,8 @@ def _construct(args, ctx: WreathContext, stats: SearchStats) -> Strategy:
         return construct_involution_pair(ctx)
     if method == "pgroup":
         return construct_pgroup(ctx)
-    if method == "search":
-        return _strategy_of(decide_by_search(
-            ctx, max_depth=args.depth, spin_period=args.spin_period,
-            stats=stats))
-    for sub in reversed(normal_subgroups(ctx.g_group)):
-        if 1 < len(sub.members) < ctx.g_group.order:
-            n_group = subgroup_as_group(sub)
-            quot, _, _ = quotient(ctx.g_group, sub)
-            ctx_n = WreathContext(g_group=n_group, action=ctx.action)
-            ctx_q = WreathContext(g_group=quot, action=ctx.action)
-            # both sub-decisions draw on the command's one budget
-            strat_n = _strategy_of(decide_existence(ctx_n, stats=stats))
-            strat_q = _strategy_of(decide_existence(ctx_q, stats=stats))
-            return construct_by_decomposition(ctx, sub, strat_n, strat_q)
-    raise FileFormatInvalid(
-        "--method decompose needs a proper nontrivial normal subgroup")
+    return _strategy_of(decide_by_search(
+        ctx, max_depth=args.depth, spin_period=args.spin_period, stats=stats))
 
 
 def _cmd_construct(args, ctx, stats) -> Answer:
@@ -356,8 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", parents=[common],
                        help="build a verified strategy")
     p.add_argument("--method", required=True,
-                   choices=["trivial", "involution", "pgroup", "decompose",
-                            "search"])
+                   choices=["trivial", "involution", "pgroup", "search"])
     p.add_argument("--output", default=None, help="write the strategy file here")
     p.add_argument("--depth", type=_non_negative_int, default=None,
                    help="depth limit for --method search")

@@ -61,6 +61,8 @@ def parse_group(text: str) -> FiniteGroup:
     try:
         order = int(order_s)
     except ValueError:
+        order = 0  # refused with the orders below 1
+    if order < 1:
         raise FileFormatInvalid(f"bad group order {order_s!r}")
     if len(lines) < 1 + order:
         raise FileFormatInvalid(

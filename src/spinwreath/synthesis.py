@@ -36,7 +36,6 @@ from .groups import (
     involution_generators,
     maximal_normal_index_p,
     p_group_prime,
-    quotient,
     same_prime,
     subgroup_as_group,
 )
@@ -216,51 +215,6 @@ def construct_involution_pair(ctx: WreathContext) -> Strategy:
 
 
 # ---------------------------------------------------------------------------
-# decomposition along a normal subgroup
-# ---------------------------------------------------------------------------
-
-def embed_strategy(sub_ctx: WreathContext, target_ctx: WreathContext,
-                   element_map: Sequence[int], strat: Strategy) -> Strategy:
-    """Re-encode a strategy through an element map between G-index spaces."""
-    moves = tuple(
-        target_ctx.encode([element_map[c] for c in sub_ctx.decode(m)])
-        for m in strat.moves
-    )
-    return Strategy(ctx=target_ctx, moves=moves)
-
-
-def construct_by_decomposition(ctx: WreathContext, n: Subgroup,
-                               strat_n: Strategy, strat_q: Strategy) -> Strategy:
-    """Interleave a subgroup-level strategy with a lifted quotient strategy.
-
-    strat_n lives in N wr H (N as a standalone group); strat_q lives in
-    (G/N) wr H.  The lift walks every coset through every element, so the
-    interleave covers K; the output is re-verified regardless.  ``quotient``
-    raises ``NotNormal`` unless N is normal.
-    """
-    g = ctx.g_group
-    n_group = subgroup_as_group(n)
-    quot, reps, _proj = quotient(g, n)
-    ctx_n = WreathContext(g_group=n_group, action=ctx.action,
-                          allow_non_faithful=ctx.allow_non_faithful)
-    ctx_q = WreathContext(g_group=quot, action=ctx.action,
-                          allow_non_faithful=ctx.allow_non_faithful)
-    if not verify(ctx_n, Strategy(ctx=ctx_n, moves=strat_n.moves)).valid:
-        raise InputStrategyInvalid("subgroup strategy does not verify in N wr H")
-    if not verify(ctx_q, Strategy(ctx=ctx_q, moves=strat_q.moves)).valid:
-        raise InputStrategyInvalid("quotient strategy does not verify in G/N wr H")
-    embedded = embed_strategy(ctx_n, ctx, n.members, strat_n)
-    lifted = embed_strategy(ctx_q, ctx, reps, strat_q)
-    strat = interleave(embedded, lifted)
-    report = verify(ctx, strat)
-    if not report.valid:
-        raise LiftedStrategyFailedVerification(
-            "interleaved decomposition strategy failed verification"
-        )
-    return strat
-
-
-# ---------------------------------------------------------------------------
 # p-group construction
 # ---------------------------------------------------------------------------
 
@@ -362,6 +316,16 @@ def _chain_layers(action: GroupAction, p: int) -> List[List[Tuple[int, ...]]]:
 # transport along a surjection
 # ---------------------------------------------------------------------------
 
+def embed_strategy(sub_ctx: WreathContext, target_ctx: WreathContext,
+                   element_map: Sequence[int], strat: Strategy) -> Strategy:
+    """Re-encode a strategy through an element map between G-index spaces."""
+    moves = tuple(
+        target_ctx.encode([element_map[c] for c in sub_ctx.decode(m)])
+        for m in strat.moves
+    )
+    return Strategy(ctx=target_ctx, moves=moves)
+
+
 def transport_strategy(phi: Homomorphism, strat: Strategy,
                        target_ctx: WreathContext) -> Strategy:
     """Push a strategy for G' wr H forward through a surjection G' -> G.
@@ -374,6 +338,8 @@ def transport_strategy(phi: Homomorphism, strat: Strategy,
     src_ctx = strat.ctx
     if src_ctx.g_group.order != phi.source.order:
         raise InputStrategyInvalid("strategy group does not match phi source")
+    if target_ctx.g_group.order != phi.target.order:
+        raise InputStrategyInvalid("target group does not match phi target")
     if not verify(src_ctx, strat).valid:
         raise InputStrategyInvalid("input strategy does not verify")
     out = embed_strategy(src_ctx, target_ctx, phi.map, strat)

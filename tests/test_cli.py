@@ -133,8 +133,7 @@ def test_a_broken_p_group_construction_is_not_swallowed(capsys, monkeypatch):
     monkeypatch.setattr(synthesis, "_pgroup_strategy", drops_a_move)
     with pytest.raises(BaseCaseVerificationFailed):
         decision.decide_existence(parse_puzzle("Z2 wr C4"))
-    code, _, err = run(capsys, "construct", "Z4 wr C2", "--method",
-                       "decompose")
+    code, _, err = run(capsys, "construct", "Z4 wr C2", "--method", "pgroup")
     assert code != 0
     assert err.startswith("error:")
 
@@ -216,7 +215,7 @@ def test_construct_with_a_spin_period(tmp_path, capsys):
 @pytest.mark.parametrize("period", [2, 3])
 @pytest.mark.parametrize("puzzle,method", [
     ("S3 wr 1", "trivial"), ("Z2 x Z2 wr C2", "involution"),
-    ("Z2 wr C4", "pgroup"), ("Z4 wr C2", "decompose")])
+    ("Z2 wr C4", "pgroup")])
 def test_construct_with_a_spin_period_by_method(tmp_path, capsys, puzzle,
                                                 method, period):
     # construct checks each strategy once, against spins every turn; one
@@ -257,7 +256,7 @@ def test_construct_verifies_once(capsys, monkeypatch, puzzle, method):
     ("Z2 wr C2", "involution", "strategy Z2 wr C2 3"),
     ("Z2 wr C2", "pgroup", "strategy Z2 wr C2 3"),
     ("Z2 wr C2", "search", "strategy Z2 wr C2 3"),
-    ("Z4 wr 1", "decompose", "strategy Z4 wr 1 3"),
+    ("Z4 wr 1", "pgroup", "strategy Z4 wr 1 3"),
     # the trivial group has the empty involution generating set
     ("Z1 wr C2", "involution", "strategy Z1 wr C2 0"),
     ("1 wr C2", "involution", "strategy 1 wr C2 0")])
@@ -265,6 +264,34 @@ def test_construct_names_the_context_typed(capsys, puzzle, method, header):
     code, out, _ = run(capsys, "construct", puzzle, "--method", method)
     assert code == 0
     assert out.splitlines()[0] == header
+
+
+# the contexts of G in {Z2, Z3, Z4, Z6, Z8, Z9, Z2 x Z2, S3, D8, D10, A4,
+# Z12} and H in {1, C2, C3, C4, S3, D8}, win set {0} or {1}, that an
+# interleave along a proper nontrivial normal subgroup of G solves: each
+# is a p-group or has a trivial spin group
+_NORMAL_SUBGROUP_GRID = (
+    [(f"{g} wr {h}", "0", "pgroup") for g in ("Z4", "Z8", "Z2 x Z2", "D8")
+     for h in ("1", "C2", "C4", "D8")]
+    + [("Z9 wr 1", "0", "pgroup"), ("Z9 wr C3", "0", "pgroup")]
+    + [(f"{g} wr 1", "1", "pgroup")
+       for g in ("Z4", "Z8", "Z9", "Z2 x Z2", "D8")]
+    + [(f"{g} wr 1", win, "trivial") for win in ("0", "1")
+       for g in ("Z6", "S3", "D10", "A4", "Z12")])
+
+
+@pytest.mark.parametrize("puzzle,win,method", _NORMAL_SUBGROUP_GRID)
+def test_pgroup_or_trivial_covers_the_normal_subgroup_grid(
+        tmp_path, capsys, puzzle, win, method):
+    from spinwreath.puzzle_parser import parse_puzzle
+    from spinwreath.strategies import verify
+
+    out_path = tmp_path / "built.strategy"
+    code, _, _ = run(capsys, "construct", puzzle, "--method", method,
+                     "--win-set", win, "--output", str(out_path))
+    assert code == 0
+    ctx = parse_puzzle(puzzle, win_set={int(win)})
+    assert verify(ctx, fileio.load_strategy(str(out_path), ctx)).valid
 
 
 def test_construct_checks_a_win_set_the_constructor_did_not_use(capsys):
@@ -307,15 +334,6 @@ def test_construct_trivial_needs_a_trivial_spin_group(capsys):
     assert out.startswith("strategy")
 
 
-def test_construct_decompose(capsys):
-    code, out, _ = run(capsys, "construct", "Z4 wr C2", "--method",
-                       "decompose", "--json")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["payload"]["strategy"]["length"] == 15
-    assert doc["payload"]["minimal"] is True
-
-
 def test_construct_reports_the_states_it_searched(capsys):
     from spinwreath.decision import decide_by_search
     from spinwreath.puzzle_parser import parse_puzzle
@@ -325,32 +343,6 @@ def test_construct_reports_the_states_it_searched(capsys):
                        "search", "--json")
     assert code == 0
     assert json.loads(out)["budget"]["states_explored"] == states == 11
-
-
-def test_construct_decompose_charges_one_budget(capsys, monkeypatch):
-    # both sub-decisions count into the command's one SearchStats, so the
-    # states reported are their sum and --budget caps that sum
-    from spinwreath import cli, decision
-
-    calls = []
-
-    def spy(ctx, **kwargs):
-        stats = kwargs["stats"]
-        before = stats.states_explored
-        result = decision.decide_existence(ctx, **kwargs)
-        calls.append((stats, stats.limit, stats.states_explored - before))
-        return result
-
-    monkeypatch.setattr(cli, "decide_existence", spy)
-    code, out, _ = run(capsys, "construct", "S3 x S3 wr 1", "--method",
-                       "decompose", "--budget", "500", "--json")
-    assert code == 0
-    assert len(calls) == 2 and calls[0][0] is calls[1][0]
-    assert [budget for _, budget, _ in calls] == [500, 500]
-    doc = json.loads(out)
-    assert doc["budget"]["limit"] == 500
-    assert doc["budget"]["states_explored"] == sum(
-        spent for _, _, spent in calls) == 37
 
 
 def test_construct_involution_failure_is_a_usage_error(capsys):

@@ -51,6 +51,12 @@ def test_malformed_group_files_are_rejected(text):
         fileio.parse_group(text)
 
 
+@pytest.mark.parametrize("order", ["-1", "0"])
+def test_group_orders_below_one_are_rejected(order):
+    with pytest.raises(FileFormatInvalid, match="bad group order"):
+        fileio.parse_group(f"group G {order}\n0\n")
+
+
 def test_action_round_trip(tmp_path):
     a = cyclic_rotation_action(4)
     path = tmp_path / "rot4.action"

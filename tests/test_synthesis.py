@@ -11,9 +11,10 @@ from spinwreath import decision, groups, synthesis
 from spinwreath.actions import (WreathContext, cyclic_rotation_action,
                                 regular_action, trivial_action)
 from spinwreath.errors import (BaseCaseVerificationFailed, DoesNotGenerate,
+                               InputStrategyInvalid,
                                LiftedStrategyFailedVerification,
                                NotAPermutation, NotInvolutionGenerated,
-                               NotSamePrime)
+                               NotSamePrime, NotSurjective)
 from spinwreath.puzzle_parser import parse_puzzle
 from spinwreath.strategies import Strategy, initial_belief, interleave, verify
 
@@ -196,23 +197,6 @@ def test_involution_pair_fails_for_s3():
             g_group=groups.symmetric(3), action=synthesis.swap_action()))
 
 
-# -- decomposition along a normal subgroup -----------------------------------
-
-def test_decomposition_z4_over_its_two_element_subgroup():
-    g = groups.cyclic(4)
-    ctx = WreathContext(g_group=g, action=cyclic_rotation_action(2))
-    n = next(s for s in groups.normal_subgroups(g) if len(s.members) == 2)
-    ctx_n = WreathContext(g_group=groups.subgroup_as_group(n),
-                          action=ctx.action)
-    quot, _reps, _proj = groups.quotient(g, n)
-    ctx_q = WreathContext(g_group=quot, action=ctx.action)
-    strat_n = synthesis.construct_pgroup(ctx_n)
-    strat_q = synthesis.construct_pgroup(ctx_q)
-    strat = synthesis.construct_by_decomposition(ctx, n, strat_n, strat_q)
-    report = verify(ctx, strat)
-    assert report.valid and len(strat) == 15 and report.minimal
-
-
 # -- p-group construction ----------------------------------------------------
 
 @pytest.mark.parametrize("g,n,length", [
@@ -382,6 +366,29 @@ def test_transport_through_quotient_projection():
     out = synthesis.transport_strategy(proj, strat, target_ctx)
     assert verify(target_ctx, out).valid
     assert len(out) == len(strat)
+
+
+def test_transport_refuses_what_it_cannot_push_forward():
+    z2, z4 = groups.cyclic(2), groups.cyclic(4)
+    n = next(s for s in groups.normal_subgroups(z4) if len(s.members) == 2)
+    _quot, _reps, proj = groups.quotient(z4, n)
+    z2_ctx = WreathContext(g_group=z2, action=cyclic_rotation_action(2))
+    z4_ctx = WreathContext(g_group=z4, action=cyclic_rotation_action(2))
+    strat = synthesis.construct_pgroup(z4_ctx)
+    # a target context of another group: the kernel reads only the low
+    # digits of a move, so Z4 move indices in Z2 wr C2 would still verify
+    identity = groups.Homomorphism(source=z4, target=z4, map=(0, 1, 2, 3))
+    with pytest.raises(InputStrategyInvalid, match="phi target"):
+        synthesis.transport_strategy(identity, strat, z2_ctx)
+    not_onto = groups.Homomorphism(source=z4, target=z4, map=(0, 2, 0, 2))
+    with pytest.raises(NotSurjective):
+        synthesis.transport_strategy(not_onto, strat, z4_ctx)
+    with pytest.raises(InputStrategyInvalid, match="phi source"):
+        synthesis.transport_strategy(
+            proj, synthesis.construct_pgroup(z2_ctx), z2_ctx)
+    with pytest.raises(InputStrategyInvalid, match="does not verify"):
+        synthesis.transport_strategy(
+            proj, Strategy(ctx=z4_ctx, moves=strat.moves[:-1]), z2_ctx)
 
 
 # -- belief search -----------------------------------------------------------
