@@ -7,7 +7,8 @@ from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 from . import groups
-from .errors import ContextMismatch, ContextTooLarge, NonFaithfulAction
+from .errors import (ContextMismatch, ContextTooLarge, InputStrategyInvalid,
+                     NonFaithfulAction)
 from .groups import FiniteGroup
 
 K_SIZE_HARD_CAP = 2 ** 62
@@ -249,6 +250,93 @@ class WreathContext:
             raise ContextMismatch("operands come from different contexts")
 
 
+def spin_transversals(action: GroupAction) -> tuple:
+    """The rows of right transversals T_1, ..., T_k of a subgroup chain
+    1 = H_0 < H_1 < ... < H_k of the action's image, identity rows left out.
+
+    Level i is H_i = H_{i-1} T_i, so each row of the action is
+    r_1∘r_2∘...∘r_k for exactly one choice of each r_i from T_i or the
+    identity, the device behind Schreier–Sims (Seress, *Permutation Group
+    Algorithms*, 2003).  Elements with the same row are one element of the
+    image, so a non-faithful action gets the chain of its image.  H_i adds
+    to H_{i-1} an element of least relative order j (the least j with g^j
+    in H_{i-1}), and among those one that generates the smallest H_i; the
+    index is at least j, and at every level of a p-group it is p (the
+    normalizer of a proper subgroup is larger), so the levels hold
+    (p-1) log_p |H| rows in all.  Each right coset of H_{i-1} is
+    represented by the member whose row has the most cycles, the one with
+    the fewest delta swaps.
+    """
+    act, mul = action.act, action.h_group.mul
+    first: dict = {}
+    for h, row in enumerate(act):
+        first.setdefault(row, h)
+    name = [first[row] for row in act]  # the least element with h's row
+    sub, gens, levels = [0], [], []
+    while len(sub) < len(first):
+        inside = set(sub)
+        relative = {}
+        for g in first.values():
+            if g not in inside:
+                j, y = 1, g
+                while y not in inside:
+                    y = name[mul[y][g]]
+                    j += 1
+                relative[g] = j
+        least = min(relative.values())
+        best, tried = None, set()
+        for g, j in relative.items():
+            if j > least or g in tried:
+                continue
+            cosets = _right_cosets(name, mul, sub, gens + [g],
+                                   len(best[0]) if best else None)
+            if cosets is not None:
+                best = cosets, g
+                if len(cosets) == least:  # no subgroup is smaller
+                    break
+            # <H_{i-1}, g> is the same for every g of a right coset
+            tried.update([name[mul[h][g]] for h in sub])
+        cosets, g = best
+        levels.append(tuple(
+            act[min(coset, key=lambda h: (_transpositions(act[h]), h))
+                if len(coset) > 1 else coset[0]]
+            for coset in cosets[1:]))
+        sub = [h for coset in cosets for h in coset]
+        gens.append(g)
+    return tuple(levels)
+
+
+def _transpositions(row) -> int:
+    """The transpositions that make up a permutation: |Omega| - cycles."""
+    seen, cycles = set(), 0
+    for w in range(len(row)):
+        if w not in seen:
+            cycles += 1
+            while w not in seen:
+                seen.add(w)
+                w = row[w]
+    return len(row) - cycles
+
+
+def _right_cosets(name, mul, sub, gens, cap):
+    """The right cosets of the subgroup sub (a list starting at the
+    identity) in the group that sub and gens generate, sub first and each
+    listed from its representative; None once there would be cap of them."""
+    cosets = [sub]
+    members = set(sub)
+    for coset in cosets:  # the walk appends to the list it reads
+        row = mul[coset[0]]
+        for x in gens:
+            c = name[row[x]]
+            if c not in members:
+                if cap is not None and len(cosets) + 1 >= cap:
+                    return None
+                new = [name[mul[h][c]] for h in sub]
+                members.update(new)
+                cosets.append(new)
+    return cosets
+
+
 class BeliefKernel:
     """One belief step applied to a whole bitmask over K at once.
 
@@ -260,11 +348,14 @@ class BeliefKernel:
     every coordinate's digit the same way, so the inverses of a whole mask
     take one pass of masked shifts too.  A spin permutes coordinates; each
     coordinate transposition is |G|-1 delta swaps (Warren, Hacker's Delight,
-    ch. 7).  The rows of the action table are the whole image of H, so the
-    spin closure is the OR of the mask's images under every row.  The shift
-    masks are built on first use of each (w, g) and of inversion; the masks
-    together are O(|Omega| |G|^2) of |K| bits, plus |G|-1 per coordinate
-    transposition of each row.
+    ch. 7).  The spin closure runs through the levels of
+    ``spin_transversals``: a mask closed under H_{i-1} ORed with its images
+    under the rows of T_i is closed under H_i = H_{i-1} T_i, so the levels
+    together reach every row of the action while taking sum(|T_i| - 1)
+    images rather than one per row, (p-1) log_p |H| for a p-group H.  The
+    shift masks are built on first use of each (w, g) and of inversion; the
+    masks together are O(|Omega| |G|^2) of |K| bits, plus |G|-1 per
+    coordinate transposition of each transversal row.
     """
 
     def __init__(self, g_group: FiniteGroup, action: GroupAction,
@@ -283,14 +374,19 @@ class BeliefKernel:
         self._keep = full & ~sum(1 << s for s in win_set)
         self._shifts: dict = {}  # (w, g) -> (left shifts, right shifts)
         self._moves: dict = {}  # move -> the _shifts entries it applies
-        # each distinct row but the identity, and its delta swaps
-        self._rows = tuple(row for row in dict.fromkeys(action.act[1:])
-                           if row != action.act[0])
-        self._spins = tuple(self._swaps(row) for row in self._rows)
+        # the delta swaps of each transversal row, level by level
+        self._levels = tuple(tuple(self._swaps(row) for row in level)
+                             for level in spin_transversals(action))
+        self._act = action.act
         self._win_set = win_set
 
     def _move_shifts(self, move: int) -> tuple:
         """The masked shifts of each coordinate that the move changes."""
+        if not 0 <= move < self._n ** self._m:
+            # the digits below would read only the move's low digits
+            raise InputStrategyInvalid(
+                f"move {move} is not a base vector of K "
+                f"(0..{self._n ** self._m - 1})")
         out = []
         for w in range(self._m - 1, -1, -1):
             move, g = divmod(move, self._n)
@@ -349,14 +445,21 @@ class BeliefKernel:
         mask &= self._keep
         if not spin:
             return mask
-        out = mask
-        for swaps in self._spins:
-            image = mask
-            for delta, sel in swaps:
-                t = ((image >> delta) ^ image) & sel
-                image ^= t ^ (t << delta)
-            out |= image
-        return out
+        for level in self._levels:
+            closed = mask
+            for swaps in level:
+                image = closed
+                for delta, sel in swaps:
+                    t = ((image >> delta) ^ image) & sel
+                    image ^= t ^ (t << delta)
+                mask |= image
+        return mask
+
+    @cached_property
+    def _rows(self) -> tuple:
+        """Each distinct row of the action but the identity."""
+        return tuple(row for row in dict.fromkeys(self._act[1:])
+                     if row != self._act[0])
 
     @cached_property
     def spins_fix_win(self) -> bool:

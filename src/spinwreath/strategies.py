@@ -23,7 +23,7 @@ from functools import cached_property
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .actions import WreathContext
-from .errors import BudgetExceeded, ContextMismatch
+from .errors import BudgetExceeded, ContextMismatch, InputStrategyInvalid
 
 
 @dataclass(frozen=True)
@@ -117,22 +117,35 @@ def _run_belief(ctx: WreathContext, mask: int, moves: Sequence[int],
     return i, mask
 
 
+def _require_moves_in_k(moves: Sequence[int], k_size: int):
+    """Refuse a move that is not the index of a base vector of K."""
+    if moves and (min(moves) < 0 or max(moves) >= k_size):
+        bad = next(m for m in moves if not 0 <= m < k_size)
+        raise InputStrategyInvalid(
+            f"move {bad} is not a base vector of K (0..{k_size - 1})")
+
+
 def verify(ctx: WreathContext, strategy: Strategy,
            *, spin_period: Optional[int] = None) -> VerificationReport:
     """Belief-state verification: one ``BeliefKernel`` step per move.
 
     A step costs at most |Omega| |G| masked shifts for the move, then at
-    most (|Omega|-1)(|G|-1) delta swaps for each row of the action in the
-    spin closure; every shift or swap is a few operations on |K|-bit
-    integers.
+    most (|Omega|-1)(|G|-1) delta swaps for each transversal row of the
+    spin closure, sum(|T_i| - 1) rows in all, (p-1) log_p |H| for a p-group
+    H; every shift or swap is a few operations on |K|-bit integers.
 
     With ``spin_period = r`` the adversary may spin only on turns i with
-    i % r == 0; moves on other turns face no spin.
+    i % r == 0; moves on other turns face no spin.  A move outside
+    range(|K|) raises ``InputStrategyInvalid``.
     """
     if strategy.ctx.k_size != ctx.k_size:
         raise ContextMismatch("strategy was built for a different context")
-    _, mask = _run_belief(ctx, initial_belief(ctx), strategy.moves,
-                          spin_period)
+    # the kernel refuses a move outside K the first time it steps it; the
+    # moves after the belief set empties are never stepped
+    used, mask = _run_belief(ctx, initial_belief(ctx), strategy.moves,
+                             spin_period)
+    if used < len(strategy.moves):
+        _require_moves_in_k(strategy.moves[used:], ctx.k_size)
     valid = mask == 0
     return VerificationReport(
         valid=valid,
@@ -153,7 +166,9 @@ def verify_naive(ctx: WreathContext, strategy: Strategy,
     For each path, the lab-frame state after move j from initial state k is
     act(h_1...h_{j-1}, k * p(m_j)), so k is solved on that path iff it lies in
     act(sigma^-1, win) * p(m_j)^-1 for some prefix j (including j = 0).
+    A move outside range(|K|) raises ``InputStrategyInvalid``.
     """
+    _require_moves_in_k(strategy.moves, ctx.k_size)
     n = len(strategy)
     h_group = ctx.action.h_group
     h_order = h_group.order

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from spinwreath import catalog, groups
 from spinwreath.actions import (DENSE_TABLE_CAP, GroupAction, WreathContext,
                                 cyclic_rotation_action, dihedral_action,
-                                natural_symmetric_action, regular_action,
+                                natural_symmetric_action, permutation_action,
+                                regular_action, spin_transversals,
                                 trivial_action)
 from spinwreath.analysis import enumerate_strategies
-from spinwreath.errors import BudgetExceeded
+from spinwreath.errors import BudgetExceeded, InputStrategyInvalid
 from spinwreath.strategies import (Strategy, bits, initial_belief, interleave,
                                    minimal_length_bound, strategy_from_coords,
                                    verify, verify_naive)
@@ -117,6 +118,14 @@ def _kernel_contexts():
         WreathContext(g_group=z(3), action=dihedral_action(8)),
         WreathContext(g_group=groups.symmetric(4),
                       action=cyclic_rotation_action(3)),
+        # nonabelian H whose spin closure takes several levels
+        WreathContext(g_group=z(2), action=dihedral_action(16)),
+        WreathContext(g_group=z(2), action=natural_symmetric_action(4)),
+        WreathContext(g_group=z(2), action=permutation_action(
+            groups.alternating(4), "A4-natural")),
+        # its chain has a right transversal that is not a left one
+        WreathContext(g_group=z(2), action=permutation_action(
+            groups.alternating(5), "A5-natural")),
     ]
     return {f"{ctx.g_group.name}-{ctx.action.name}-win{sorted(ctx.win_set)}": ctx
             for ctx in contexts}
@@ -136,6 +145,57 @@ def test_kernel_matches_the_per_bit_step(label, data):
     spin = data.draw(st.booleans())
     assert ctx.belief_kernel.step(mask, move, spin) == \
         _reference_step(ctx, mask, move, spin)
+
+
+def _prime_power(order):
+    """(p, e) with order == p ** e, or None."""
+    p = next(d for d in range(2, order + 1) if order % d == 0)
+    e = 0
+    while order % p == 0:
+        order, e = order // p, e + 1
+    return (p, e) if order == 1 else None
+
+
+@pytest.mark.parametrize("label", sorted(KERNEL_CONTEXTS))
+def test_transversal_products_give_each_row_once(label):
+    # closing level by level reaches the image under r_1∘r_2∘...∘r_k for
+    # each choice of one row per level, the identity included: those
+    # products must be the distinct rows of the action, each exactly once
+    action = KERNEL_CONTEXTS[label].action
+    ident = action.act[0]
+    levels = spin_transversals(action)
+    products = [ident]
+    for level in levels:
+        assert ident not in level
+        products = [tuple(p[w] for w in r)
+                    for p in products for r in (ident,) + level]
+    assert sorted(products) == sorted(set(action.act))
+    images = len(set(action.act))
+    if images > 1 and _prime_power(images):
+        p, e = _prime_power(images)
+        assert sum(map(len, levels)) == (p - 1) * e
+
+
+@pytest.mark.parametrize("action,images", [
+    (cyclic_rotation_action(8), 3), (cyclic_rotation_action(16), 4),
+    (dihedral_action(16), 4), (cyclic_rotation_action(3), 2),
+])
+def test_spin_closure_takes_p_minus_one_images_per_level(action, images):
+    # |H| - 1 images, one per row, would be 7, 15, 15 and 2
+    assert sum(map(len, spin_transversals(action))) == images
+
+
+@pytest.mark.parametrize("action,swaps", [
+    (cyclic_rotation_action(8), 17), (dihedral_action(16), 13),
+    (natural_symmetric_action(4), 6), (dihedral_action(10), 10),
+])
+def test_each_coset_is_represented_by_its_cheapest_row(action, swaps):
+    # with switches Z2 a delta swap is a transposition of two coordinates;
+    # the least member of each coset would cost 7 on S4 and 14 on D10, and
+    # one image per row 44, 72, 46 and 26
+    kernel = WreathContext(g_group=groups.cyclic(2),
+                           action=action).belief_kernel
+    assert sum(len(row) for level in kernel._levels for row in level) == swaps
 
 
 @pytest.mark.parametrize("label", sorted(KERNEL_CONTEXTS))
@@ -252,6 +312,21 @@ def test_verify_agrees_with_verify_naive(label, data):
     strat = Strategy(ctx=ctx, moves=tuple(moves))
     assert verify(ctx, strat, spin_period=period).valid == verify_naive(
         ctx, strat, budget=ctx.h_order ** len(moves), spin_period=period)
+
+
+@pytest.mark.parametrize("moves", [(7, 5, 7), (3, 1, -1), (4,), (-4,),
+                                   (3, 1, 3, 7), (3, 1, 3, -1)])
+def test_verify_refuses_moves_outside_k(moves):
+    # the kernel would read only a move's low base-|G| digits; (3, 1, 3)
+    # wins, so the moves after it are never stepped
+    ctx = ctx_z2c2()
+    strat = Strategy(ctx=ctx, moves=moves)
+    with pytest.raises(InputStrategyInvalid, match="not a base vector"):
+        verify(ctx, strat)
+    with pytest.raises(InputStrategyInvalid, match="not a base vector"):
+        verify_naive(ctx, strat)
+    assert verify(ctx, Strategy(ctx=ctx, moves=(3, 1, 3))).valid
+
 
 def test_four_switch_fifteen_move_solution():
     ctx = catalog.four_switches_context()
