@@ -10,9 +10,10 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from functools import cached_property
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .actions import WreathContext, coordinate_map
 from .errors import BudgetExceeded, ContextTooSmall
@@ -57,8 +58,11 @@ def exact_expected_moves(ctx: WreathContext, strategy: Strategy,
     the winning set; otherwise it spreads over the adversary's spins.  The
     masses are integers: after i moves each is a numerator over
     d0 * da^i, where d0 and da are the least common denominators of the
-    initial masses and of the adversary's weights, and only the mass
-    absorbed at a step becomes a ``Fraction``.  A move moves mass by one
+    initial masses and of the adversary's weights.  The mass absorbed at a
+    step becomes a ``Fraction`` for the stop-time distribution; the total
+    absorbed and its sum weighted by step are kept as integers over the
+    denominator of the last absorbing step, one ``Fraction`` each at the
+    end.  A move moves mass by one
     coordinate map over K, and so does each spin of nonzero weight; each is
     built once per call and distinct move or spin.
     """
@@ -99,6 +103,9 @@ def exact_expected_moves(ctx: WreathContext, strategy: Strategy,
     win = sorted(ctx.win_set)
     denominator = d0
     absorbed: List[Tuple[int, Fraction]] = []
+    # the absorbed mass and its sum weighted by step, as integers over the
+    # denominator of the last step that absorbed any
+    total_num = moment_num = last = 0
     for i, move in enumerate(strategy.moves, start=1):
         moved = list(map(mass.__getitem__, sources[move]))
         hit = 0
@@ -107,6 +114,10 @@ def exact_expected_moves(ctx: WreathContext, strategy: Strategy,
             moved[t] = 0
         if hit:
             absorbed.append((i, Fraction(hit, denominator)))
+            scale = da ** (i - last)
+            total_num = total_num * scale + hit
+            moment_num = moment_num * scale + i * hit
+            last = i
         denominator *= da
         parts = []
         for p, gathers in spins.items():
@@ -115,11 +126,8 @@ def exact_expected_moves(ctx: WreathContext, strategy: Strategy,
         mass = list(map(sum, zip(*parts)))
         if not any(mass):
             break
-    total = sum((p for _, p in absorbed), Fraction(0))
-    expected = None
-    if total > 0:
-        expected = sum((Fraction(i) * p for i, p in absorbed),
-                       Fraction(0)) / total
+    total = Fraction(total_num, d0 * da ** (last - 1)) if last else Fraction(0)
+    expected = Fraction(moment_num, total_num) if total > 0 else None
     adv_label = ("uniform i.i.d." if adversary == uniform_adversary(ctx)
                  else "custom")
     return ExpectationReport(
@@ -223,90 +231,172 @@ def non_backtracking_expectation(ctx: WreathContext, trials: int, seed: int
 
 @dataclass(frozen=True)
 class EnumerationResult:
-    strategies: Tuple[Strategy, ...]
+    """The count of one enumeration; ``strategies`` is built on first read.
+
+    ``sequences`` yields the winning move sequences in the order of the
+    pruned prefix walk (ascending moves, depth first).  ``canonical_count``
+    is the number of their H-orbits, None unless ``up_to_h``.
+    """
+
     count: int
-    canonical_count: Optional[int] = None
+    up_to_h: bool
+    ctx: WreathContext = field(repr=False, compare=False)
+    sequences: Callable[[], Iterator[Tuple[int, ...]]] = field(
+        repr=False, compare=False)
+
+    @cached_property
+    def strategies(self) -> Tuple[Strategy, ...]:
+        return tuple(Strategy(ctx=self.ctx, moves=m) for m in self.sequences())
+
+    @cached_property
+    def canonical_count(self) -> Optional[int]:
+        if not self.up_to_h:
+            return None
+        return len({canonicalize_strategy(self.ctx, s)
+                    for s in self.strategies})
 
 
 def enumerate_strategies(ctx: WreathContext, length: int,
                          *, palindromic=False, minimal_only=False,
                          up_to_h=False, stats: Optional[SearchStats] = None
                          ) -> EnumerationResult:
-    """All length-N surjective strategies, by backtracking with belief pruning.
+    """All length-N surjective strategies, counted over distinct beliefs.
 
-    A prefix is pruned when the remaining moves cannot eliminate the current
-    belief set (at most |win_set| states disappear per step).  Palindromic
-    enumeration forces the mirrored half of the sequence.  The backtracking
-    keeps an explicit stack of open prefixes, so no length recurses.
+    The strategies are the winning leaves of a pruned prefix tree: a prefix
+    is a leaf at length N, and is pruned when the remaining moves cannot
+    eliminate its belief set (at most |win_set| states disappear per step).
+    Palindromic enumeration forces the mirrored half of the sequence.
 
-    Many prefixes share a belief set, so each distinct (belief, move, spin)
-    is stepped by the kernel once per call and its child looked up after
-    that.  The memo lives only for the call and gains at most one entry per
-    prefix stepped into, so the budget bounds its size.  Every prefix entered still
-    counts against ``stats.limit`` as a state (see ``SearchStats``),
-    whether its belief was stepped or looked up.
+    A prefix's subtree depends only on its node: its depth, its belief mask
+    and, under ``palindromic``, the moves ``moves[:min(depth, N - depth)]``
+    that the rest of the sequence must mirror.  A depth-first walk over an
+    explicit stack expands each distinct node once and records its totals,
+    the winning completions and the prefixes in its subtree, which every
+    later prefix with that node reuses.  Each distinct (belief, move, spin)
+    is stepped by the kernel once per call.  The result keeps only the
+    winning branches, from which ``strategies`` is built on first read.
+
+    Every prefix of the tree counts against ``stats.limit`` as a state (see
+    ``SearchStats``), a reused node with its whole subtree at once, so
+    ``states_explored`` is the number of prefixes of the tree.  The count
+    stops as soon as that running total passes the limit, leaving it at
+    the limit; the total is never less than the nodes expanded, so the
+    budget bounds the memos and the kernel steps too.
     """
     stats = stats if stats is not None else SearchStats()
     if minimal_only and length != minimal_length_bound(ctx):
-        return EnumerationResult(strategies=(), count=0,
-                                 canonical_count=0 if up_to_h else None)
+        return EnumerationResult(count=0, up_to_h=up_to_h, ctx=ctx,
+                                 sequences=lambda: iter(()))
     k = ctx.k_size
     win_size = len(ctx.win_set)
-    found: List[Tuple[int, ...]] = []
-    moves: List[int] = []  # the prefix of the node on top of the stack
-    stack = []  # (mask, spin, candidates left) of each open prefix
-    # the hot loop counts locally and adds its count to stats at the end
-    visited, limit = 0, stats.limit - stats.states_explored
     step = ctx.belief_kernel.step
     # the child belief of each (mask, move, spin) stepped so far
     children: Dict[Tuple[int, int, bool], int] = {}
+    # per depth, the totals of each node expanded there by its mask:
+    # (winning completions, prefixes in its subtree, its winning branches
+    # as (move, the child's branches)).  Under palindromic a node past the
+    # midpoint, at depth d, also mirrors moves[:N - d], the prefix of its
+    # ancestor at depth N - d: opening that ancestor starts a new memo for
+    # depth d.  A node before the midpoint mirrors its whole prefix, so no
+    # other prefix reaches it and it has no memo.
+    memos: Dict[int, Dict[int, Tuple[int, int, list]]] = {}
+    won, lost = (1, 1, ()), (0, 1, ())  # a leaf or a pruned prefix
+    moves: List[int] = []  # the prefix of the node on top of the stack
+    stack = []  # (memo, mask, spin, room, children's memo, options left,
+    #             spent and found before it, branches) per open node
 
-    def enter(mask):
-        """Count the prefix ``moves`` and open it; False for a leaf."""
-        nonlocal visited
-        if visited >= limit:
-            raise BudgetExceeded("enumeration budget exceeded")
-        visited += 1
+    def expand(memo, mask, spent_before, found_before):
+        """Open the node of the prefix ``moves`` on the stack."""
         depth = len(moves)
-        if depth == length:
-            if mask == 0:
-                found.append(tuple(moves))
-            return False
         remaining = length - depth
-        if mask.bit_count() > remaining * win_size:
-            return False
-        mirror = length - 1 - depth
-        candidates = [moves[mirror]] if palindromic and mirror < depth else range(k)
+        mirror = remaining - 1
+        if palindromic:
+            if depth < remaining:  # the nodes at depth N - depth
+                memos[remaining] = {}
+            options = (moves[mirror],) if mirror < depth else range(k)
+            child_memo = memos.get(depth + 1)
+        else:
+            options = range(k)
+            child_memo = memos.setdefault(depth + 1, {})
+        # a child with more than room states is pruned (room 0: a leaf);
         # after the last move only emptiness counts, which spins keep
-        stack.append((mask, remaining > 1, iter(candidates)))
-        return True
+        stack.append((memo, mask, remaining > 1, mirror * win_size,
+                      child_memo, iter(options), spent_before, found_before,
+                      []))
 
+    # the running totals of prefixes entered and of winning sequences; the
+    # hot loop counts locally and adds its count to stats at the end
+    spent, found, limit = 1, 0, stats.limit - stats.states_explored
+    root = initial_belief(ctx)
     try:
-        enter(initial_belief(ctx))
+        if spent > limit:
+            raise BudgetExceeded("enumeration budget exceeded")
+        if not length or root.bit_count() > length * win_size:
+            top = lost if root else won
+        else:
+            expand(None, root, 0, 0)
         while stack:
-            mask, spin, candidates = stack[-1]
-            for mv in candidates:
-                moves.append(mv)
-                key = (mask, mv, spin)
-                child = children.get(key)
+            memo, mask, spin, room, child_memo, left, spent_before, \
+                found_before, branches = stack[-1]
+            for mv in left:
+                step_key = (mask, mv, spin)
+                child = children.get(step_key)
                 if child is None:
-                    child = children[key] = step(mask, mv, spin)
-                if enter(child):
+                    child = children[step_key] = step(mask, mv, spin)
+                if child.bit_count() > room:
+                    known = lost
+                elif not room:
+                    known = won
+                elif child_memo is None:
+                    known = None
+                else:
+                    known = child_memo.get(child)
+                spent += 1 if known is None else known[1]
+                if spent > limit:
+                    raise BudgetExceeded("enumeration budget exceeded")
+                if known is None:
+                    moves.append(mv)
+                    expand(child_memo, child, spent - 1, found)
                     break
-                moves.pop()
+                if known[0]:
+                    found += known[0]
+                    branches.append((mv, known[2]))
             else:
                 stack.pop()
+                # its subtree holds what the running totals gained
+                top = (found - found_before, spent - spent_before, branches)
+                if memo is not None:
+                    memo[mask] = top
                 if moves:
+                    if top[0]:
+                        stack[-1][-1].append((moves[-1], branches))
                     moves.pop()
     finally:
-        stats.states_explored += visited
-    strategies = tuple(Strategy(ctx=ctx, moves=m) for m in found)
-    canonical_count = None
-    if up_to_h:
-        canonical = {canonicalize_strategy(ctx, s) for s in strategies}
-        canonical_count = len(canonical)
-    return EnumerationResult(strategies=strategies, count=len(strategies),
-                             canonical_count=canonical_count)
+        # a spent budget stops the count at the limit
+        stats.states_explored += min(spent, max(limit, 0))
+    wins, _, root_branches = top
+
+    def sequences() -> Iterator[Tuple[int, ...]]:
+        """The winning sequences in the walk's order: its winning branches."""
+        if wins and not length:
+            yield ()
+        path: List[int] = []
+        stack = [iter(root_branches)]
+        while stack:
+            for mv, branches in stack[-1]:
+                path.append(mv)
+                if branches:
+                    stack.append(iter(branches))
+                    break
+                yield tuple(path)
+                path.pop()
+            else:
+                stack.pop()
+                if path:
+                    path.pop()
+
+    return EnumerationResult(count=wins, up_to_h=up_to_h, ctx=ctx,
+                             sequences=sequences)
 
 
 def canonicalize_strategy(ctx: WreathContext, strat: Strategy) -> Tuple[int, ...]:

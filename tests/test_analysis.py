@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -11,7 +12,8 @@ from spinwreath.actions import (DENSE_TABLE_CAP, WreathContext,
                                 cyclic_rotation_action, trivial_action)
 from spinwreath.errors import BudgetExceeded, ContextTooSmall
 from spinwreath.puzzle_parser import parse_puzzle
-from spinwreath.strategies import Strategy, initial_belief, verify
+from spinwreath.strategies import (Strategy, initial_belief,
+                                   minimal_length_bound, verify)
 from spinwreath.synthesis import SearchStats
 from test_decision import BUDGET_PUZZLES
 from test_strategies import KERNEL_CONTEXTS
@@ -399,6 +401,84 @@ def test_enumeration_budget_caps_the_running_total():
     with pytest.raises(BudgetExceeded):
         analysis.enumerate_strategies(ctx, 5, stats=stats)
     assert stats.states_explored == 2 * entered - 1
+
+
+WALK_PREFIX_CAP = 20_000  # the most prefixes a drawn oracle walk enters
+
+
+@functools.lru_cache(maxsize=None)
+def _walk_cases():
+    """The (label, length, palindromic) triples drawn below.
+
+    One below the minimal length, where the root is pruned at once, on
+    every kernel context.  From the minimal length to two past it only
+    |K| <= 32 is tried, and a triple is kept when ``enumerate_strategies``
+    counts at most WALK_PREFIX_CAP prefixes; the oracle walk checks that
+    count.
+    """
+    cases = []
+    for label, ctx in sorted(KERNEL_CONTEXTS.items()):
+        minimal = minimal_length_bound(ctx)
+        cases += [(label, minimal - 1, pal) for pal in (False, True)]
+        for length in range(minimal, minimal + 3) if ctx.k_size <= 32 else ():
+            for pal in (False, True):
+                try:
+                    analysis.enumerate_strategies(
+                        ctx, length, palindromic=pal,
+                        stats=SearchStats(limit=WALK_PREFIX_CAP))
+                except BudgetExceeded:
+                    continue
+                cases.append((label, length, pal))
+    return cases
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_enumeration_agrees_with_the_walk_on_every_kernel_context(data):
+    # strategies in order, both counts and the prefixes entered, under every
+    # filter and win set; a budget raises exactly where the walk's did
+    label, length, palindromic = data.draw(st.sampled_from(_walk_cases()))
+    flags = {"palindromic": palindromic,
+             "minimal_only": data.draw(st.booleans()),
+             "up_to_h": data.draw(st.booleans())}
+    ctx = KERNEL_CONTEXTS[label]
+    found, entered, _ = _unmemoized_walk(ctx, length, palindromic=palindromic)
+    if flags["minimal_only"] and length != minimal_length_bound(ctx):
+        found, entered = [], 0
+    stats = SearchStats(limit=entered)
+    result = analysis.enumerate_strategies(ctx, length, stats=stats, **flags)
+    assert [s.moves for s in result.strategies] == found
+    assert result.count == len(found)
+    assert result.canonical_count == (
+        _canonical_count(ctx, found) if flags["up_to_h"] else None)
+    assert stats.states_explored == entered
+    if entered:
+        limit = data.draw(st.integers(0, entered - 1))
+        stats = SearchStats(limit=limit)
+        with pytest.raises(BudgetExceeded):
+            analysis.enumerate_strategies(ctx, length, stats=stats, **flags)
+        assert stats.states_explored == limit
+
+
+def test_enumeration_budget_bounds_the_work_on_a_huge_tree(monkeypatch):
+    # Z2 wr C8 at length 255 has about 2.3e74 strategies; the budget stops
+    # the count after no more kernel steps than it allows prefixes
+    ctx = parse_puzzle("Z2 wr C8")
+    kernel = ctx.belief_kernel
+    calls = 0
+    step = kernel.step
+
+    def counting(mask, move, spin):
+        nonlocal calls
+        calls += 1
+        return step(mask, move, spin)
+
+    monkeypatch.setattr(kernel, "step", counting)
+    stats = SearchStats(limit=10_000)
+    with pytest.raises(BudgetExceeded):
+        analysis.enumerate_strategies(ctx, 255, stats=stats)
+    assert stats.states_explored == 10_000
+    assert 0 < calls <= 10_000
 
 
 def enumerate_strategies_exhaustive(ctx, length, *, palindromic=False):

@@ -611,6 +611,29 @@ def test_enumerate_reports_the_prefixes_it_entered(capsys):
         stats.states_explored > 0
 
 
+def test_enumerate_output_writes_the_walks_strategies(tmp_path, capsys):
+    from spinwreath.puzzle_parser import parse_puzzle
+    from test_analysis import _canonical_count, _unmemoized_walk
+
+    ctx = parse_puzzle("Z2 wr C2")
+    found, _, _ = _unmemoized_walk(ctx, 7)
+    assert len(found) == 4250
+    path = tmp_path / "all.txt"
+    code, _, _ = run(capsys, "enumerate", "Z2 wr C2", "--length", "7",
+                     "--output", str(path))
+    assert code == 0
+    # one line per strategy, in the walk's order, each move as coordinates
+    assert path.read_text().splitlines() == [
+        " ".join(",".join(map(str, ctx.decode(mv))) for mv in moves)
+        for moves in found]
+    code, out, _ = run(capsys, "enumerate", "Z2 wr C2", "--length", "7",
+                       "--up-to-h", "--json")
+    assert code == 0
+    payload = json.loads(out)["payload"]
+    assert payload["count"] == 4250
+    assert payload["canonical_count"] == _canonical_count(ctx, found)
+
+
 def test_zero_length_and_depth_still_answer(capsys):
     code, out, _ = run(capsys, "enumerate", "Z2 wr C2", "--length", "0")
     assert code == 0 and "0 strategies of length 0" in out
