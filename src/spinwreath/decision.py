@@ -1,12 +1,13 @@
 """Existence decisions for surjective strategies.
 
 The theorem comes first: p-groups for one prime always win, by a verified
-construction.  Then the reductions (switch quotients, orbit restrictions
-to a subgroup of H on one orbit or every position) look for a certificate
-of nonexistence, and last one belief search of the whole context;
-``decide_by_search`` alone turns a search, of the whole or of a
-reduction's leaf, into a verdict.  An independent checker validates
-certificates by every hypothesis.
+construction.  Then the base facts (``AbelianClassification``, and
+``SylowSwap`` for two swapped copies of a G that is not a 2-group), then
+the reductions (switch quotients, orbit restrictions to a subgroup of H on
+one orbit or every position) look for a certificate of nonexistence, and
+last one belief search of the whole context; ``decide_by_search`` alone
+turns a search, of the whole or of a reduction's leaf, into a verdict.  An
+independent checker validates certificates by every hypothesis.
 """
 
 from __future__ import annotations
@@ -52,6 +53,31 @@ class AbelianClassification:
 
     def describe(self):
         return f"AbelianClassification(p={self.p_switch}, q={self.q_spin})"
+
+
+@dataclass(frozen=True)
+class SylowSwap:
+    """Leaf: two swapped copies of a group G whose order is not a power of 2.
+
+    Let H = C2 swap two positions, with win set {e} and spins every turn.
+    Take a Sylow 2-subgroup P of G, F_P = {(a, b) : a⁻¹b ∉ P}, and the
+    family {F_P : P ∈ Syl_2(G)}.  F_P is nonempty, since P ≠ G, and misses
+    (e, e), so the initial belief contains it.  The move (x, y) sends F_P
+    to {(u, v) : u⁻¹v ∉ T} with T = x⁻¹Py; closed under the swap and with
+    (e, e) dropped, that is {(u, v) : u⁻¹v ∉ T ∩ T⁻¹} minus (e, e).
+    Conjugation by x turns T ∩ T⁻¹ into Pc ∩ c⁻¹P, with c = yx⁻¹.  Fix x0
+    in Pc ∩ c⁻¹P and let D = P ∩ c⁻¹Pc: for every member x, x0⁻¹x lies in
+    D; conjugation by x0 swaps P and c⁻¹Pc, so x0 normalizes D, and x0²
+    lies in D.  So Pc ∩ c⁻¹P lies in D ∪ x0·D, a 2-group, and by Sylow's
+    theorem in some Sylow P''.  Then F_{x⁻¹P''x} lies inside the step:
+    the family is closed, and the argument of ``ExhaustiveBeliefSearch``
+    gives "no".
+    """
+
+    order: int
+
+    def describe(self):
+        return f"SylowSwap(|G|={self.order})"
 
 
 @dataclass(frozen=True)
@@ -101,8 +127,8 @@ class OrbitRestriction:
                 f"{self.embedding.source.name} <= {self.embedding.target.name})")
 
 
-Certificate = Union[AbelianClassification, ExhaustiveBeliefSearch,
-                    SwitchQuotient, OrbitRestriction]
+Certificate = Union[AbelianClassification, SylowSwap,
+                    ExhaustiveBeliefSearch, SwitchQuotient, OrbitRestriction]
 
 
 def render_certificate(cert: Certificate, indent: int = 0) -> str:
@@ -193,6 +219,16 @@ def _abelian_leaf(g: FiniteGroup, action: GroupAction
     return AbelianClassification(p_switch=p, q_spin=q)
 
 
+def _sylow_leaf(g: FiniteGroup, action: GroupAction) -> Optional[SylowSwap]:
+    """The leaf where its hypotheses hold: G a group whose order is not a
+    power of 2, spun by the faithful swap of two positions; else None."""
+    if (g.is_associative and p_group_prime(g) not in (2, TRIVIAL_P)
+            and action.h_group.order == 2 and action.omega_size == 2
+            and action.is_faithful()):
+        return SylowSwap(order=g.order)
+    return None
+
+
 def _is_elementary_abelian(g: FiniteGroup) -> Optional[int]:
     """The prime p if G is a nontrivial vector space over F_p, else None."""
     if g.order == 1 or not g.is_abelian():
@@ -239,8 +275,8 @@ def _prove_no(g: FiniteGroup, action: GroupAction, depth: int,
 
 def _reduce(g: FiniteGroup, action: GroupAction, depth: int,
             stats: SearchStats) -> Optional[Certificate]:
-    """The base fact, then every reduction to a smaller context."""
-    leaf = _abelian_leaf(g, action)
+    """The base facts, then every reduction to a smaller context."""
+    leaf = _abelian_leaf(g, action) or _sylow_leaf(g, action)
     if leaf is not None or depth == 0 or not g.is_associative:
         return leaf
     h = action.h_group
@@ -295,7 +331,8 @@ def validate_certificate(ctx: WreathContext, cert: Certificate) -> bool:
     family it carries, in |family| x |K| steps and no search.  At the root
     it is checked under the context's own win set, loop switches included:
     its argument needs the step alone, not associativity.  The other
-    certificates rest on group theory and the win set {0}.
+    certificates rest on group theory and the win set {0}; ``SylowSwap`` is
+    checked from |G| and the action table, in O(|G| + |H|).
     """
     if isinstance(cert, ExhaustiveBeliefSearch):
         return _is_closed_family(ctx.g_group, ctx.action, cert.beliefs,
@@ -315,6 +352,14 @@ def _validate_node(g: FiniteGroup, action: GroupAction,
             return False
         q = p_group_prime(action.h_group)
         return q == cert.q_spin and q not in (None, TRIVIAL_P, p)
+
+    if isinstance(cert, SylowSwap):
+        # the order and the action table alone, which has one row per
+        # element of H; associativity rests on the root's guard against
+        # loops
+        n = g.order
+        return (cert.order == n and n & (n - 1) != 0
+                and action.act == ((0, 1), (1, 0)))
 
     if isinstance(cert, ExhaustiveBeliefSearch):
         return _is_closed_family(g, action, cert.beliefs)

@@ -53,7 +53,8 @@ def test_decide_validates_every_no(capsys, argv, validated):
 
 
 def test_decide_reports_validated_only_for_a_no(capsys):
-    for puzzle, code in (("Z2 wr C2", 0), ("S3 wr C2", 4)):
+    # no reduction reaches A4 wr C3, so its search spends the budget
+    for puzzle, code in (("Z2 wr C2", 0), ("A4 wr C3", 4)):
         got, out, _ = run(capsys, "decide", puzzle, "--budget", "20",
                           "--json")
         assert got == code
@@ -71,15 +72,23 @@ def test_decide_rejected_certificate_is_not_reported(capsys, monkeypatch):
 
 
 def test_decide_counts_the_states_behind_a_certificate(capsys):
-    # the reductions' one leaf, the quotient Z2 wr C2, is a p-group for one
-    # prime and is not searched, so the states are those the search of the
-    # whole context enters before its antichain of 3 sets closes
-    code, out, _ = run(capsys, "decide", "S3 wr C2", "--json")
+    # a custom win set skips the reductions, so the states are those the
+    # search of the whole context enters before its antichain of 3 sets
+    # closes
+    code, out, _ = run(capsys, "decide", "S3 wr C2", "--win-set", "0,7",
+                       "--json")
     assert code == 3
     doc = json.loads(out)
     assert "ExhaustiveBeliefSearch" in doc["payload"]["certificate"]
     assert "sets=3" in doc["payload"]["certificate"]
-    assert doc["budget"]["states_explored"] == 52
+    assert doc["budget"]["states_explored"] == 16
+    # under the win set {e} the Sylow leaf proves it, and no state is
+    # entered
+    code, out, _ = run(capsys, "decide", "S3 wr C2", "--json")
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["payload"]["certificate"] == "SylowSwap(|G|=6)"
+    assert doc["budget"]["states_explored"] == 0
 
 
 def test_decide_counts_the_states_of_a_failed_certificate_search(capsys):
@@ -138,7 +147,7 @@ def test_a_broken_p_group_construction_is_not_swallowed(capsys, monkeypatch):
     assert err.startswith("error:")
 
 
-@pytest.mark.parametrize("puzzle,budget,exit_code", [("S3 wr C2", 50, 4),
+@pytest.mark.parametrize("puzzle,budget,exit_code", [("A4 wr C3", 50, 4),
                                                      ("Z4 wr C4", 100, 0)])
 def test_decide_explores_at_most_its_budget(capsys, puzzle, budget, exit_code):
     # the certificate leaves and the final search share the one budget
@@ -151,11 +160,12 @@ def test_decide_explores_at_most_its_budget(capsys, puzzle, budget, exit_code):
 
 
 def test_certify_counts_the_states_of_its_leaves(capsys):
+    # the Sylow leaf of S3 wr C2 rests on |G| and the swap: no search
     code, out, _ = run(capsys, "certify", "S3 wr C2", "--json")
     assert code == 3
     doc = json.loads(out)
-    assert "ExhaustiveBeliefSearch" in doc["payload"]["certificate"]
-    assert doc["budget"]["states_explored"] == 52
+    assert doc["payload"]["certificate"] == "SylowSwap(|G|=6)"
+    assert doc["budget"]["states_explored"] == 0
 
 
 def test_certify_answers_p_groups_by_the_theorem(capsys):
@@ -453,10 +463,12 @@ def test_classify(capsys):
 
 @pytest.mark.parametrize("puzzle,certificate", [
     # G is not elementary abelian, or H is no q-group: the classification
-    # leaf does not apply, so classify attaches the reduction certify finds
+    # leaf does not apply, so classify attaches the certificate certify
+    # finds, the Sylow leaf for two swapped copies of G
     ("Z4 wr C3", "SwitchQuotient(Z4 -> Z4/N2)"),
-    ("Z6 wr C2", "SwitchQuotient(Z6 -> Z6/N2)"),
-    ("Z9 wr C2", "SwitchQuotient(Z9 -> Z9/N3)"),
+    ("Z6 wr C3", "SwitchQuotient(Z6 -> Z6/N3)"),
+    ("Z6 wr C2", "SylowSwap(|G|=6)"),
+    ("Z9 wr C2", "SylowSwap(|G|=9)"),
     ("Z2 wr C6", "OrbitRestriction(omega=0, orbit={0,2,4}"),
 ])
 def test_classify_attaches_the_reduction_certificate(capsys, puzzle,

@@ -5,11 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinwreath import decision, groups
-from spinwreath.actions import (WreathContext, cyclic_rotation_action,
+from spinwreath.actions import (GroupAction, WreathContext,
+                                cyclic_rotation_action,
                                 natural_symmetric_action, regular_action)
 from spinwreath.analysis import enumerate_strategies
 from spinwreath.decision import (AbelianClassification, ExhaustiveBeliefSearch,
-                                 OrbitRestriction, SwitchQuotient,
+                                 OrbitRestriction, SwitchQuotient, SylowSwap,
                                  classify_abelian, decide_by_search,
                                  decide_existence,
                                  find_nonexistence_certificate,
@@ -136,8 +137,7 @@ CENSUS_SLICE = [
 
 def test_census_slice_certificates_validate():
     # Z2 wr C2 and Z4 wr C2 are p-groups for one prime, so they have
-    # strategies; S3 wr C2 has none, but no reduction reaches it (the
-    # whole-context search of decide does)
+    # strategies; every other row, S3 wr C2 included, is certified
     certified = set()
     for puzzle in CENSUS_SLICE:
         ctx = parse_puzzle(puzzle)
@@ -146,9 +146,101 @@ def test_census_slice_certificates_validate():
         if cert is not None:
             assert validate_certificate(ctx, cert), puzzle
             certified.add(puzzle)
-    assert len(CENSUS_SLICE) == 24 and len(certified) == 21
-    assert set(CENSUS_SLICE) - certified == {"Z2 wr C2", "Z4 wr C2",
-                                             "S3 wr C2"}
+    assert len(CENSUS_SLICE) == 24 and len(certified) == 22
+    assert set(CENSUS_SLICE) - certified == {"Z2 wr C2", "Z4 wr C2"}
+
+
+# -- the Sylow leaf: two swapped copies of G ---------------------------------
+
+# every group the parser names with |G| <= 32 (|K| <= 1,024), up to the
+# names of one group (S2 = Z2, A3 = Z3, D4 = Z2 x Z2, D6 = S3), and some
+# direct products; A5 (|K| = 3,600) is left out for time
+SYLOW_GROUPS = ([f"Z{n}" for n in range(1, 33)] + ["S3", "S4", "A4"]
+                + [f"D{n}" for n in range(8, 33, 2)]
+                + ["Z2 x Z2", "Z2 x Z2 x Z2", "Z2 x S3", "Z3 x S3",
+                   "Z2 x A4", "Z2 x D8", "Z4 x Z4"])
+
+
+def _two_subgroups(g):
+    """The subgroups of G whose order is a power of 2, by order."""
+    return [s for s in groups.all_subgroups(g) if len(s) & (len(s) - 1) == 0]
+
+
+def _swap_family(ctx, subgroups):
+    """{F_S : S in subgroups} as masks over G wr C2, with F_S the states
+    (a, b) such that a⁻¹b is not in S."""
+    g = ctx.g_group
+    return frozenset(
+        sum(1 << ctx.encode((a, b)) for a in g.elements()
+            for b in g.elements() if g.mul[g.inv[a]][b] not in s)
+        for s in subgroups)
+
+
+@pytest.mark.parametrize("text", SYLOW_GROUPS)
+def test_the_sylow_family_is_closed_exactly_off_2_groups(text):
+    ctx = parse_puzzle(f"{text} wr C2")
+    g = ctx.g_group
+    two_part = max(len(s) for s in _two_subgroups(g))
+    sylows = [s for s in _two_subgroups(g) if len(s) == two_part]
+    closed = decision._is_closed_family(g, ctx.action,
+                                        _swap_family(ctx, sylows))
+    assert closed == (groups.p_group_prime(g) not in (2, groups.TRIVIAL_P))
+
+
+def test_only_the_sylow_class_of_s4_gives_a_closed_family():
+    # S4 has seven classes of 2-subgroups: the trivial one, the
+    # transpositions, the double transpositions, the normal and the other
+    # Klein four-groups, C4, and the Sylow D8
+    ctx = parse_puzzle("S4 wr C2")
+    g = ctx.g_group
+    classes = {frozenset(frozenset(g.conjugate(x, y) for y in s)
+                         for x in g.elements())
+               for s in _two_subgroups(g)}
+    assert len(classes) == 7
+    for members in classes:
+        closed = decision._is_closed_family(g, ctx.action,
+                                            _swap_family(ctx, members))
+        assert closed == (len(next(iter(members))) == 8)
+
+
+@pytest.mark.parametrize("text", ["A5 wr C2", "S5 wr C2", "A6 wr C2",
+                                  "D6 wr C2", "Z6 wr C2", "A4 wr C2"])
+def test_decide_answers_g_wr_c2_by_the_sylow_leaf(text):
+    ctx = parse_puzzle(text)
+    result = decide_existence(ctx)
+    assert result.verdict == "no" and result.states_explored == 0
+    assert result.certificate == SylowSwap(order=ctx.g_group.order)
+    assert validate_certificate(ctx, result.certificate)
+
+
+def test_the_sylow_leaf_reaches_an_involution_of_h():
+    # C2 <= C4 swaps the positions 0 and 2: S3 wr C4 restricts to S3 wr C2
+    ctx = parse_puzzle("S3 wr C4")
+    cert = find_nonexistence_certificate(ctx)
+    assert isinstance(cert, OrbitRestriction) and cert.orbit == (0, 2)
+    assert cert.child == SylowSwap(order=6)
+    assert validate_certificate(ctx, cert)
+
+
+# C2 fixing both positions: no swap
+FIXED_C2 = GroupAction(h_group=z(2), omega_size=2, act=((0, 1), (0, 1)))
+
+
+@pytest.mark.parametrize("ctx,order", [
+    # 2-groups, whose Sylow subgroup is G itself
+    (parse_puzzle("Z4 wr C2"), 4), (parse_puzzle("D8 wr C2"), 8),
+    # not the swap of two positions
+    (parse_puzzle("S3 wr C3"), 6), (parse_puzzle("Z6 wr C3"), 6),
+    (WreathContext(g_group=groups.symmetric(3), action=FIXED_C2,
+                   allow_non_faithful=True), 6),
+    # the wrong order
+    (parse_puzzle("S3 wr C2"), 12), (parse_puzzle("S3 wr C2"), 3),
+    # the lemma holds for the win set {e} only
+    (parse_puzzle("S3 wr C2", win_set=(0, 7)), 6),
+], ids=["Z4 wr C2", "D8 wr C2", "S3 wr C3", "Z6 wr C3", "S3 wr fixed C2",
+        "S3 wr C2, order 12", "S3 wr C2, order 3", "S3 wr C2, win set 0,7"])
+def test_the_validator_refuses_a_misapplied_sylow_leaf(ctx, order):
+    assert not validate_certificate(ctx, SylowSwap(order=order))
 
 
 def test_certificate_for_s4_switches():
@@ -271,15 +363,16 @@ def test_decide_no_via_certificate_before_search():
     assert result.message == "nonexistence certificate found"
 
 
-def test_the_reductions_leave_s3_wr_c2_to_the_search():
-    # no reduction proves S3 wr C2; the one search of the whole context,
-    # which decide_existence runs after them, gives the exhaustive leaf
+def test_the_reductions_prove_s3_wr_c2_by_the_sylow_leaf():
+    # |S3| = 6 is not a power of 2, so the base fact for two swapped
+    # copies proves S3 wr C2 before any quotient, and nothing is searched
     ctx = WreathContext(g_group=groups.symmetric(3), action=swap_action())
-    assert find_nonexistence_certificate(ctx) is None
+    stats = SearchStats()
+    cert = find_nonexistence_certificate(ctx, stats=stats)
+    assert cert == SylowSwap(order=6) and stats.states_explored == 0
     result = decide_existence(ctx)
-    assert result.verdict == "no"
-    assert isinstance(result.certificate, ExhaustiveBeliefSearch)
-    assert validate_certificate(ctx, result.certificate)
+    assert result.verdict == "no" and result.states_explored == 0
+    assert result.certificate == cert and validate_certificate(ctx, cert)
 
 
 def test_the_reductions_search_no_sub_context_the_theorem_solves(
@@ -300,8 +393,9 @@ def test_the_reductions_search_no_sub_context_the_theorem_solves(
     monkeypatch.setattr(decision, "decide_by_search", spy)
     for text in ("S3 wr C2", "Z6 wr 1", "Z2 wr S3"):
         decide_existence(parse_puzzle(text))
-    # only the whole contexts that no reduction decides are searched
-    assert [ctx.name for ctx in searched] == ["S3 wr C2", "Z6 wr 1"]
+    # only the whole contexts that no reduction decides are searched:
+    # the Sylow leaf proves S3 wr C2 and an orbit restriction Z2 wr S3
+    assert [ctx.name for ctx in searched] == ["Z6 wr 1"]
     assert not any(groups.same_prime(ctx.g_group, ctx.action.h_group)
                    for ctx in searched)
 
@@ -405,15 +499,21 @@ def test_no_belief_search_explores_more_states_than_its_budget(puzzle, budget,
 
 
 # 64 < |K| <= 1,024; decide answers the p-group Z2 wr C8 by the theorem,
-# so only enumeration and the direct search spend its budget
-LARGE_BUDGET_PUZZLES = ["A4 wr C2", "S3 wr C3", "D10 wr C2", "Z2 wr C8"]
+# S3 wr C3 by a quotient and A4 wr C2 and D10 wr C2 by the Sylow leaf, so
+# there only enumeration and the direct search spend its budget; the win
+# set {0, 11} skips the reductions, and decide's own search of D10 wr C2
+# enters 61 states
+LARGE_BUDGET_PUZZLES = [("A4 wr C2", None), ("S3 wr C3", None),
+                        ("D10 wr C2", None), ("D10 wr C2", (0, 11)),
+                        ("Z2 wr C8", None)]
 
 
 @settings(max_examples=15, deadline=None)
 @given(puzzle=st.sampled_from(LARGE_BUDGET_PUZZLES),
        budget=st.integers(min_value=1, max_value=500))
 def test_one_search_stats_caps_every_engine_above_k_64(puzzle, budget):
-    ctx = parse_puzzle(puzzle)
+    text, win_set = puzzle
+    ctx = parse_puzzle(text, win_set=win_set)
     stats = SearchStats(limit=budget)
     for engine in (lambda: decide_existence(ctx, stats=stats),
                    lambda: find_nonexistence_certificate(ctx, stats=stats),
@@ -444,6 +544,12 @@ def test_validator_reads_no_tables_and_no_kernel(monkeypatch):
     dropped = max(cert.beliefs - {initial_belief(ctx)})
     assert not validate_certificate(
         ctx, replace(cert, beliefs=cert.beliefs - {dropped}))
+    # the Sylow leaf is checked from |G| and the action table alone: not
+    # even the multiplication table of A6 is read
+    blank = replace(groups.alternating(6), mul=None, inv=None)
+    big = WreathContext(g_group=blank, action=swap_action())
+    assert validate_certificate(big, SylowSwap(order=360))
+    assert not validate_certificate(big, SylowSwap(order=720))
 
 
 def _reference_family(ctx):
