@@ -1,14 +1,15 @@
 """Expected-turn computations and strategy enumeration.
 
-Exact expectations carry integer masses over one common denominator and
-turn them into ``Fraction``s only for the report; floating point only ever
-appears in Monte Carlo summaries.
+Exact expectation counts paths: every state outside the win set starts
+with one path and every spin extends each path once, so the masses stay
+integers over one denominator per step and become the report's two
+``Fraction``s only at the end.  Floating point only ever appears in Monte
+Carlo summaries.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -29,68 +30,36 @@ from .synthesis import SearchStats
 class ExpectationReport:
     absorbed_probability: Fraction
     conditional_expected_moves: Optional[Fraction]
-    stop_time_distribution: Tuple[Tuple[int, Fraction], ...]
-    adversary_model: str
-
-    def expected_moves(self) -> Optional[Fraction]:
-        return self.conditional_expected_moves
 
 
-def uniform_adversary(ctx: WreathContext) -> Dict[int, Fraction]:
-    n = ctx.h_order
-    return {h: Fraction(1, n) for h in range(n)}
-
-
-def uniform_initial(ctx: WreathContext) -> Dict[int, Fraction]:
-    states = [s for s in range(ctx.k_size) if s not in ctx.win_set]
-    if not states:
-        raise ContextTooSmall("every state is in the win set")
-    return {s: Fraction(1, len(states)) for s in states}
-
-
-def exact_expected_moves(ctx: WreathContext, strategy: Strategy,
-                         adversary: Optional[Dict[int, Fraction]] = None,
-                         initial: Optional[Dict[int, Fraction]] = None
+def exact_expected_moves(ctx: WreathContext, strategy: Strategy
                          ) -> ExpectationReport:
-    """Propagate exact probability mass through the per-step transition.
+    """Count the paths a strategy absorbs against a uniform spinner.
 
-    Mass sitting at state s is absorbed at step i when the move lands it in
-    the winning set; otherwise it spreads over the adversary's spins.  The
-    masses are integers: after i moves each is a numerator over
-    d0 * da^i, where d0 and da are the least common denominators of the
-    initial masses and of the adversary's weights.  The mass absorbed at a
-    step becomes a ``Fraction`` for the stop-time distribution; the total
-    absorbed and its sum weighted by step are kept as integers over the
-    denominator of the last absorbing step, one ``Fraction`` each at the
-    end.  A move moves mass by one
-    coordinate map over K, and so does each spin of nonzero weight; each is
-    built once per call and distinct move or spin.
+    The start is uniform over the states outside the win set and each turn
+    the spinner plays every element of H with equal weight, so after i
+    moves the mass at a state is the number of paths that reach it, over
+    (|K| - |win|) * |H|^(i - 1).  Mass the move lands in the win set is
+    absorbed; the rest spreads over every element of H, one gather list
+    per element (a non-faithful H keeps the weight of each element).  The
+    absorbed paths and their sum weighted by step are kept as integers
+    over the denominator of the last step that absorbed any, one
+    ``Fraction`` each at the end.  A move moves mass by one coordinate map
+    over K, built once per call and distinct move.
     """
-    adversary = adversary if adversary is not None else uniform_adversary(ctx)
-    initial = initial if initial is not None else uniform_initial(ctx)
-    if sum(adversary.values()) != 1:
-        raise ValueError("adversary probabilities must sum to 1")
-    if sum(initial.values()) != 1:
-        raise ValueError("initial probabilities must sum to 1")
-    n, m, k = ctx.g_group.order, ctx.omega_size, ctx.k_size
-    if not all(0 <= h < ctx.h_order for h in adversary):
-        raise ValueError("adversary keys must be spins in range(|H|)")
-    if not all(0 <= s < k for s in initial):
-        raise ValueError("initial keys must be states in range(|K|)")
-    weights = {h: Fraction(p) for h, p in adversary.items() if p != 0}
-    start = {s: Fraction(p) for s, p in initial.items()}
-    da = math.lcm(*(p.denominator for p in weights.values()))
-    d0 = math.lcm(*(p.denominator for p in start.values()))
-    mass = [0] * k
-    for s, p in start.items():
-        mass[s] += p.numerator * (d0 // p.denominator)
+    n, m, k, h_order = (ctx.g_group.order, ctx.omega_size, ctx.k_size,
+                        ctx.h_order)
+    win = sorted(ctx.win_set)
+    if len(win) == k:
+        raise ContextTooSmall("every state is in the win set")
+    mass = [1] * k
+    for t in win:
+        mass[t] = 0
     # spin h sends t to u with coordinate w of u = coordinate act[h^-1][w]
     # of t, so new mass at u gathers the mass of that t
     h_inv, act = ctx.action.h_group.inv, ctx.action.act
-    spins: Dict[int, List[List[int]]] = {}  # numerator -> source lists
-    for h, p in weights.items():
-        spins.setdefault(p.numerator * (da // p.denominator), []).append(
-            coordinate_map(n, [range(n)] * m, act[h_inv[h]]))
+    spins = [coordinate_map(n, [range(n)] * m, act[h_inv[h]])
+             for h in range(h_order)]
     # mass at t after a move comes from the state s with s * move = t, so
     # each digit of s is a right division: div[c][x * c] = x
     mul = ctx.g_group.mul
@@ -100,12 +69,7 @@ def exact_expected_moves(ctx: WreathContext, strategy: Strategy,
             div[c][mul[x][c]] = x
     sources = {move: coordinate_map(n, [div[c] for c in ctx.decode(move)])
                for move in set(strategy.moves)}
-    win = sorted(ctx.win_set)
-    denominator = d0
-    absorbed: List[Tuple[int, Fraction]] = []
-    # the absorbed mass and its sum weighted by step, as integers over the
-    # denominator of the last step that absorbed any
-    total_num = moment_num = last = 0
+    total = moment = last = 0
     for i, move in enumerate(strategy.moves, start=1):
         moved = list(map(mass.__getitem__, sources[move]))
         hit = 0
@@ -113,36 +77,27 @@ def exact_expected_moves(ctx: WreathContext, strategy: Strategy,
             hit += moved[t]
             moved[t] = 0
         if hit:
-            absorbed.append((i, Fraction(hit, denominator)))
-            scale = da ** (i - last)
-            total_num = total_num * scale + hit
-            moment_num = moment_num * scale + i * hit
+            scale = h_order ** (i - last)
+            total = total * scale + hit
+            moment = moment * scale + i * hit
             last = i
-        denominator *= da
-        parts = []
-        for p, gathers in spins.items():
-            scaled = list(map(p.__mul__, moved))
-            parts += [map(scaled.__getitem__, src) for src in gathers]
-        mass = list(map(sum, zip(*parts)))
+        mass = list(map(sum, zip(*[map(moved.__getitem__, src)
+                                   for src in spins])))
         if not any(mass):
             break
-    total = Fraction(total_num, d0 * da ** (last - 1)) if last else Fraction(0)
-    expected = Fraction(moment_num, total_num) if total > 0 else None
-    adv_label = ("uniform i.i.d." if adversary == uniform_adversary(ctx)
-                 else "custom")
-    return ExpectationReport(
-        absorbed_probability=total,
-        conditional_expected_moves=expected,
-        stop_time_distribution=tuple(absorbed),
-        adversary_model=adv_label,
-    )
+    if not total:
+        return ExpectationReport(Fraction(0), None)
+    paths = (k - len(win)) * h_order ** (last - 1)
+    return ExpectationReport(Fraction(total, paths), Fraction(moment, total))
 
 
 # ---------------------------------------------------------------------------
 # random play
 # ---------------------------------------------------------------------------
 
-MAX_TURNS = 10 ** 6  # a simulated game longer than this raises RuntimeError
+# a simulated game longer than this raises BudgetExceeded; uniform play
+# takes |K| - 1 turns on average, so on a |K| far above it most games do
+MAX_TURNS = 10 ** 6
 
 
 def random_play_expectation(ctx: WreathContext) -> Fraction:
@@ -202,7 +157,8 @@ def _game_lengths(ctx: WreathContext, rng: random.Random,
                 spin = getrandbits(spin_bits)
             state = act[spin][state] if act else ctx.k_act(spin, state)
         else:
-            raise RuntimeError("simulation did not terminate")
+            raise BudgetExceeded(
+                f"a simulated game passed {MAX_TURNS} turns unwon")
         yield turn
 
 

@@ -210,11 +210,13 @@ def _cmd_enumerate(args, ctx, stats) -> Answer:
         minimal_only=args.minimal_only, up_to_h=args.up_to_h, stats=stats,
     )
     if args.output:
+        texts = {}  # each distinct move as written: its coordinates
         with open(args.output, "w", encoding="utf-8") as fh:
-            for strat in result.strategies:
-                fh.write(" ".join(
-                    ",".join(str(c) for c in move) for move in strat.coords()
-                ) + "\n")
+            for moves in result.sequences():
+                for mv in moves:
+                    if mv not in texts:
+                        texts[mv] = ",".join(map(str, ctx.decode(mv)))
+                fh.write(" ".join(map(texts.__getitem__, moves)) + "\n")
     payload = {"context": ctx.name, "length": args.length,
                "count": result.count,
                "canonical_count": result.canonical_count,
@@ -240,7 +242,7 @@ def _cmd_expect(args, ctx, stats) -> Answer:
         payload.update({
             "absorbed_probability": str(report.absorbed_probability),
             "expected_moves": None if expected is None else str(expected),
-            "adversary": report.adversary_model,
+            "adversary": "uniform i.i.d.",
         })
         human = (f"{ctx.name}: absorbed {report.absorbed_probability}, "
                  f"expected moves {expected}")

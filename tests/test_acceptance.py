@@ -62,7 +62,7 @@ def test_criterion_02_four_switch_solution():
     elapsed = time.process_time() - started
     ok = (report.valid and report.minimal and len(strat) == 15 == ctx.k_size - 1
           and expect.absorbed_probability == 1
-          and expect.expected_moves() == Fraction(8)
+          and expect.conditional_expected_moves == Fraction(8)
           and elapsed < 1.0)
     _report(2, ok, "the 15-move four-switch solution verifies, is minimal, "
                    "and averages exactly 8 moves")

@@ -25,13 +25,11 @@ def ctx_of(g, n):
 
 # -- exact expectations ------------------------------------------------------
 
-def _reference_expectation(ctx, strategy, adversary=None, initial=None):
+def _reference_expectation(ctx, strategy):
     """The per-state Fraction loop, written from k_mul, k_act and the win set."""
-    if adversary is None:
-        adversary = analysis.uniform_adversary(ctx)
-    if initial is None:
-        initial = analysis.uniform_initial(ctx)
-    dist = dict(initial)
+    states = [s for s in range(ctx.k_size) if s not in ctx.win_set]
+    dist = {s: Fraction(1, len(states)) for s in states}
+    spin = Fraction(1, ctx.h_order)
     absorbed = []
     for i, move in enumerate(strategy.moves, start=1):
         new_dist = {}
@@ -41,11 +39,9 @@ def _reference_expectation(ctx, strategy, adversary=None, initial=None):
             if t in ctx.win_set:
                 hit += mass
                 continue
-            for h, weight in adversary.items():
-                if weight == 0:
-                    continue
+            for h in range(ctx.h_order):
                 u = ctx.k_act(h, t)
-                new_dist[u] = new_dist.get(u, Fraction(0)) + mass * weight
+                new_dist[u] = new_dist.get(u, Fraction(0)) + mass * spin
         if hit:
             absorbed.append((i, hit))
         dist = new_dist
@@ -58,10 +54,6 @@ def _reference_expectation(ctx, strategy, adversary=None, initial=None):
     return analysis.ExpectationReport(
         absorbed_probability=total,
         conditional_expected_moves=expected,
-        stop_time_distribution=tuple(absorbed),
-        adversary_model=("uniform i.i.d."
-                         if adversary == analysis.uniform_adversary(ctx)
-                         else "custom"),
     )
 
 
@@ -74,16 +66,6 @@ EXPECTATION_CONTEXTS = {
 }
 
 
-def _distribution(data, keys):
-    """Random positive and zero weights with mixed denominators, summing to 1."""
-    raw = {key: Fraction(data.draw(st.integers(0, 4)),
-                         data.draw(st.integers(1, 7))) for key in keys}
-    if not any(raw.values()):
-        raw[keys[0]] = Fraction(1)
-    total = sum(raw.values())
-    return {key: p / total for key, p in raw.items()}
-
-
 @pytest.mark.parametrize("label", sorted(EXPECTATION_CONTEXTS))
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
@@ -92,18 +74,9 @@ def test_expectation_matches_the_fraction_loop(label, data):
     k = ctx.k_size
     moves = data.draw(st.lists(st.integers(0, k - 1),
                                max_size=min(k + 2, 24)))
-    adversary = data.draw(st.sampled_from(
-        [None, analysis.uniform_adversary(ctx), "custom"]))
-    if adversary == "custom":
-        adversary = _distribution(data, list(range(ctx.h_order)))
-    initial = None
-    if data.draw(st.booleans()):
-        support = data.draw(st.lists(st.integers(0, k - 1), min_size=1,
-                                     max_size=6, unique=True))
-        initial = _distribution(data, support)
     strat = Strategy(ctx=ctx, moves=tuple(moves))
-    assert analysis.exact_expected_moves(ctx, strat, adversary, initial) == \
-        _reference_expectation(ctx, strat, adversary, initial)
+    assert analysis.exact_expected_moves(ctx, strat) == \
+        _reference_expectation(ctx, strat)
 
 
 @pytest.mark.parametrize("g_order,n", [(2, 8), (32, 2)])
@@ -111,10 +84,6 @@ def test_expectation_builds_no_dense_tables(g_order, n):
     ctx = ctx_of(groups.cyclic(g_order), n)
     strat = Strategy(ctx=ctx, moves=tuple(range(1, 40)))
     analysis.exact_expected_moves(ctx, strat)
-    analysis.exact_expected_moves(ctx, strat,
-                                  adversary={0: Fraction(1, 3),
-                                             1: Fraction(2, 3)},
-                                  initial={3: Fraction(1, 2), 5: Fraction(1, 2)})
     for table in ("_k_mul_table", "_k_act_table", "_k_inv_table",
                   "orbit_masks"):
         assert table not in ctx.__dict__
@@ -125,43 +94,22 @@ def test_four_switch_solution_takes_eight_moves_on_average():
     strat = catalog.four_switches_strategy(ctx)
     report = analysis.exact_expected_moves(ctx, strat)
     assert report.absorbed_probability == 1
-    assert report.expected_moves() == Fraction(8)
-    assert sum(m for _, m in report.stop_time_distribution) == 1
+    assert report.conditional_expected_moves == Fraction(8)
 
 
-def test_expectation_is_eight_even_against_a_biased_spinner():
-    # the adversary that always turns 90 degrees changes nothing: the
-    # strategy's guarantees are spin-independent and so is its average
-    ctx = catalog.four_switches_context()
-    strat = catalog.four_switches_strategy(ctx)
-    quarter_only = {h: Fraction(1 if h == 1 else 0) for h in range(4)}
-    report = analysis.exact_expected_moves(ctx, strat, adversary=quarter_only)
-    assert report.absorbed_probability == 1
-    assert report.expected_moves() == Fraction(8)
-    assert report.adversary_model == "custom"
-    # weights that do not sum to 1 are rejected even under python -O
-    with pytest.raises(ValueError):
-        analysis.exact_expected_moves(ctx, strat, adversary={1: Fraction(2)})
-    with pytest.raises(ValueError):
-        analysis.exact_expected_moves(ctx, strat, initial={1: Fraction(1, 2)})
-
-
-@pytest.mark.parametrize("keyword,key", [
-    ("initial", -1), ("initial", 16), ("adversary", -1), ("adversary", 4)])
-def test_expectation_rejects_keys_outside_k_and_h(keyword, key):
-    # a negative key would otherwise index from the end of a list over K or
-    # H, and one past the end would raise a bare IndexError
-    ctx = catalog.four_switches_context()
-    strat = catalog.four_switches_strategy(ctx)
-    with pytest.raises(ValueError):
-        analysis.exact_expected_moves(ctx, strat, **{keyword: {key: 1}})
+def test_expectation_needs_a_state_outside_the_win_set():
+    ctx = WreathContext(g_group=groups.cyclic(2),
+                        action=cyclic_rotation_action(2),
+                        win_set=frozenset(range(4)))
+    with pytest.raises(ContextTooSmall):
+        analysis.exact_expected_moves(ctx, Strategy(ctx=ctx, moves=(1,)))
 
 
 def test_empty_strategy_absorbs_nothing():
     ctx = catalog.four_switches_context()
     report = analysis.exact_expected_moves(ctx, Strategy(ctx=ctx, moves=()))
     assert report.absorbed_probability == 0
-    assert report.expected_moves() is None
+    assert report.conditional_expected_moves is None
 
 
 def test_partial_strategy_absorbs_partially():

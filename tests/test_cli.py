@@ -443,6 +443,20 @@ def test_montecarlo_draws_an_unsolved_identity(capsys):
     assert json.loads(out)["payload"]["sample_mean"] == 1.0
 
 
+@pytest.mark.parametrize("model", ["montecarlo", "nonbacktracking"])
+def test_a_game_past_the_turn_cap_is_unknown(capsys, monkeypatch, model):
+    # Z2 wr C4 games take 15 turns on average: with a cap of 2 turns one of
+    # the 50 seeded games passes it, and the command says unknown (exit 4)
+    from spinwreath import analysis
+
+    monkeypatch.setattr(analysis, "MAX_TURNS", 2)
+    code, out, err = run(capsys, "expect", "Z2 wr C4", "--model", model,
+                         "--trials", "50", "--seed", "1", "--json")
+    assert code == 4
+    assert json.loads(out)["verdict"] == "unknown"
+    assert "budget exceeded" in err and "Traceback" not in err
+
+
 def test_expect_needs_an_unsolved_state(tmp_path, capsys):
     one = tmp_path / "one.strategy"
     one.write_text("strategy Z2 wr 1 1\n1\n")
@@ -644,6 +658,29 @@ def test_enumerate_output_writes_the_walks_strategies(tmp_path, capsys):
     payload = json.loads(out)["payload"]
     assert payload["count"] == 4250
     assert payload["canonical_count"] == _canonical_count(ctx, found)
+
+
+def test_enumerate_output_streams_the_listing(tmp_path, capsys,
+                                             monkeypatch):
+    # the file is written from the walk's sequences, with no Strategy built
+    from spinwreath import analysis
+    from spinwreath.puzzle_parser import parse_puzzle
+    from test_analysis import _unmemoized_walk
+
+    def unbuilt(result):
+        raise AssertionError("--output built the strategies")
+
+    monkeypatch.setattr(analysis.EnumerationResult, "strategies",
+                        property(unbuilt))
+    ctx = parse_puzzle("Z2 wr C2")
+    found, _, _ = _unmemoized_walk(ctx, 7)
+    path = tmp_path / "all.txt"
+    code, _, _ = run(capsys, "enumerate", "Z2 wr C2", "--length", "7",
+                     "--output", str(path))
+    assert code == 0
+    assert path.read_bytes() == "".join(
+        " ".join(",".join(map(str, ctx.decode(mv))) for mv in moves) + "\n"
+        for moves in found).encode()
 
 
 def test_zero_length_and_depth_still_answer(capsys):
