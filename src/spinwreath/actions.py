@@ -179,12 +179,12 @@ class WreathContext:
 
     # -- dense tables for small K -------------------------------------------
     # Each is a coordinate map per row.  Read element by element through
-    # k_mul / k_act / k_inv: by Monte Carlo play (k_mul, k_act) and
-    # canonicalize_strategy (k_act) in the analysis code, verify_naive (all
-    # three) and the wreath arithmetic.  The belief kernel, the belief
-    # search, the exact expectation and the certificate validator never
-    # build them; orbit_masks is read only by tests and by the table timing
-    # of perfbench/spans.py.
+    # k_mul / k_act / k_inv: by Monte Carlo play (k_mul, k_act) in the
+    # analysis code, verify_naive (all three) and the wreath arithmetic.
+    # The belief kernel, the belief search, the exact expectation, the
+    # enumeration and the certificate validator never build them;
+    # orbit_masks is read only by tests and by the table timing of
+    # perfbench/spans.py.
 
     @cached_property
     def _dense(self) -> bool:
@@ -473,17 +473,15 @@ class BeliefKernel:
     def orbit_minima(self) -> int:
         """The mask of the least member of each H-orbit of K.
 
-        A row puts input digit v at the coordinate w with row[w] == v, so
-        the images of all of K under one row form one list, built digit by
-        digit in O(|K| |Omega|); the least of a base vector's images over
-        every row is its orbit's minimum.
+        The images of all of K under one row form one coordinate map, and
+        the least of a base vector's images over every row is its orbit's
+        minimum.  The map puts coordinate w at row[w], the image under the
+        row's inverse, which is one of the rows too.
         """
-        least = range(self._n ** self._m)
+        n, m = self._n, self._m
+        least = range(n ** m)
         for row in self._rows:
-            image = [0]
-            for v in range(self._m):
-                wt = self._weight[row.index(v)]
-                image = [c + x * wt for c in image for x in range(self._n)]
+            image = coordinate_map(n, [range(n)] * m, row)
             least = list(map(min, least, image))
         return int("".join(["1" if t == s else "0"
                             for s, t in enumerate(least)][::-1]), 2)

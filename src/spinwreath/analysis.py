@@ -9,15 +9,16 @@ Carlo summaries.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .actions import WreathContext, coordinate_map
-from .errors import BudgetExceeded, ContextTooSmall
+from .errors import BudgetExceeded, ContextMismatch, ContextTooSmall
 from .strategies import Strategy, initial_belief, minimal_length_bound
 from .synthesis import SearchStats
 
@@ -95,8 +96,9 @@ def exact_expected_moves(ctx: WreathContext, strategy: Strategy
 # random play
 # ---------------------------------------------------------------------------
 
-# a simulated game longer than this raises BudgetExceeded; uniform play
-# takes |K| - 1 turns on average, so on a |K| far above it most games do
+# a simulated game longer than this raises BudgetExceeded, however much of
+# the budget is left; uniform play takes |K| - 1 turns on average, so on a
+# |K| far above it most games do
 MAX_TURNS = 10 ** 6
 
 
@@ -106,6 +108,7 @@ def random_play_expectation(ctx: WreathContext) -> Fraction:
 
 
 def _game_lengths(ctx: WreathContext, rng: random.Random,
+                  stats: Optional[SearchStats] = None,
                   *, exclude_constant_backtrack=False) -> Iterator[int]:
     """The turns to win of successive games of uniform random play.
 
@@ -117,6 +120,13 @@ def _game_lengths(ctx: WreathContext, rng: random.Random,
     The set-up (the dense tables, the bit widths of the start, move and spin
     draws and, for play that never backtracks, the move that undoes each
     constant move) is made once for all the games the caller draws.
+
+    Every turn played counts against ``stats.limit`` as a state (see
+    ``SearchStats``).  A game unwon after MAX_TURNS turns, or once the
+    limit is reached, raises ``BudgetExceeded``, which leaves
+    ``states_explored`` at the limit in the second case.  The turns are
+    counted locally and added to ``stats`` once, when the generator ends or
+    is closed; without ``stats`` only MAX_TURNS caps a game.
     """
     k = ctx.k_size
     win = ctx.win_set
@@ -139,46 +149,63 @@ def _game_lengths(ctx: WreathContext, rng: random.Random,
     start_bits = (k - low).bit_length()
     move_bits = (k - 1).bit_length()
     spin_bits = h_order.bit_length()
-    while True:
-        state = getrandbits(start_bits) + low
-        while state >= k or state in win:
+    # the turns left of the limit, and the most a game may take: the fewer
+    # of MAX_TURNS and those
+    room = left = (math.inf if stats is None
+                   else max(stats.limit - stats.states_explored, 0))
+    cap = min(MAX_TURNS, left)
+    try:
+        while True:
             state = getrandbits(start_bits) + low
-        banned = None
-        for turn in range(1, MAX_TURNS + 1):
-            move = getrandbits(move_bits) + 1
-            while move >= k or move == banned:
+            while state >= k or state in win:
+                state = getrandbits(start_bits) + low
+            banned = None
+            for turn in range(1, cap + 1):
                 move = getrandbits(move_bits) + 1
-            state = mul[state][move] if mul else ctx.k_mul(state, move)
-            if state in win:
-                break
-            banned = undo.get(move)
-            spin = getrandbits(spin_bits)
-            while spin >= h_order:
+                while move >= k or move == banned:
+                    move = getrandbits(move_bits) + 1
+                state = mul[state][move] if mul else ctx.k_mul(state, move)
+                if state in win:
+                    break
+                banned = undo.get(move)
                 spin = getrandbits(spin_bits)
-            state = act[spin][state] if act else ctx.k_act(spin, state)
-        else:
-            raise BudgetExceeded(
-                f"a simulated game passed {MAX_TURNS} turns unwon")
-        yield turn
+                while spin >= h_order:
+                    spin = getrandbits(spin_bits)
+                state = act[spin][state] if act else ctx.k_act(spin, state)
+            else:
+                left -= cap
+                raise BudgetExceeded(
+                    f"a simulated game was still unwon after {cap} turns")
+            left -= turn
+            if left < cap:
+                cap = left
+            yield turn
+    finally:
+        if stats is not None:
+            stats.states_explored += room - left
 
 
-def monte_carlo_random_play(ctx: WreathContext, trials: int, seed: int) -> float:
+def monte_carlo_random_play(ctx: WreathContext, trials: int, seed: int,
+                            stats: Optional[SearchStats] = None) -> float:
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    games = _game_lengths(ctx, random.Random(seed))
-    return sum(itertools.islice(games, trials)) / trials
+    with contextlib.closing(_game_lengths(ctx, random.Random(seed),
+                                          stats)) as games:
+        return sum(itertools.islice(games, trials)) / trials
 
 
-def non_backtracking_expectation(ctx: WreathContext, trials: int, seed: int
+def non_backtracking_expectation(ctx: WreathContext, trials: int, seed: int,
+                                 stats: Optional[SearchStats] = None
                                  ) -> float:
     """Random play that never undoes a constant-vector move immediately."""
     if ctx.k_size <= 2:
         raise ContextTooSmall("non-backtracking play needs |K| > 2")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    games = _game_lengths(ctx, random.Random(seed),
-                          exclude_constant_backtrack=True)
-    return sum(itertools.islice(games, trials)) / trials
+    with contextlib.closing(_game_lengths(
+            ctx, random.Random(seed), stats,
+            exclude_constant_backtrack=True)) as games:
+        return sum(itertools.islice(games, trials)) / trials
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +214,7 @@ def non_backtracking_expectation(ctx: WreathContext, trials: int, seed: int
 
 @dataclass(frozen=True)
 class EnumerationResult:
-    """The count of one enumeration; ``strategies`` is built on first read.
+    """The count of one enumeration and, under ``up_to_h``, of its H-orbits.
 
     ``sequences`` yields the winning move sequences in the order of the
     pruned prefix walk (ascending moves, depth first).  ``canonical_count``
@@ -195,21 +222,9 @@ class EnumerationResult:
     """
 
     count: int
-    up_to_h: bool
-    ctx: WreathContext = field(repr=False, compare=False)
+    canonical_count: Optional[int]
     sequences: Callable[[], Iterator[Tuple[int, ...]]] = field(
         repr=False, compare=False)
-
-    @cached_property
-    def strategies(self) -> Tuple[Strategy, ...]:
-        return tuple(Strategy(ctx=self.ctx, moves=m) for m in self.sequences())
-
-    @cached_property
-    def canonical_count(self) -> Optional[int]:
-        if not self.up_to_h:
-            return None
-        return len({canonicalize_strategy(self.ctx, s)
-                    for s in self.strategies})
 
 
 def enumerate_strategies(ctx: WreathContext, length: int,
@@ -230,7 +245,10 @@ def enumerate_strategies(ctx: WreathContext, length: int,
     the winning completions and the prefixes in its subtree, which every
     later prefix with that node reuses.  Each distinct (belief, move, spin)
     is stepped by the kernel once per call.  The result keeps only the
-    winning branches, from which ``strategies`` is built on first read.
+    winning branches, which ``sequences`` reads.  Under ``up_to_h`` their
+    orbits under one spin of every move number (1/|H|) sum_h W(h), W(h) the
+    paths whose every move h fixes (Burnside): that needs spins that fix the
+    win set (else ``ContextMismatch``) and, stepping no belief, no budget.
 
     Every prefix of the tree counts against ``stats.limit`` as a state (see
     ``SearchStats``), a reused node with its whole subtree at once, so
@@ -240,9 +258,11 @@ def enumerate_strategies(ctx: WreathContext, length: int,
     budget bounds the memos and the kernel steps too.
     """
     stats = stats if stats is not None else SearchStats()
+    if up_to_h and not ctx.belief_kernel.spins_fix_win:
+        raise ContextMismatch("up to spins needs spins that fix the win set")
     if minimal_only and length != minimal_length_bound(ctx):
-        return EnumerationResult(count=0, up_to_h=up_to_h, ctx=ctx,
-                                 sequences=lambda: iter(()))
+        return EnumerationResult(count=0, sequences=lambda: iter(()),
+                                 canonical_count=0 if up_to_h else None)
     k = ctx.k_size
     win_size = len(ctx.win_set)
     step = ctx.belief_kernel.step
@@ -351,16 +371,24 @@ def enumerate_strategies(ctx: WreathContext, length: int,
                 if path:
                     path.pop()
 
-    return EnumerationResult(count=wins, up_to_h=up_to_h, ctx=ctx,
+    canonical_count = wins if up_to_h else None  # W(h) = wins at length 0
+    if up_to_h and wins and length:  # W(h)s per branch list, children first
+        n = ctx.g_group.order
+        images = [coordinate_map(n, [range(n)] * ctx.omega_size, row)
+                  for row in ctx.action.act]
+        paths = {id(won[2]): [1] * len(images)}  # by id; every leaf is won's
+        stack = [root_branches]
+        while stack:
+            todo = [c for _, c in stack[-1] if id(c) not in paths]
+            if not todo:
+                branches = stack.pop()
+                paths[id(branches)] = [sum(
+                    paths[id(c)][h] for mv, c in branches if image[mv] == mv)
+                    for h, image in enumerate(images)]
+            stack += todo
+        canonical_count = sum(paths[id(root_branches)]) // ctx.h_order
+    return EnumerationResult(count=wins, canonical_count=canonical_count,
                              sequences=sequences)
-
-
-def canonicalize_strategy(ctx: WreathContext, strat: Strategy) -> Tuple[int, ...]:
-    """Lexicographically least image under one global spin applied to all moves."""
-    return min(
-        tuple(ctx.k_act(h, mv) for mv in strat.moves)
-        for h in range(ctx.h_order)
-    )
 
 
 def count_minimal_trivial_strategies(ctx: WreathContext) -> int:

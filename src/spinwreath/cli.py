@@ -225,8 +225,8 @@ def _cmd_enumerate(args, ctx, stats) -> Answer:
                            "up_to_h": args.up_to_h}}
     human = f"{ctx.name}: {result.count} strategies of length {args.length}"
     if result.canonical_count is not None:
-        human += (f" ({result.canonical_count} up to spins; "
-                  "canonicalization applies one global spin to every move)")
+        human += (f" ({result.canonical_count} up to one spin applied to "
+                  "every move)")
     return Answer("ok", payload, human, EXIT_YES)
 
 
@@ -253,7 +253,8 @@ def _cmd_expect(args, ctx, stats) -> Answer:
         human = f"{ctx.name}: random play expects {exact} moves"
         seed = None
     elif args.model == "montecarlo":
-        mean = analysis.monte_carlo_random_play(ctx, args.trials, seed)
+        mean = analysis.monte_carlo_random_play(ctx, args.trials, seed,
+                                                stats)
         payload.update({"trials": args.trials, "sample_mean": mean})
         if ctx.win_set == {0}:  # the closed form holds for {0} only
             payload["closed_form"] = str(
@@ -261,7 +262,8 @@ def _cmd_expect(args, ctx, stats) -> Answer:
         human = (f"{ctx.name}: sample mean {mean:.4f} over {args.trials} "
                  f"trials (seed {seed})")
     else:
-        mean = analysis.non_backtracking_expectation(ctx, args.trials, seed)
+        mean = analysis.non_backtracking_expectation(ctx, args.trials, seed,
+                                                     stats)
         payload.update({"trials": args.trials, "sample_mean": mean})
         human = (f"{ctx.name}: non-backtracking sample mean {mean:.4f} "
                  f"over {args.trials} trials (seed {seed})")

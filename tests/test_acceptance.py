@@ -235,8 +235,8 @@ def test_criterion_09_palindromic_golden_table():
     started = time.process_time()
     ctx = WreathContext(g_group=groups.symmetric(3), action=trivial_action())
     result = analysis.enumerate_strategies(ctx, 5, palindromic=True)
-    got = {tuple(ctx.g_group.label(c[0]) for c in s.coords())
-           for s in result.strategies}
+    got = {tuple(ctx.g_group.label(ctx.decode(mv)[0]) for mv in moves)
+           for moves in result.sequences()}
     expected = {
         ('(1 2)', '(1 3)', '(1 2)', '(1 3)', '(1 2)'),
         ('(1 2)', '(2 3)', '(1 2)', '(2 3)', '(1 2)'),

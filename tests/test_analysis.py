@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from spinwreath import analysis, catalog, groups
 from spinwreath.actions import (DENSE_TABLE_CAP, WreathContext,
                                 cyclic_rotation_action, trivial_action)
-from spinwreath.errors import BudgetExceeded, ContextTooSmall
+from spinwreath.errors import BudgetExceeded, ContextMismatch, ContextTooSmall
 from spinwreath.puzzle_parser import parse_puzzle
 from spinwreath.strategies import (Strategy, initial_belief,
                                    minimal_length_bound, verify)
@@ -323,7 +323,7 @@ def test_enumeration_matches_the_unmemoized_walk(puzzle, length, flags):
         ctx, length, palindromic=flags.get("palindromic", False))
     stats = SearchStats()
     result = analysis.enumerate_strategies(ctx, length, stats=stats, **flags)
-    assert [s.moves for s in result.strategies] == found
+    assert list(result.sequences()) == found
     assert result.count == len(found)
     assert result.canonical_count == (
         _canonical_count(ctx, found) if flags.get("up_to_h") else None)
@@ -390,12 +390,20 @@ def test_enumeration_agrees_with_the_walk_on_every_kernel_context(data):
              "minimal_only": data.draw(st.booleans()),
              "up_to_h": data.draw(st.booleans())}
     ctx = KERNEL_CONTEXTS[label]
+    if flags["up_to_h"] and not ctx.belief_kernel.spins_fix_win:
+        # the orbits would not cover the strategies: refused before the walk,
+        # which the rest of the test then checks without the orbit count
+        stats = SearchStats()
+        with pytest.raises(ContextMismatch):
+            analysis.enumerate_strategies(ctx, length, stats=stats, **flags)
+        assert stats.states_explored == 0
+        flags["up_to_h"] = False
     found, entered, _ = _unmemoized_walk(ctx, length, palindromic=palindromic)
     if flags["minimal_only"] and length != minimal_length_bound(ctx):
         found, entered = [], 0
     stats = SearchStats(limit=entered)
     result = analysis.enumerate_strategies(ctx, length, stats=stats, **flags)
-    assert [s.moves for s in result.strategies] == found
+    assert list(result.sequences()) == found
     assert result.count == len(found)
     assert result.canonical_count == (
         _canonical_count(ctx, found) if flags["up_to_h"] else None)
@@ -448,15 +456,14 @@ def test_backtracker_agrees_with_plain_product_enumeration():
                                        action=trivial_action()), 2)]:
         fast = analysis.enumerate_strategies(ctx, length)
         slow = enumerate_strategies_exhaustive(ctx, length)
-        assert sorted(s.moves for s in fast.strategies) == \
-            sorted(s.moves for s in slow)
+        assert sorted(fast.sequences()) == sorted(s.moves for s in slow)
 
 
 def test_palindromic_s3_strategies_match_the_known_twelve():
     ctx = WreathContext(g_group=groups.symmetric(3), action=trivial_action())
     result = analysis.enumerate_strategies(ctx, 5, palindromic=True)
-    got = {tuple(ctx.g_group.label(c[0]) for c in s.coords())
-           for s in result.strategies}
+    got = {tuple(ctx.g_group.label(ctx.decode(mv)[0]) for mv in moves)
+           for moves in result.sequences()}
     expected = {
         ('(1 2)', '(1 3)', '(1 2)', '(1 3)', '(1 2)'),
         ('(1 2)', '(2 3)', '(1 2)', '(2 3)', '(1 2)'),
@@ -479,33 +486,50 @@ def test_palindromic_enumeration_agrees_with_filtered_exhaustive():
     ctx = ctx_of(groups.cyclic(2), 2)
     fast = analysis.enumerate_strategies(ctx, 3, palindromic=True)
     slow = enumerate_strategies_exhaustive(ctx, 3, palindromic=True)
-    assert sorted(s.moves for s in fast.strategies) == \
-        sorted(s.moves for s in slow)
-    for s in fast.strategies:
-        assert s.moves == s.moves[::-1]
+    assert sorted(fast.sequences()) == sorted(s.moves for s in slow)
+    for moves in fast.sequences():
+        assert moves == moves[::-1]
 
 
 def test_counting_up_to_spins():
-    ctx = ctx_of(groups.cyclic(2), 2)
-    result = analysis.enumerate_strategies(ctx, 3, up_to_h=True)
-    assert result.count >= result.canonical_count > 0
-    # canonical forms really are H-orbit invariants
-    for s in result.strategies:
-        canon = analysis.canonicalize_strategy(ctx, s)
-        rotated = Strategy(ctx=ctx,
-                           moves=tuple(ctx.k_act(1, mv) for mv in s.moves))
-        assert analysis.canonicalize_strategy(ctx, rotated) == canon
+    # Burnside's count is the number of orbits of the listed strategies
+    four = ctx_of(groups.cyclic(2), 4)
+    result = analysis.enumerate_strategies(four, 15, up_to_h=True)
+    assert (result.count, result.canonical_count) == (2048, 512)
+    # the count reads no dense table (the oracle below builds them)
+    for table in ("_k_mul_table", "_k_act_table", "_k_inv_table",
+                  "orbit_masks"):
+        assert table not in four.__dict__
+    # C4 spins through C2, so two elements of H share each row
+    through = KERNEL_CONTEXTS["Z2-C4-through-C2-win[0]"]
+    for ctx, length in [(ctx_of(groups.cyclic(2), 2), 3), (through, 3),
+                        (through, 5), (four, 15)]:
+        result = analysis.enumerate_strategies(ctx, length, up_to_h=True)
+        found = list(result.sequences())
+        assert result.count >= result.canonical_count > 0
+        assert result.canonical_count == _canonical_count(ctx, found)
+
+
+def test_counting_up_to_spins_needs_a_win_set_the_spins_fix():
+    # on Z2 wr C2 the spin sends 1 = (0, 1) to 2 = (1, 0), outside {0, 1}
+    ctx = WreathContext(g_group=groups.cyclic(2),
+                        action=cyclic_rotation_action(2), win_set={0, 1})
+    stats = SearchStats()
+    with pytest.raises(ContextMismatch):
+        analysis.enumerate_strategies(ctx, 3, up_to_h=True, stats=stats)
+    assert stats.states_explored == 0
+    assert analysis.enumerate_strategies(ctx, 3).count > 0
 
 
 def test_minimal_only_skips_other_lengths():
     ctx = ctx_of(groups.cyclic(2), 2)
     result = analysis.enumerate_strategies(ctx, 4, minimal_only=True)
-    assert result.count == 0 and not result.strategies
+    assert result.count == 0 and not list(result.sequences())
 
 
 def test_single_switch_unique_strategy():
     ctx = WreathContext(g_group=groups.cyclic(2), action=trivial_action())
     result = analysis.enumerate_strategies(ctx, 1)
     assert result.count == 1
-    assert result.strategies[0].moves == (1,)
-    assert verify(ctx, result.strategies[0]).minimal
+    assert list(result.sequences()) == [(1,)]
+    assert verify(ctx, Strategy(ctx=ctx, moves=(1,))).minimal

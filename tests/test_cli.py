@@ -457,6 +457,29 @@ def test_a_game_past_the_turn_cap_is_unknown(capsys, monkeypatch, model):
     assert "budget exceeded" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("model", ["montecarlo", "nonbacktracking"])
+def test_sampled_play_counts_each_turn_as_a_state(capsys, model):
+    code, out, _ = run(capsys, "expect", "Z2 wr C4", "--model", model,
+                       "--trials", "200", "--seed", "3", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    turns = doc["budget"]["states_explored"]
+    assert turns > 200 and doc["payload"]["sample_mean"] == turns / 200
+
+
+@pytest.mark.parametrize("model", ["montecarlo", "nonbacktracking"])
+def test_sampled_play_stops_at_the_budget(capsys, model):
+    # one game on |K| = 2^24 takes about 1.7e7 turns; the budget cuts it
+    code, out, err = run(capsys, "expect", "Z2 wr C24", "--model", model,
+                         "--trials", "1", "--seed", "1", "--budget", "1000",
+                         "--json")
+    assert code == 4
+    doc = json.loads(out)
+    assert doc["verdict"] == "unknown"
+    assert doc["budget"]["states_explored"] == 1000
+    assert "budget exceeded" in err and "Traceback" not in err
+
+
 def test_expect_needs_an_unsolved_state(tmp_path, capsys):
     one = tmp_path / "one.strategy"
     one.write_text("strategy Z2 wr 1 1\n1\n")
@@ -663,15 +686,14 @@ def test_enumerate_output_writes_the_walks_strategies(tmp_path, capsys):
 def test_enumerate_output_streams_the_listing(tmp_path, capsys,
                                              monkeypatch):
     # the file is written from the walk's sequences, with no Strategy built
-    from spinwreath import analysis
     from spinwreath.puzzle_parser import parse_puzzle
+    from spinwreath.strategies import Strategy
     from test_analysis import _unmemoized_walk
 
-    def unbuilt(result):
-        raise AssertionError("--output built the strategies")
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("--output built a Strategy")
 
-    monkeypatch.setattr(analysis.EnumerationResult, "strategies",
-                        property(unbuilt))
+    monkeypatch.setattr(Strategy, "__init__", unbuilt)
     ctx = parse_puzzle("Z2 wr C2")
     found, _, _ = _unmemoized_walk(ctx, 7)
     path = tmp_path / "all.txt"
@@ -681,6 +703,14 @@ def test_enumerate_output_streams_the_listing(tmp_path, capsys,
     assert path.read_bytes() == "".join(
         " ".join(",".join(map(str, ctx.decode(mv))) for mv in moves) + "\n"
         for moves in found).encode()
+
+
+def test_enumerate_up_to_h_refuses_a_win_set_the_spins_move(capsys):
+    # the spin of Z2 wr C2 sends 1 to 2, outside the win set {0, 1}
+    code, out, err = run(capsys, "enumerate", "Z2 wr C2", "--win-set", "0,1",
+                         "--length", "3", "--up-to-h")
+    assert code == 2 and not out
+    assert "win set" in err and "Traceback" not in err
 
 
 def test_zero_length_and_depth_still_answer(capsys):
