@@ -107,6 +107,22 @@ def coordinate_map(n: int, maps, row=None) -> List[int]:
     return out
 
 
+def orbit_least(n: int, act) -> List[int]:
+    """Entry s: the least base vector in the H-orbit of s, for the action
+    table act (act[h][w]) of H on the coordinates of K = G^Omega, |G| = n.
+
+    The images of all of K under one row form one coordinate map, and the
+    least of a base vector's images over every row is its orbit's minimum.
+    The map puts coordinate w at row[w], the image under the row's inverse,
+    which is one of the rows too.
+    """
+    m = len(act[0])
+    least = range(n ** m)
+    for row in dict.fromkeys(act[1:]):  # act[0] is the identity
+        least = list(map(min, least, coordinate_map(n, [range(n)] * m, row)))
+    return list(least)
+
+
 @dataclass(frozen=True)
 class WreathContext:
     """A full puzzle instance: switches G at |Omega| positions spun by H."""
@@ -471,20 +487,10 @@ class BeliefKernel:
 
     @cached_property
     def orbit_minima(self) -> int:
-        """The mask of the least member of each H-orbit of K.
-
-        The images of all of K under one row form one coordinate map, and
-        the least of a base vector's images over every row is its orbit's
-        minimum.  The map puts coordinate w at row[w], the image under the
-        row's inverse, which is one of the rows too.
-        """
-        n, m = self._n, self._m
-        least = range(n ** m)
-        for row in self._rows:
-            image = coordinate_map(n, [range(n)] * m, row)
-            least = list(map(min, least, image))
-        return int("".join(["1" if t == s else "0"
-                            for s, t in enumerate(least)][::-1]), 2)
+        """The mask of the least member of each H-orbit of K."""
+        return int("".join(["1" if t == s else "0" for s, t in
+                            enumerate(orbit_least(self._n, self._act))][::-1]),
+                   2)
 
     def inverses(self, mask: int) -> int:
         """The mask of the coordinate-wise inverses of the mask's members.

@@ -3,7 +3,9 @@
 Exact expectation counts paths: every state outside the win set starts
 with one path and every spin extends each path once, so the masses stay
 integers over one denominator per step and become the report's two
-``Fraction``s only at the end.  Floating point only ever appears in Monte
+``Fraction``s only at the end.  After each spin the masses are the same
+on every H-orbit, so a step carries one mass per orbit and gathers it
+through one index list over the orbit representatives' |H| images.  Floating point only ever appears in Monte
 Carlo summaries.
 """
 
@@ -17,9 +19,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from .actions import WreathContext, coordinate_map
+from .actions import WreathContext, coordinate_map, orbit_least
 from .errors import BudgetExceeded, ContextMismatch, ContextTooSmall
-from .strategies import Strategy, initial_belief, minimal_length_bound
+from .strategies import (Strategy, initial_belief, minimal_length_bound,
+                         require_moves_in_k)
 from .synthesis import SearchStats
 
 
@@ -41,26 +44,38 @@ def exact_expected_moves(ctx: WreathContext, strategy: Strategy
     the spinner plays every element of H with equal weight, so after i
     moves the mass at a state is the number of paths that reach it, over
     (|K| - |win|) * |H|^(i - 1).  Mass the move lands in the win set is
-    absorbed; the rest spreads over every element of H, one gather list
-    per element (a non-faithful H keeps the weight of each element).  The
-    absorbed paths and their sum weighted by step are kept as integers
-    over the denominator of the last step that absorbed any, one
-    ``Fraction`` each at the end.  A move moves mass by one coordinate map
-    over K, built once per call and distinct move.
+    absorbed; the rest spreads over every element of H (a non-faithful H
+    keeps the weight of each element).  The absorbed paths and their sum
+    weighted by step are kept as integers over the denominator of the last
+    step that absorbed any, one ``Fraction`` each at the end.
+
+    A spread mass is the same at every state of an H-orbit (the chain is
+    lumpable on the orbits: Kemeny and Snell, *Finite Markov Chains*, 1960,
+    section 6.3), so one mass per orbit is carried, the orbit's least state
+    standing for it.  For each representative u and each element h, a move
+    reads the mass of the orbit that the move brought u's image under h
+    from, through one index list over those |orbits| * |H| images, built
+    once per call and distinct move.  The first move reads the start state by state, since
+    its masses need not be constant on orbits.  A move outside range(|K|)
+    raises ``InputStrategyInvalid``.
     """
     n, m, k, h_order = (ctx.g_group.order, ctx.omega_size, ctx.k_size,
                         ctx.h_order)
     win = sorted(ctx.win_set)
     if len(win) == k:
         raise ContextTooSmall("every state is in the win set")
-    mass = [1] * k
-    for t in win:
-        mass[t] = 0
-    # spin h sends t to u with coordinate w of u = coordinate act[h^-1][w]
-    # of t, so new mass at u gathers the mass of that t
-    h_inv, act = ctx.action.h_group.inv, ctx.action.act
-    spins = [coordinate_map(n, [range(n)] * m, act[h_inv[h]])
-             for h in range(h_order)]
+    require_moves_in_k(strategy.moves, k)
+    least = orbit_least(n, ctx.action.act)
+    reps = [s for s, t in enumerate(least) if s == t]
+    slot = [0] * k
+    for i, u in enumerate(reps):
+        slot[u] = i
+    orbit = list(map(slot.__getitem__, least))  # the slot of each state
+    # the images of each representative under every element of H, |H| in
+    # a row: the spread mass at u is the sum of the moved mass at its row
+    spins = [coordinate_map(n, [range(n)] * m, row) for row in ctx.action.act]
+    images = [spin[u] for u in reps for spin in spins]
+    win_at = [j for j, x in enumerate(images) if x in ctx.win_set]
     # mass at t after a move comes from the state s with s * move = t, so
     # each digit of s is a right division: div[c][x * c] = x
     mul = ctx.g_group.mul
@@ -68,24 +83,39 @@ def exact_expected_moves(ctx: WreathContext, strategy: Strategy
     for x in range(n):
         for c in range(n):
             div[c][mul[x][c]] = x
-    sources = {move: coordinate_map(n, [div[c] for c in ctx.decode(move)])
-               for move in set(strategy.moves)}
+
+    def gather(move, index, zero):
+        """The mass slot each image's moved mass is read from (slot zero,
+        which holds 0, for an image in the win set) and the slots whose
+        mass the win set absorbs; index gives the slot of each state."""
+        src = coordinate_map(n, [div[c] for c in ctx.decode(move)])
+        reads = list(map(index.__getitem__, map(src.__getitem__, images)))
+        for j in win_at:
+            reads[j] = zero
+        return reads, [index[src[t]] for t in win]
+
+    mass = [1] * k + [0]  # one path at each state outside the win set
+    for t in win:
+        mass[t] = 0
+    steps: Dict[int, Tuple[List[int], List[int]]] = {}
     total = moment = last = 0
     for i, move in enumerate(strategy.moves, start=1):
-        moved = list(map(mass.__getitem__, sources[move]))
-        hit = 0
-        for t in win:
-            hit += moved[t]
-            moved[t] = 0
+        if i == 1:
+            reads, absorbs = gather(move, range(k), k)
+        else:
+            if move not in steps:
+                steps[move] = gather(move, orbit, len(reps))
+            reads, absorbs = steps[move]
+        hit = sum(map(mass.__getitem__, absorbs))
         if hit:
             scale = h_order ** (i - last)
             total = total * scale + hit
             moment = moment * scale + i * hit
             last = i
-        mass = list(map(sum, zip(*[map(moved.__getitem__, src)
-                                   for src in spins])))
+        mass = list(map(sum, zip(*[map(mass.__getitem__, reads)] * h_order)))
         if not any(mass):
             break
+        mass.append(0)
     if not total:
         return ExpectationReport(Fraction(0), None)
     paths = (k - len(win)) * h_order ** (last - 1)

@@ -132,7 +132,8 @@ def _cmd_decide(args, ctx, stats) -> Answer:
              + (" (conjectural: loop mode)" if result.conjectural else "")]
     if result.strategy is not None:
         payload["strategy"] = _strategy_payload(result.strategy)
-        lines.append(fileio.format_strategy(result.strategy).rstrip())
+        if not args.json:  # main prints the human record only then
+            lines.append(fileio.format_strategy(result.strategy).rstrip())
     if result.certificate is not None:
         cert_text = render_certificate(result.certificate)
         payload["certificate"] = cert_text
@@ -174,15 +175,16 @@ def _cmd_construct(args, ctx, stats) -> Answer:
     # spin on the other turns; the belief step with the spin closure
     # contains the step without it, and the step is monotone).
     strat = _construct(args, ctx, stats)
-    text = fileio.format_strategy(strat)
+    human = ""
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.write(fileio.format_strategy(strat))
+    elif not args.json:  # main prints the human record only then
+        human = fileio.format_strategy(strat).rstrip("\n")
     payload = {"context": ctx.name, "method": args.method,
                "strategy": _strategy_payload(strat),
                "minimal": len(strat) == minimal_length_bound(ctx)}
-    return Answer("yes", payload, "" if args.output else text.rstrip("\n"),
-                  EXIT_YES)
+    return Answer("yes", payload, human, EXIT_YES)
 
 
 def _cmd_verify(args, ctx, stats) -> Answer:

@@ -117,7 +117,7 @@ def _run_belief(ctx: WreathContext, mask: int, moves: Sequence[int],
     return i, mask
 
 
-def _require_moves_in_k(moves: Sequence[int], k_size: int):
+def require_moves_in_k(moves: Sequence[int], k_size: int):
     """Refuse a move that is not the index of a base vector of K."""
     if moves and (min(moves) < 0 or max(moves) >= k_size):
         bad = next(m for m in moves if not 0 <= m < k_size)
@@ -145,7 +145,7 @@ def verify(ctx: WreathContext, strategy: Strategy,
     used, mask = _run_belief(ctx, initial_belief(ctx), strategy.moves,
                              spin_period)
     if used < len(strategy.moves):
-        _require_moves_in_k(strategy.moves[used:], ctx.k_size)
+        require_moves_in_k(strategy.moves[used:], ctx.k_size)
     valid = mask == 0
     return VerificationReport(
         valid=valid,
@@ -168,7 +168,7 @@ def verify_naive(ctx: WreathContext, strategy: Strategy,
     act(sigma^-1, win) * p(m_j)^-1 for some prefix j (including j = 0).
     A move outside range(|K|) raises ``InputStrategyInvalid``.
     """
-    _require_moves_in_k(strategy.moves, ctx.k_size)
+    require_moves_in_k(strategy.moves, ctx.k_size)
     n = len(strategy)
     h_group = ctx.action.h_group
     h_order = h_group.order

@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 
 from spinwreath import analysis, catalog, groups
 from spinwreath.actions import (DENSE_TABLE_CAP, WreathContext,
-                                cyclic_rotation_action, trivial_action)
-from spinwreath.errors import BudgetExceeded, ContextMismatch, ContextTooSmall
+                                coordinate_map, cyclic_rotation_action,
+                                trivial_action)
+from spinwreath.errors import (BudgetExceeded, ContextMismatch,
+                               ContextTooSmall, InputStrategyInvalid)
 from spinwreath.puzzle_parser import parse_puzzle
 from spinwreath.strategies import (Strategy, initial_belief,
                                    minimal_length_bound, verify)
-from spinwreath.synthesis import SearchStats
+from spinwreath.synthesis import SearchStats, construct_pgroup
 from test_decision import BUDGET_PUZZLES
 from test_strategies import KERNEL_CONTEXTS
 
@@ -57,6 +59,46 @@ def _reference_expectation(ctx, strategy):
     )
 
 
+def _state_expectation(ctx, strategy):
+    """The path counts carried state by state, by coordinate maps over K:
+    a second oracle, fast enough for |K| = 256 and 255 moves."""
+    n, m, k, h_order = (ctx.g_group.order, ctx.omega_size, ctx.k_size,
+                        ctx.h_order)
+    win = sorted(ctx.win_set)
+    mass = [0 if s in ctx.win_set else 1 for s in range(k)]
+    # spin h sends t to u with coordinate w of u = coordinate act[h^-1][w]
+    # of t, so new mass at u gathers the mass of that t
+    h_inv, act = ctx.action.h_group.inv, ctx.action.act
+    spins = [coordinate_map(n, [range(n)] * m, act[h_inv[h]])
+             for h in range(h_order)]
+    # mass at t after a move comes from the state s with s * move = t
+    div = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for c in range(n):
+            div[c][ctx.g_group.mul[x][c]] = x
+    total = moment = last = 0
+    for i, move in enumerate(strategy.moves, start=1):
+        moved = list(map(mass.__getitem__, coordinate_map(
+            n, [div[c] for c in ctx.decode(move)])))
+        hit = sum(moved[t] for t in win)
+        for t in win:
+            moved[t] = 0
+        if hit:
+            scale = h_order ** (i - last)
+            total = total * scale + hit
+            moment = moment * scale + i * hit
+            last = i
+        mass = list(map(sum, zip(*[map(moved.__getitem__, src)
+                                   for src in spins])))
+        if not any(mass):
+            break
+    if not total:
+        return analysis.ExpectationReport(Fraction(0), None)
+    paths = (k - len(win)) * h_order ** (last - 1)
+    return analysis.ExpectationReport(Fraction(total, paths),
+                                      Fraction(moment, total))
+
+
 # every context with |K| <= 64 that the kernel and budget tests use
 EXPECTATION_CONTEXTS = {
     label: ctx for label, ctx in {
@@ -76,7 +118,49 @@ def test_expectation_matches_the_fraction_loop(label, data):
                                max_size=min(k + 2, 24)))
     strat = Strategy(ctx=ctx, moves=tuple(moves))
     assert analysis.exact_expected_moves(ctx, strat) == \
-        _reference_expectation(ctx, strat)
+        _reference_expectation(ctx, strat) == _state_expectation(ctx, strat)
+
+
+@pytest.mark.parametrize("puzzle",
+                         ["Z16 wr C2", "Z4 wr C4", "Z2 wr C8", "Z2 wr D16"])
+def test_orbit_masses_match_the_state_oracle_at_k_256(puzzle):
+    # the p-group strategy wins from every state, on average in |K| / 2
+    # moves; without its last move it absorbs only part of the mass
+    ctx = parse_puzzle(puzzle)
+    strat = construct_pgroup(ctx)
+    report = analysis.exact_expected_moves(ctx, strat)
+    assert report == _state_expectation(ctx, strat)
+    assert report == analysis.ExpectationReport(Fraction(1),
+                                                Fraction(ctx.k_size, 2))
+    cut = Strategy(ctx=ctx, moves=strat.moves[:-1])
+    report = analysis.exact_expected_moves(ctx, cut)
+    assert report == _state_expectation(ctx, cut)
+    assert report.absorbed_probability < 1
+
+
+@settings(max_examples=10, deadline=None)
+@given(moves=st.lists(st.integers(0, 255), max_size=300))
+def test_orbit_masses_match_under_a_win_set_spins_move(moves):
+    # the spins do not fix {0, 5}, so the start is not constant on orbits
+    base = parse_puzzle("Z2 wr C8")
+    ctx = WreathContext(g_group=base.g_group, action=base.action,
+                        win_set={0, 5})
+    assert not ctx.belief_kernel.spins_fix_win
+    strat = Strategy(ctx=ctx, moves=tuple(moves))
+    assert analysis.exact_expected_moves(ctx, strat) == \
+        _state_expectation(ctx, strat)
+
+
+@pytest.mark.parametrize("move", [16, 17, -1])  # k, k + 1 and -1
+def test_expectation_refuses_moves_outside_k(move):
+    # unchecked, a move's low base-|G| digits would be read as a move of K
+    # ((1, 16) would absorb 1/15 on Z2 wr C4); the check comes before any
+    # step, so a move after the mass is gone is refused too
+    ctx = ctx_of(groups.cyclic(2), 4)
+    winning = catalog.four_switches_strategy(ctx).moves
+    for moves in [(1, move), winning + (move,)]:
+        with pytest.raises(InputStrategyInvalid, match="not a base vector"):
+            analysis.exact_expected_moves(ctx, Strategy(ctx=ctx, moves=moves))
 
 
 @pytest.mark.parametrize("g_order,n", [(2, 8), (32, 2)])

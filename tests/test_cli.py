@@ -209,6 +209,31 @@ def test_construct_verify_round_trip(tmp_path, capsys):
     assert fileio.format_strategy(strat) == first
 
 
+def test_strategy_text_is_formatted_only_when_printed_or_written(
+        tmp_path, capsys, monkeypatch):
+    # --json prints no human record, so decide and construct format no
+    # strategy text for it; construct --output still writes the file
+    formatted = []
+    format_strategy = fileio.format_strategy
+    monkeypatch.setattr(fileio, "format_strategy",
+                        lambda strat: formatted.append(strat)
+                        or format_strategy(strat))
+    for argv in (["decide", "Z2 wr C2"],
+                 ["construct", "Z2 wr C2", "--method", "pgroup"]):
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0 and json.loads(out)["payload"]["strategy"]
+        assert not formatted
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and "strategy Z2 wr C2 3" in out
+        assert len(formatted) == 1
+        formatted.clear()
+    out_path = tmp_path / "z2c2.strategy"
+    code, _, _ = run(capsys, "construct", "Z2 wr C2", "--method", "pgroup",
+                     "--output", str(out_path), "--json")
+    assert code == 0 and len(formatted) == 1
+    assert out_path.read_text().startswith("strategy Z2 wr C2 3\n")
+
+
 def test_construct_with_a_spin_period(tmp_path, capsys):
     from spinwreath.puzzle_parser import parse_puzzle
     from spinwreath.strategies import verify
