@@ -267,59 +267,26 @@ class WreathContext:
 
 
 def spin_transversals(action: GroupAction) -> tuple:
-    """The rows of right transversals T_1, ..., T_k of a subgroup chain
-    1 = H_0 < H_1 < ... < H_k of the action's image, identity rows left out.
+    """The rows of right transversals T_1, ..., T_k of the levels of
+    ``groups.subgroup_chain`` for the action's image, identity rows left out.
 
     Level i is H_i = H_{i-1} T_i, so each row of the action is
     r_1∘r_2∘...∘r_k for exactly one choice of each r_i from T_i or the
-    identity, the device behind Schreier–Sims (Seress, *Permutation Group
-    Algorithms*, 2003).  Elements with the same row are one element of the
-    image, so a non-faithful action gets the chain of its image.  H_i adds
-    to H_{i-1} an element of least relative order j (the least j with g^j
-    in H_{i-1}), and among those one that generates the smallest H_i; the
-    index is at least j, and at every level of a p-group it is p (the
-    normalizer of a proper subgroup is larger), so the levels hold
-    (p-1) log_p |H| rows in all.  Each right coset of H_{i-1} is
-    represented by the member whose row has the most cycles, the one with
-    the fewest delta swaps.
+    identity.  Elements with the same row are one element of the image, so
+    a non-faithful action gets the chain of its image.  Every level of a
+    p-group has index p, so the levels hold (p-1) log_p |H| rows in all.
+    Each right coset of H_{i-1} is represented by the member whose row has
+    the most cycles, the one with the fewest delta swaps.
     """
-    act, mul = action.act, action.h_group.mul
+    act = action.act
     first: dict = {}
     for h, row in enumerate(act):
         first.setdefault(row, h)
     name = [first[row] for row in act]  # the least element with h's row
-    sub, gens, levels = [0], [], []
-    while len(sub) < len(first):
-        inside = set(sub)
-        relative = {}
-        for g in first.values():
-            if g not in inside:
-                j, y = 1, g
-                while y not in inside:
-                    y = name[mul[y][g]]
-                    j += 1
-                relative[g] = j
-        least = min(relative.values())
-        best, tried = None, set()
-        for g, j in relative.items():
-            if j > least or g in tried:
-                continue
-            cosets = _right_cosets(name, mul, sub, gens + [g],
-                                   len(best[0]) if best else None)
-            if cosets is not None:
-                best = cosets, g
-                if len(cosets) == least:  # no subgroup is smaller
-                    break
-            # <H_{i-1}, g> is the same for every g of a right coset
-            tried.update([name[mul[h][g]] for h in sub])
-        cosets, g = best
-        levels.append(tuple(
-            act[min(coset, key=lambda h: (_transpositions(act[h]), h))
-                if len(coset) > 1 else coset[0]]
-            for coset in cosets[1:]))
-        sub = [h for coset in cosets for h in coset]
-        gens.append(g)
-    return tuple(levels)
+    return tuple(
+        tuple(act[min(coset, key=lambda h: (_transpositions(act[h]), h))]
+              for coset in cosets[1:])
+        for cosets in groups.subgroup_chain(action.h_group.mul, name))
 
 
 def _transpositions(row) -> int:
@@ -332,25 +299,6 @@ def _transpositions(row) -> int:
                 seen.add(w)
                 w = row[w]
     return len(row) - cycles
-
-
-def _right_cosets(name, mul, sub, gens, cap):
-    """The right cosets of the subgroup sub (a list starting at the
-    identity) in the group that sub and gens generate, sub first and each
-    listed from its representative; None once there would be cap of them."""
-    cosets = [sub]
-    members = set(sub)
-    for coset in cosets:  # the walk appends to the list it reads
-        row = mul[coset[0]]
-        for x in gens:
-            c = name[row[x]]
-            if c not in members:
-                if cap is not None and len(cosets) + 1 >= cap:
-                    return None
-                new = [name[mul[h][c]] for h in sub]
-                members.update(new)
-                cosets.append(new)
-    return cosets
 
 
 class BeliefKernel:

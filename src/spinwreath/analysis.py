@@ -55,9 +55,11 @@ def exact_expected_moves(ctx: WreathContext, strategy: Strategy
     standing for it.  For each representative u and each element h, a move
     reads the mass of the orbit that the move brought u's image under h
     from, through one index list over those |orbits| * |H| images, built
-    once per call and distinct move.  The first move reads the start state by state, since
-    its masses need not be constant on orbits.  A move outside range(|K|)
-    raises ``InputStrategyInvalid``.
+    once per distinct move and dropped after the move's last use, so the
+    lists held at once are those of the moves that recur later.  The first
+    move reads the start state by state, since its masses need not be
+    constant on orbits.  A move outside range(|K|) raises
+    ``InputStrategyInvalid``.
     """
     n, m, k, h_order = (ctx.g_group.order, ctx.omega_size, ctx.k_size,
                         ctx.h_order)
@@ -97,15 +99,18 @@ def exact_expected_moves(ctx: WreathContext, strategy: Strategy
     mass = [1] * k + [0]  # one path at each state outside the win set
     for t in win:
         mass[t] = 0
+    # a move's lists are kept only until its last use
+    last_use = {move: i for i, move in enumerate(strategy.moves, start=1)}
     steps: Dict[int, Tuple[List[int], List[int]]] = {}
     total = moment = last = 0
     for i, move in enumerate(strategy.moves, start=1):
         if i == 1:
             reads, absorbs = gather(move, range(k), k)
         else:
-            if move not in steps:
-                steps[move] = gather(move, orbit, len(reps))
-            reads, absorbs = steps[move]
+            reads, absorbs = (steps.pop(move, None)
+                              or gather(move, orbit, len(reps)))
+            if last_use[move] > i:
+                steps[move] = reads, absorbs
         hit = sum(map(mass.__getitem__, absorbs))
         if hit:
             scale = h_order ** (i - last)

@@ -131,8 +131,9 @@ def _cmd_decide(args, ctx, stats) -> Answer:
     lines = [f"{ctx.name}: {result.verdict}"
              + (" (conjectural: loop mode)" if result.conjectural else "")]
     if result.strategy is not None:
-        payload["strategy"] = _strategy_payload(result.strategy)
-        if not args.json:  # main prints the human record only then
+        if args.json:  # main prints the payload only then
+            payload["strategy"] = _strategy_payload(result.strategy)
+        else:  # and the human record only without --json
             lines.append(fileio.format_strategy(result.strategy).rstrip())
     if result.certificate is not None:
         cert_text = render_certificate(result.certificate)
@@ -181,9 +182,10 @@ def _cmd_construct(args, ctx, stats) -> Answer:
             fh.write(fileio.format_strategy(strat))
     elif not args.json:  # main prints the human record only then
         human = fileio.format_strategy(strat).rstrip("\n")
-    payload = {"context": ctx.name, "method": args.method,
-               "strategy": _strategy_payload(strat),
-               "minimal": len(strat) == minimal_length_bound(ctx)}
+    payload = {"context": ctx.name, "method": args.method}
+    if args.json:  # main prints the payload only then
+        payload["strategy"] = _strategy_payload(strat)
+    payload["minimal"] = len(strat) == minimal_length_bound(ctx)
     return Answer("yes", payload, human, EXIT_YES)
 
 

@@ -21,7 +21,7 @@ from typing import Optional, Tuple, Union
 from . import groups
 from .actions import GroupAction, WreathContext, coordinate_map
 from .errors import (BaseCaseVerificationFailed, BudgetExceeded,
-                     NonFaithfulAction, NotSamePrime, OrderBoundExceeded)
+                     NonFaithfulAction, NotSamePrime)
 from .groups import (
     FiniteGroup,
     Homomorphism,
@@ -443,10 +443,10 @@ def decide_existence(ctx: WreathContext,
 
     For win set {0}, spins every turn and group switches: p-groups for one
     prime spun faithfully are answered by the verified p-group construction
-    (a broken one raises ``BaseCaseVerificationFailed``; a p-group too large
-    for its subgroup enumeration falls through), then the reductions of
-    ``find_nonexistence_certificate``.  What is left goes to one
-    ``decide_by_search``.  ``certify`` validates this result's "no".
+    at any order of G (a broken one raises ``BaseCaseVerificationFailed``),
+    then the reductions of ``find_nonexistence_certificate``.  What is left
+    goes to one ``decide_by_search``.  ``certify`` validates this result's
+    "no".
     The certificate leaves and the search count into one ``SearchStats``,
     so its ``limit`` caps the belief states of the whole decision.
     """
@@ -457,7 +457,7 @@ def decide_existence(ctx: WreathContext,
             return DecisionResult(verdict="yes", strategy=construct_pgroup(ctx),
                                   states_explored=stats.states_explored,
                                   message="p-group construction")
-        except (NotSamePrime, NonFaithfulAction, OrderBoundExceeded):
+        except (NotSamePrime, NonFaithfulAction):
             pass
         cert = find_nonexistence_certificate(ctx, stats=stats)
         if cert is not None:

@@ -35,10 +35,6 @@ class PrimeDoesNotDivideOrder(SpinWreathError):
     pass
 
 
-class NotPGroup(SpinWreathError):
-    pass
-
-
 class NotAbelian(SpinWreathError):
     pass
 

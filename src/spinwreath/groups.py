@@ -1,8 +1,8 @@
 """Finite groups (and loops) as dense multiplication tables.
 
 Elements are integer indices 0..n-1 with the identity canonically at 0.
-All algebra is table lookups; this is meant for small groups (|G| <= ~120),
-which is all the rest of the package ever needs.
+All algebra is table lookups; this is meant for small groups (a few hundred
+elements at most), which is all the rest of the package ever needs.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from .errors import (
     NotAbelian,
     NotAssociative,
     NotNormal,
-    NotPGroup,
     OrderBoundExceeded,
     PrimeDoesNotDivideOrder,
     TableNotLatin,
@@ -480,14 +479,62 @@ def sylow_subgroup(g: FiniteGroup, q: int) -> Subgroup:
     raise AssertionError("Sylow subgroup must exist")  # unreachable for groups
 
 
-def maximal_normal_index_p(g: FiniteGroup, p: int) -> Subgroup:
-    """The index-p normal subgroup with lexicographically smallest members."""
-    want = g.order // p
-    candidates = [s for s in normal_subgroups(g)
-                  if len(s.members) == want]
-    if not candidates:
-        raise NotPGroup(f"{g.name} has no normal subgroup of index {p}")
-    return min(candidates, key=lambda s: s.members)
+def subgroup_chain(mul, name) -> tuple:
+    """The right cosets at each level of a subgroup chain
+    1 = H_0 < H_1 < ... < H_k of the group whose elements are the values of
+    ``name``, the device behind Schreier–Sims (Seress, *Permutation Group
+    Algorithms*, 2003).
+
+    ``mul`` is a multiplication table and name[x] the least element with
+    the same image as x: the identity map for a group itself, the least
+    element with the same row for an action, whose image then gets the
+    chain.  Level i lists the right cosets of H_(i-1) in H_i, H_(i-1) first,
+    each from its representative.  H_i is the smallest <H_(i-1), g>, the
+    first g in element order on ties.  At every level of a p-group its
+    index is p: a proper subgroup of a p-group has a larger normalizer,
+    which holds a g of order p over H_(i-1).  An index-p subgroup of a
+    p-group is normal, so each H_(i-1) is normal in H_i.
+    """
+    universe = sorted(set(name))
+    sub, gens, levels = [0], [], []
+    while len(sub) < len(universe):
+        # the index divides |image| / |H_(i-1)|: its least prime is a floor
+        least = _prime_factors(len(universe) // len(sub))[0]
+        best, tried = None, set(sub)
+        for g in universe:
+            if g in tried:
+                continue
+            cosets = _right_cosets(mul, name, sub, gens + [g],
+                                   len(best) if best else None)
+            if cosets is not None:
+                best, best_g = cosets, g
+                if len(cosets) == least:  # no extension is smaller
+                    break
+            # <H_(i-1), g> is the same for every g of a right coset
+            tried.update([name[mul[h][g]] for h in sub])
+        levels.append(best)
+        sub = [h for coset in best for h in coset]
+        gens.append(best_g)
+    return tuple(levels)
+
+
+def _right_cosets(mul, name, sub, gens, cap):
+    """The right cosets of the subgroup sub (a list starting at the
+    identity) in the group that sub and gens generate, sub first and each
+    listed from its representative; None once there would be cap of them."""
+    cosets = [sub]
+    members = set(sub)
+    for coset in cosets:  # the walk appends to the list it reads
+        row = mul[coset[0]]
+        for x in gens:
+            c = name[row[x]]
+            if c not in members:
+                if cap is not None and len(cosets) + 1 >= cap:
+                    return None
+                new = [name[mul[h][c]] for h in sub]
+                members.update(new)
+                cosets.append(new)
+    return cosets
 
 
 def involutions(g: FiniteGroup):

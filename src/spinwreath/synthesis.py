@@ -30,14 +30,11 @@ from .errors import (
 from .groups import (
     FiniteGroup,
     Homomorphism,
-    Subgroup,
     closure,
     generating_set,
     involution_generators,
-    maximal_normal_index_p,
     p_group_prime,
     same_prime,
-    subgroup_as_group,
 )
 from .strategies import Strategy, bits, initial_belief, interleave, verify
 
@@ -235,34 +232,34 @@ def construct_pgroup(ctx: WreathContext) -> Strategy:
 
 
 def _pgroup_strategy(ctx: WreathContext) -> Strategy:
-    """One interleave of layer moves down G > N > ... > 1.
+    """One interleave of layer moves down the levels of
+    ``groups.subgroup_chain`` of G, 1 = N_0 < N_1 < ... < N_k = G.
 
-    Each N is the index-p normal subgroup with lexicographically least
-    members.  G/N walks the layers of ``_chain_layers``, coordinate c lifted
-    to the least member of x^c N, x the least element outside N.  As
-    ``interleave`` is associative, folding every quotient's layers, deepest
-    first, interleaves N wr H with the lifted (G/N) wr H at each level.
+    Each N_(i-1) is normal of index p in N_i.  N_i/N_(i-1) walks the
+    layers of ``_chain_layers``, coordinate c lifted to the least member
+    of x^c N_(i-1), x the least element of N_i outside N_(i-1).  As
+    ``interleave`` is associative, folding every level's layers, deepest
+    first, interleaves N_(i-1) wr H with the lifted (N_i/N_(i-1)) wr H at
+    each level.
     """
     g = ctx.g_group
     if g.order == 1:
         return Strategy(ctx=ctx, moves=())
     p = p_group_prime(g)
-    lifts, sub, into_g = [], g, range(g.order)  # into_g[i]: sub's i in G
-    while sub.order > 1:
-        n = (maximal_normal_index_p(sub, p) if sub.order > p
-             else Subgroup(parent=sub, members=(0,)))
-        x = next(y for y in sub.elements() if y not in n.members)
+    lifts = []
+    for cosets in groups.subgroup_chain(g.mul, range(g.order)):
+        n = cosets[0]
+        x = min(min(coset) for coset in cosets[1:])
         lift, power = [], 0  # power runs through x^c
         for _ in range(p):
-            lift.append(into_g[min(sub.mul[power][y] for y in n.members)])
-            power = sub.mul[power][x]
+            lift.append(min(g.mul[power][y] for y in n))
+            power = g.mul[power][x]
         lifts.append(lift)
-        sub, into_g = subgroup_as_group(n), [into_g[y] for y in n.members]
     layers = _chain_layers(ctx.action, p)
     return reduce(interleave, (
         Strategy(ctx=ctx, moves=tuple(ctx.encode([lift[c] for c in v])
                                       for v in layer))
-        for lift in reversed(lifts) for layer in layers
+        for lift in lifts for layer in layers
     ), Strategy(ctx=ctx, moves=()))
 
 

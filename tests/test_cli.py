@@ -113,18 +113,16 @@ def test_decide_answers_p_groups_by_the_theorem(capsys):
     assert doc["budget"]["states_explored"] == 0
 
 
-@pytest.mark.parametrize("puzzle,states", [("Z128 wr 1", 127),
-                                           ("Z81 wr 1", 80)])
-def test_decide_searches_p_groups_beyond_the_subgroup_bound(capsys, puzzle,
-                                                            states):
-    # |G| > 64 is past the construction's subgroup enumeration, so the one
-    # search of the whole context gives the verdict
+@pytest.mark.parametrize("puzzle", ["Z128 wr 1", "Z81 wr 1"])
+def test_decide_answers_p_groups_past_order_64_by_the_theorem(capsys, puzzle):
+    # the construction walks the subgroup chain, not the subgroup lattice
+    # (which stops at |G| = 64), so no belief state is entered
     code, out, _ = run(capsys, "decide", puzzle, "--json")
     assert code == 0
     doc = json.loads(out)
     assert doc["verdict"] == "yes"
-    assert doc["payload"]["message"] == "belief search found a strategy"
-    assert doc["budget"]["states_explored"] == states
+    assert doc["payload"]["message"] == "p-group construction"
+    assert doc["budget"]["states_explored"] == 0
 
 
 def test_a_broken_p_group_construction_is_not_swallowed(capsys, monkeypatch):
@@ -232,6 +230,28 @@ def test_strategy_text_is_formatted_only_when_printed_or_written(
                      "--output", str(out_path), "--json")
     assert code == 0 and len(formatted) == 1
     assert out_path.read_text().startswith("strategy Z2 wr C2 3\n")
+
+
+def test_strategy_payload_is_built_only_under_json(capsys, monkeypatch):
+    # without --json main prints the human record alone, so decide and
+    # construct build no payload strategy for it
+    from spinwreath import cli
+
+    built = []
+    strategy_payload = cli._strategy_payload
+    monkeypatch.setattr(cli, "_strategy_payload",
+                        lambda strat: built.append(strat)
+                        or strategy_payload(strat))
+    for argv in (["decide", "Z2 wr C2"],
+                 ["construct", "Z2 wr C2", "--method", "pgroup"]):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and "strategy Z2 wr C2 3" in out
+        assert not built
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0
+        assert json.loads(out)["payload"]["strategy"]["length"] == 3
+        assert len(built) == 1
+        built.clear()
 
 
 def test_construct_with_a_spin_period(tmp_path, capsys):

@@ -5,7 +5,8 @@ import pytest
 
 from spinwreath import groups
 from spinwreath.errors import (NoIdentity, NotAbelian, NotAssociative,
-                               NotPGroup, TableNotLatin)
+                               TableNotLatin)
+from spinwreath.puzzle_parser import parse_puzzle
 
 
 def brute_force_subgroups(g):
@@ -246,13 +247,6 @@ def test_lattice_matches_the_reference(name):
         sylow = groups.sylow_subgroup(g, p)
         target = next(m for m in reference if len(m) == p_part)
         assert sylow.members == tuple(sorted(target))
-        index_p = [tuple(sorted(m)) for m in normals
-                   if len(m) * p == g.order]
-        if index_p:
-            assert groups.maximal_normal_index_p(g, p).members == min(index_p)
-        else:
-            with pytest.raises(NotPGroup):
-                groups.maximal_normal_index_p(g, p)
 
 
 @pytest.mark.parametrize("g,subgroups,normal", [
@@ -290,3 +284,56 @@ def test_lattice_reads_few_table_entries(g, bound):
     _CountingRow.reads = 0
     assert groups.all_subgroups(counting) == groups.all_subgroups(g)
     assert _CountingRow.reads <= bound
+
+
+_CHAIN_P_GROUPS = [
+    "Z2", "Z3", "Z4", "Z5", "Z7", "Z8", "Z9", "Z16", "Z25", "Z27", "Z32",
+    "Z49", "Z64", "Z81", "Z125", "Z128", "Z243", "Z256",
+    "D4", "D8", "D16", "D32", "D64", "D128", "D256",
+    "Z2 x Z2", "Z2 x Z4", "Z4 x Z4", "Z2 x Z2 x Z2", "Z3 x Z3", "Z3 x Z9",
+    "Z5 x Z5", "Z2 x D8", "Z4 x D8", "D8 x D8", "Z2 x Z2 x Z2 x Z2",
+    "Z3 x Z3 x Z3", "Z2 x Z2 x D8", "Z2 x D16", "Z8 x Z8", "D8 x D32",
+    "Z4 x Z16", "Z2 x Z2 x Z2 x Z2 x Z2 x Z2", "D16 x D16",
+    "Z2 x Z2 x Z2 x Z2 x Z2 x Z2 x Z2 x Z2",
+    "Z3 x Z3 x Z3 x Z3 x Z3",
+]
+
+
+@pytest.mark.parametrize("name", _CHAIN_P_GROUPS)
+def test_subgroup_chain_of_a_p_group(name):
+    # every level of a p-group has index p; up to |G| = 64 the levels read
+    # from the top down are the index-p normal subgroups with the least
+    # members, worked out from the subgroup lattice of each level
+    g = parse_puzzle(f"{name} wr 1").g_group
+    p = groups.p_group_prime(g)
+    chain = groups.subgroup_chain(g.mul, range(g.order))
+    below = [0]
+    for cosets in chain:
+        assert sorted(cosets[0]) == sorted(below)
+        assert len(cosets) == p
+        assert all(len(coset) == len(below) for coset in cosets)
+        below = [x for coset in cosets for x in coset]
+    assert sorted(below) == list(g.elements())
+    if g.order > 64:
+        return
+    sub, into_g = g, list(g.elements())  # into_g[i]: sub's element i in G
+    for cosets in reversed(chain):
+        least = min(s.members for s in groups.normal_subgroups(sub)
+                    if len(s.members) * p == sub.order)
+        assert sorted(cosets[0]) == [into_g[y] for y in least]
+        sub = groups.subgroup_as_group(groups.Subgroup(parent=sub,
+                                                       members=least))
+        into_g = [into_g[y] for y in least]
+
+
+@pytest.mark.parametrize("name", ["S4", "A5", "S5", "A6", "D12", "Z3 x S3"])
+def test_subgroup_chain_takes_the_smallest_extension(name):
+    # each level is the smallest <H_(i-1), g>, the first g on ties
+    g = parse_puzzle(f"{name} wr 1").g_group
+    below = [0]
+    for cosets in groups.subgroup_chain(g.mul, range(g.order)):
+        extensions = [groups.closure(g, below + [x])
+                      for x in g.elements() if x not in below]
+        smallest = min(extensions, key=len)  # the first of the least order
+        below = sorted(x for coset in cosets for x in coset)
+        assert below == sorted(smallest)

@@ -185,6 +185,13 @@ def test_spin_closure_takes_p_minus_one_images_per_level(action, images):
     assert sum(map(len, spin_transversals(action))) == images
 
 
+def test_spin_closure_of_a5_takes_one_image_per_coset():
+    # the chain 1 < C2 < V4 < A4 < A5 has indices 2, 2, 3 and 5; a chain
+    # that jumped from V4 to A5 would take 1 + 1 + 14 images
+    action = permutation_action(groups.alternating(5), "A5-natural")
+    assert [len(level) for level in spin_transversals(action)] == [1, 1, 2, 4]
+
+
 @pytest.mark.parametrize("action,swaps", [
     (cyclic_rotation_action(8), 17), (dihedral_action(16), 13),
     (natural_symmetric_action(4), 6), (dihedral_action(10), 10),

@@ -272,7 +272,8 @@ def _reference_pgroup_strategy(ctx):
     p = groups.p_group_prime(g)
     if g.order == p:
         return _reference_prime_base_strategy(ctx)
-    n = groups.maximal_normal_index_p(g, p)
+    n = min((s for s in groups.normal_subgroups(g)
+             if len(s.members) * p == g.order), key=lambda s: s.members)
     ctx_n = WreathContext(g_group=groups.subgroup_as_group(n),
                           action=ctx.action)
     quot, reps, _proj = groups.quotient(g, n)
