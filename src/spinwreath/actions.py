@@ -195,10 +195,11 @@ class WreathContext:
 
     # -- dense tables for small K -------------------------------------------
     # Each is a coordinate map per row.  Read element by element through
-    # k_mul / k_act / k_inv: by Monte Carlo play (k_mul, k_act) in the
-    # analysis code, verify_naive (all three) and the wreath arithmetic.
-    # The belief kernel, the belief search, the exact expectation, the
-    # enumeration and the certificate validator never build them;
+    # k_mul / k_act / k_inv by verify_naive and the wreath arithmetic.
+    # Monte Carlo play makes its own move rows and reads _k_act_table (|H|
+    # rows) up to the cap, and k_mul / k_act above it, where they build no
+    # table.  The belief kernel, the belief search, the exact expectation,
+    # the enumeration and the certificate validator never build them;
     # orbit_masks is read only by tests and by the table timing of
     # perfbench/spans.py.
 
@@ -241,10 +242,15 @@ class WreathContext:
     def k_mul(self, a: int, b: int) -> int:
         if self._dense:
             return self._k_mul_table[a][b]
-        mul = self.g_group.mul
-        return self.encode(
-            [mul[x][y] for x, y in zip(self.decode(a), self.decode(b))]
-        )
+        # digit by digit, least significant first, with no tuple built
+        n, mul = self.g_group.order, self.g_group.mul
+        c, weight = 0, 1
+        for _ in range(self.omega_size):
+            a, x = divmod(a, n)
+            b, y = divmod(b, n)
+            c += mul[x][y] * weight
+            weight *= n
+        return c
 
     def k_inv(self, a: int) -> int:
         if self._dense:

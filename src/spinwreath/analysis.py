@@ -149,12 +149,22 @@ def _game_lengths(ctx: WreathContext, rng: random.Random,
 
     Each number is drawn straight from ``rng.getrandbits`` by the rejection
     rule of ``randrange(a, b)``: draw r from (b - a).bit_length() bits until
-    r < b - a, and take a + r.  A rejected start (one in the win set)
-    or move (the one that undoes the last constant move) is drawn again the
+    r < b - a, and take a + r.  A rejected start (one in the win set) or
+    move (the one that undoes the last constant move) is drawn again the
     same way, so the games are those of ``randrange`` with the same seed.
-    The set-up (the dense tables, the bit widths of the start, move and spin
-    draws and, for play that never backtracks, the move that undoes each
-    constant move) is made once for all the games the caller draws.
+
+    A turn reads a state's move row at the raw draw r of the move r + 1:
+    the state the move leads to, -1 if it wins, or None where ``randrange``
+    would draw again.  The state's spin row does the same for the spins.
+    Play that never backtracks puts the last move in the state: after the
+    constant move (g, ..., g) a state s is s + |K| g, whose move row reads
+    None at the move that undoes it and whose spin row adds |K| g to each
+    image, so one loop plays both models.  Up to ``DENSE_TABLE_CAP`` a row
+    is a list made on the first visit to its state and kept until the
+    generator ends: a move row from one coordinate map, a spin row from
+    the |H| rows of ``_k_act_table``.  Above it no row is kept: each turn
+    makes views that work out each entry they are read at through
+    ``k_mul`` or ``k_act``.
 
     Every turn played counts against ``stats.limit`` as a state (see
     ``SearchStats``).  A game unwon after MAX_TURNS turns, or once the
@@ -168,22 +178,91 @@ def _game_lengths(ctx: WreathContext, rng: random.Random,
     if len(win) == k:
         raise ContextTooSmall("every state is in the win set")
     low = 1 if 0 in win else 0  # the least start that may be unsolved
-    undo = {}
-    if exclude_constant_backtrack:
-        # the constant move (g, ..., g) is undone by (g^-1, ..., g^-1)
-        m, inv = ctx.omega_size, ctx.g_group.inv
-        undo = {ctx.encode([g] * m): ctx.encode([inv[g]] * m)
-                for g in range(ctx.g_group.order)}
-    # hot loop: localize the dense tables (cached on the context) and the rng
-    mul = ctx._k_mul_table if ctx._dense else None
-    act = ctx._k_act_table if ctx._dense else None
-    getrandbits = rng.getrandbits
-    h_order = ctx.h_order
+    n, m, h_order = ctx.g_group.order, ctx.omega_size, ctx.h_order
     # starts lie in [low, k), moves in [1, k) and spins in [0, |H|); a
     # spin is drawn from one bit even when |H| = 1, as randrange(1) does
     start_bits = (k - low).bit_length()
     move_bits = (k - 1).bit_length()
     spin_bits = h_order.bit_length()
+    # without backtracking: |K| g by the draw of each constant move
+    # (g, ..., g), and the draw of (g^-1, ..., g^-1), which undoes it, by
+    # |K| g
+    shift: Dict[int, int] = {}
+    undo: Dict[int, int] = {}
+    if exclude_constant_backtrack:
+        inv = ctx.g_group.inv
+        for g in range(1, n):
+            shift[ctx.encode([g] * m) - 1] = k * g
+            undo[k * g] = ctx.encode([inv[g]] * m) - 1
+
+    if ctx._dense:
+        mul = ctx.g_group.mul
+        # the move b with s * b = w has digits divide[s_i][w_i]
+        divide = [[0] * n for _ in range(n)]
+        for x in range(n):
+            for y in range(n):
+                divide[x][mul[x][y]] = y
+        win_digits = [ctx.decode(w) for w in win]
+        move_pad = [None] * ((1 << move_bits) - k + 1)
+        # |H| rows of |K| spin images, not the |K| x |K| product table
+        images = ctx._k_act_table
+        spin_pad = [None] * ((1 << spin_bits) - h_order)
+
+        def move_row(state):
+            # the row of s is made once and read by every s + |K| g too
+            s = state % k
+            row = moves[s]
+            if row is None:
+                digits = ctx.decode(s)
+                row = coordinate_map(n, [mul[x] for x in digits])
+                del row[0]  # the move 0 is never drawn
+                row += move_pad
+                for r, kg in shift.items():
+                    row[r] += kg
+                for w in win_digits:
+                    b = ctx.encode([divide[x][y] for x, y in zip(digits, w)])
+                    if b:
+                        row[b - 1] = -1
+                moves[s] = row
+            if s < state:
+                row = moves[state] = _Banned(row, undo[state - s])
+            return row
+
+        def spin_row(state):
+            kg = state - state % k
+            row = spins[state] = ([image[state - kg] + kg for image in images]
+                                  + spin_pad)
+            return row
+
+        # the rows by state, the last constant move included, each made on
+        # the first visit to its state and kept
+        moves = [None] * (k * n if shift else k)
+        spins = moves.copy()
+    else:
+        last = k - 1  # the draw of the last move
+
+        def move_entry(state, r):
+            s = state % k
+            if r >= last or s < state and r == undo[state - s]:
+                return None
+            t = ctx.k_mul(s, r + 1)
+            return -1 if t in win else t + shift[r] if r in shift else t
+
+        def spin_entry(state, r):
+            if r >= h_order:
+                return None
+            kg = state - state % k
+            return ctx.k_act(r, state - kg) + kg
+
+        def move_row(state):
+            return _View(move_entry, state)
+
+        def spin_row(state):
+            return _View(spin_entry, state)
+
+        # no row is kept, so each turn makes its two views anew
+        moves = spins = _UNKEPT
+    getrandbits = rng.getrandbits
     # the turns left of the limit, and the most a game may take: the fewer
     # of MAX_TURNS and those
     room = left = (math.inf if stats is None
@@ -194,19 +273,21 @@ def _game_lengths(ctx: WreathContext, rng: random.Random,
             state = getrandbits(start_bits) + low
             while state >= k or state in win:
                 state = getrandbits(start_bits) + low
-            banned = None
             for turn in range(1, cap + 1):
-                move = getrandbits(move_bits) + 1
-                while move >= k or move == banned:
-                    move = getrandbits(move_bits) + 1
-                state = mul[state][move] if mul else ctx.k_mul(state, move)
-                if state in win:
+                row = moves[state]
+                if row is None:
+                    row = move_row(state)
+                state = row[getrandbits(move_bits)]
+                while state is None:
+                    state = row[getrandbits(move_bits)]
+                if state < 0:
                     break
-                banned = undo.get(move)
-                spin = getrandbits(spin_bits)
-                while spin >= h_order:
-                    spin = getrandbits(spin_bits)
-                state = act[spin][state] if act else ctx.k_act(spin, state)
+                row = spins[state]
+                if row is None:
+                    row = spin_row(state)
+                state = row[getrandbits(spin_bits)]
+                while state is None:
+                    state = row[getrandbits(spin_bits)]
             else:
                 left -= cap
                 raise BudgetExceeded(
@@ -218,6 +299,45 @@ def _game_lengths(ctx: WreathContext, rng: random.Random,
     finally:
         if stats is not None:
             stats.states_explored += room - left
+
+
+class _View:
+    """A row of ``_game_lengths`` that works out each entry when it is read:
+    _View(entry, state)[r] is entry(state, r)."""
+
+    __slots__ = ("entry", "state")
+
+    def __init__(self, entry, state):
+        self.entry, self.state = entry, state
+
+    def __getitem__(self, r):
+        return self.entry(self.state, r)
+
+
+class _Unkept:
+    """The row store of ``_game_lengths`` above the cap: it keeps no row,
+    so every read is None."""
+
+    __slots__ = ()
+
+    def __getitem__(self, state):
+        return None
+
+
+_UNKEPT = _Unkept()
+
+
+class _Banned:
+    """A move row that reads None at one draw, that of the move that undoes
+    the last one, and the state's own row at every other draw."""
+
+    __slots__ = ("row", "draw")
+
+    def __init__(self, row, draw):
+        self.row, self.draw = row, draw
+
+    def __getitem__(self, r):
+        return None if r == self.draw else self.row[r]
 
 
 def monte_carlo_random_play(ctx: WreathContext, trials: int, seed: int,

@@ -446,7 +446,7 @@ def main(argv=None) -> int:
         }
         if answer.seed is not None:
             doc["seed"] = answer.seed
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(doc))  # one line: an indent makes json encode in Python
     elif answer.human:
         print(answer.human)
     return answer.exit_code

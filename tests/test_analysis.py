@@ -272,8 +272,11 @@ def _randrange_game_lengths(ctx, rng, exclude_constant_backtrack=False):
         yield turn
 
 
-# (puzzle, win set, games): 0 in the win set or not, |H| = 1, and |K| above
-# DENSE_TABLE_CAP, where the games step through the per-element k_mul/k_act
+# (puzzle, win set, games): 0 in the win set or not, |H| = 1, two constant
+# moves to ban (Z3 wr C2), half of all spin draws redrawn (Z2 wr C4, |H| = 4
+# from 3 bits), a win set {1} that a banned move would reach (Z3 wr C2: the
+# games of both seeds redraw such a move), and |K| above DENSE_TABLE_CAP,
+# where the rows work out each entry through k_mul/k_act
 MONTE_CARLO_CASES = [
     ("Z2 wr C3", None, 300),
     ("Z2 wr C3", {5}, 300),
@@ -281,6 +284,9 @@ MONTE_CARLO_CASES = [
     ("Z3 wr 1", None, 300),
     ("Z3 wr 1", {2}, 300),
     ("Z4 wr C2", {1, 14}, 200),
+    ("Z3 wr C2", None, 300),
+    ("Z2 wr C4", None, 200),
+    ("Z3 wr C2", {1}, 300),
     ("Z2 wr C13", None, 3),
 ]
 

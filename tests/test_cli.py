@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -514,10 +515,18 @@ def test_sampled_play_counts_each_turn_as_a_state(capsys, model):
 
 @pytest.mark.parametrize("model", ["montecarlo", "nonbacktracking"])
 def test_sampled_play_stops_at_the_budget(capsys, model):
-    # one game on |K| = 2^24 takes about 1.7e7 turns; the budget cuts it
-    code, out, err = run(capsys, "expect", "Z2 wr C24", "--model", model,
-                         "--trials", "1", "--seed", "1", "--budget", "1000",
-                         "--json")
+    # one game on |K| = 2^24 takes about 1.7e7 turns; the budget cuts it.
+    # A list over K would take over 100 MB, while the rows above
+    # DENSE_TABLE_CAP work out each entry when it is read
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "expect", "Z2 wr C24", "--model", model,
+                             "--trials", "1", "--seed", "1", "--budget",
+                             "1000", "--json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
     assert code == 4
     doc = json.loads(out)
     assert doc["verdict"] == "unknown"
