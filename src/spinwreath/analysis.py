@@ -290,6 +290,10 @@ def _game_lengths(ctx: WreathContext, rng: random.Random,
                     state = row[getrandbits(spin_bits)]
             else:
                 left -= cap
+                if cap < MAX_TURNS:  # the limit set the cap
+                    raise BudgetExceeded(
+                        f"the budget of {stats.limit} turns ran out "
+                        f"{cap} turns into a simulated game")
                 raise BudgetExceeded(
                     f"a simulated game was still unwon after {cap} turns")
             left -= turn

@@ -2,11 +2,13 @@
 
 The theorem comes first: p-groups for one prime always win, by a verified
 construction.  Then the base facts (``AbelianClassification``, and
-``SylowSwap`` for two swapped copies of a G that is not a 2-group), then
-the reductions (switch quotients, orbit restrictions to a subgroup of H on
-one orbit or every position) look for a certificate of nonexistence, and
-last one belief search of the whole context; ``decide_by_search`` alone
-turns a search, of the whole or of a reduction's leaf, into a verdict.  An
+``SylowSwap`` for two swapped copies of a G that is not a 2-group) and two
+reductions look for a certificate of nonexistence: the switch quotient
+G -> G/(G′G^p) for each prime p dividing |G|, and the restriction of the
+spins to each cyclic subgroup of H of prime order q on each of its
+q-cycles.  A quotient is elementary abelian and a restriction is C_q, so
+the reductions stop after two levels by themselves.  Last comes one belief
+search of the whole context, ``decide_by_search``, the only search.  An
 independent checker validates certificates by every hypothesis.
 """
 
@@ -27,17 +29,15 @@ from .groups import (
     Homomorphism,
     Subgroup,
     TRIVIAL_P,
-    all_subgroups,
     p_group_prime,
+    prime_factors,
+    prime_order_subgroups,
     quotient,
     same_prime,
     subgroup_as_group,
 )
 from .strategies import Strategy, verify
 from .synthesis import SearchStats, construct_pgroup, search_belief_path
-
-EXHAUSTIVE_LEAF_K_CAP = 2 ** 12
-DEFAULT_CERT_DEPTH = 3
 
 
 # ---------------------------------------------------------------------------
@@ -245,79 +245,53 @@ def _is_elementary_abelian(g: FiniteGroup) -> Optional[int]:
 # nonexistence certificates
 # ---------------------------------------------------------------------------
 
-def find_nonexistence_certificate(ctx: WreathContext,
-                                  *, stats: Optional[SearchStats] = None
+def find_nonexistence_certificate(ctx: WreathContext
                                   ) -> Optional[Certificate]:
-    """The reductions: switch quotients, then orbit restrictions (one orbit
-    of a proper subgroup of H, or every position for a transitive one),
-    ``DEFAULT_CERT_DEPTH`` deep, down to a base fact or exhaustive leaf.
-    A sub-context of p-groups for one prime, either possibly trivial, has
-    a strategy by the theorem and is skipped: Z8 wr C4 costs no state.
+    """A base fact, or a switch quotient or orbit restriction (see the
+    module docstring) down to one; nothing is searched.  G/(G′G^p) has no
+    proper quotient of its kind and C_q no proper spin subgroup but 1, so a
+    certificate holds at most a quotient and a restriction, in either
+    order.  A sub-context of p-groups for one prime, either possibly
+    trivial, has a strategy by the theorem and is skipped.
 
     Only valid for ordinary group contexts with the default winning state.
-    The whole context is never searched here (``decide_existence`` does
-    that).  The leaves count their belief states into ``stats``; a leaf
-    that runs out of budget gives up, so the search returns None rather
-    than raise.
     """
     if ctx.loop_mode or ctx.win_set != frozenset({0}):
         return None
-    stats = stats if stats is not None else SearchStats()
-    return _reduce(ctx.g_group, ctx.action, DEFAULT_CERT_DEPTH, stats)
+    return _reduce(ctx.g_group, ctx.action)
 
 
-def _prove_no(g: FiniteGroup, action: GroupAction, depth: int,
-              stats: SearchStats) -> Optional[Certificate]:
-    if same_prime(g, action.h_group):  # solvable: it has no certificate
-        return None
-    return _reduce(g, action, depth, stats) or _exhaust(g, action, stats)
-
-
-def _reduce(g: FiniteGroup, action: GroupAction, depth: int,
-            stats: SearchStats) -> Optional[Certificate]:
-    """The base facts, then every reduction to a smaller context."""
-    leaf = _abelian_leaf(g, action) or _sylow_leaf(g, action)
-    if leaf is not None or depth == 0 or not g.is_associative:
-        return leaf
+def _reduce(g: FiniteGroup, action: GroupAction) -> Optional[Certificate]:
     h = action.h_group
+    if same_prime(g, h):  # solvable: it has no certificate
+        return None
+    leaf = _abelian_leaf(g, action) or _sylow_leaf(g, action)
+    if leaf is not None:
+        return leaf
 
-    # switch quotients, smallest quotient first
-    if g.order <= groups.DEFAULT_SUBGROUP_ORDER_BOUND:
-        normals = [s for s in groups.normal_subgroups(g)
-                   if 1 < len(s.members) < g.order]
-        for n in sorted(normals, key=lambda s: -len(s.members)):
-            quot, _reps, proj = quotient(g, n)
-            child = _prove_no(quot, action, depth - 1, stats)
+    for p in prime_factors(g.order):
+        kernel = groups.p_quotient_kernel(g, p)
+        if 1 < kernel.order < g.order:
+            quot, _reps, proj = quotient(g, kernel)
+            child = _reduce(quot, action)
             if child is not None:
                 return SwitchQuotient(phi=proj, child=child)
 
-    if h.order > groups.DEFAULT_SUBGROUP_ORDER_BOUND:
-        return None
-    subs = [tuple(sorted(s)) for s in all_subgroups(h) if 1 < len(s) < h.order]
-    subs.sort(key=lambda members: (len(members), members))
-
-    # orbit restrictions: each orbit of a proper subgroup, every position
-    # for a transitive one; disjoint orbits sort by their least position
-    for members in subs:
+    # disjoint orbits sort by their least position
+    for members in prime_order_subgroups(h):
+        if len(members) == h.order:
+            continue
         for orbit in sorted({_orbit(action, members, w)
                              for w in range(action.omega_size)}):
+            if len(orbit) == 1:
+                continue
             sub_action = _restricted_action(action, members, orbit)
-            child = _prove_no(g, sub_action, depth - 1, stats)
+            child = _reduce(g, sub_action)
             if child is not None:
                 return OrbitRestriction(embedding=_embedding_hom(h, members),
                                         omega=orbit[0], orbit=orbit,
                                         child=child)
     return None
-
-
-def _exhaust(g: FiniteGroup, action: GroupAction,
-             stats: SearchStats) -> Optional[Certificate]:
-    """Leaf: ``decide_by_search``'s certificate for a small sub-context
-    that ``_prove_no`` has not skipped as a p-group for one prime."""
-    if g.order ** action.omega_size > EXHAUSTIVE_LEAF_K_CAP:
-        return None
-    ctx = WreathContext(g_group=g, action=action, allow_non_faithful=True)
-    return decide_by_search(ctx, stats=stats).certificate
 
 
 # ---------------------------------------------------------------------------
@@ -446,9 +420,8 @@ def decide_existence(ctx: WreathContext,
     at any order of G (a broken one raises ``BaseCaseVerificationFailed``),
     then the reductions of ``find_nonexistence_certificate``.  What is left
     goes to one ``decide_by_search``.  ``certify`` validates this result's
-    "no".
-    The certificate leaves and the search count into one ``SearchStats``,
-    so its ``limit`` caps the belief states of the whole decision.
+    "no".  The reductions enter no belief state, so ``stats`` counts that
+    search alone, and its ``limit`` caps the belief states of the decision.
     """
     stats = stats if stats is not None else SearchStats()
     if spin_period in (None, 1) and ctx.win_set == frozenset({0}) \
@@ -459,7 +432,7 @@ def decide_existence(ctx: WreathContext,
                                   message="p-group construction")
         except (NotSamePrime, NonFaithfulAction):
             pass
-        cert = find_nonexistence_certificate(ctx, stats=stats)
+        cert = find_nonexistence_certificate(ctx)
         if cert is not None:
             return DecisionResult(verdict="no", certificate=cert,
                                   states_explored=stats.states_explored,

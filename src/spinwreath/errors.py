@@ -31,10 +31,6 @@ class NotNormal(SpinWreathError):
     pass
 
 
-class PrimeDoesNotDivideOrder(SpinWreathError):
-    pass
-
-
 class NotAbelian(SpinWreathError):
     pass
 

@@ -18,7 +18,6 @@ from .errors import (
     NotAssociative,
     NotNormal,
     OrderBoundExceeded,
-    PrimeDoesNotDivideOrder,
     TableNotLatin,
 )
 
@@ -437,7 +436,48 @@ def quotient(g: FiniteGroup, n: Subgroup):
     return quot, reps, proj
 
 
-def _prime_factors(n: int):
+def p_quotient_kernel(g: FiniteGroup, p: int) -> Subgroup:
+    """G′G^p, the least normal N with G/N elementary abelian of exponent p:
+    the normal closure of the commutators and p-th powers of a generating
+    set, modulo which the generators commute and have order p (Holt, Eick
+    and O'Brien, *Handbook of Computational Group Theory*, 2005).  Each
+    conjugate by a generator of G that falls outside N at least doubles N.
+    """
+    _require_group(g, "p_quotient_kernel")
+    mul, inv = g.mul, g.inv
+    g_gens = generating_set(g)
+    gens = [mul[mul[inv[x]][inv[y]]][mul[x][y]]
+            for x in g_gens for y in g_gens]
+    for x in g_gens:
+        y = x
+        for _ in range(p - 1):
+            y = mul[y][x]
+        gens.append(y)
+    members = closure(g, gens)
+    for s in gens:  # the walk appends to the list it reads
+        for x in g_gens:
+            c = g.conjugate(x, s)
+            if c not in members:
+                gens.append(c)
+                members = closure(g, gens)
+    return Subgroup(parent=g, members=tuple(sorted(members)))
+
+
+def prime_order_subgroups(g: FiniteGroup) -> list:
+    """The cyclic subgroups of prime order, each a sorted tuple of its
+    members, by order and then members: one pass over the elements."""
+    found = set()
+    for x in range(1, g.order):
+        powers, y = [0], x
+        while y != 0:
+            powers.append(y)
+            y = g.mul[y][x]
+        if prime_factors(len(powers)) == [len(powers)]:
+            found.add(tuple(sorted(powers)))
+    return sorted(found, key=lambda members: (len(members), members))
+
+
+def prime_factors(n: int):
     out, p = [], 2
     while p * p <= n:
         if n % p == 0:
@@ -454,7 +494,7 @@ def p_group_prime(g: FiniteGroup) -> Optional[int]:
     """The prime p with |G| = p^k, TRIVIAL_P for the trivial group, else None."""
     if g.order == 1:
         return TRIVIAL_P
-    factors = _prime_factors(g.order)
+    factors = prime_factors(g.order)
     return factors[0] if len(factors) == 1 else None
 
 
@@ -462,21 +502,6 @@ def same_prime(a: FiniteGroup, b: FiniteGroup) -> bool:
     """True iff A and B are p-groups for one prime, either possibly trivial."""
     p, q = p_group_prime(a), p_group_prime(b)
     return None not in (p, q) and (p == q or TRIVIAL_P in (p, q))
-
-
-def sylow_subgroup(g: FiniteGroup, q: int) -> Subgroup:
-    _require_group(g, "sylow_subgroup")
-    if g.order % q != 0:
-        raise PrimeDoesNotDivideOrder(f"{q} does not divide |G| = {g.order}")
-    target = 1
-    n = g.order
-    while n % q == 0:
-        target *= q
-        n //= q
-    for members in all_subgroups(g):
-        if len(members) == target:
-            return Subgroup(parent=g, members=tuple(sorted(members)))
-    raise AssertionError("Sylow subgroup must exist")  # unreachable for groups
 
 
 def subgroup_chain(mul, name) -> tuple:
@@ -499,7 +524,7 @@ def subgroup_chain(mul, name) -> tuple:
     sub, gens, levels = [0], [], []
     while len(sub) < len(universe):
         # the index divides |image| / |H_(i-1)|: its least prime is a floor
-        least = _prime_factors(len(universe) // len(sub))[0]
+        least = prime_factors(len(universe) // len(sub))[0]
         best, tried = None, set(sub)
         for g in universe:
             if g in tried:

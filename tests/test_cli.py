@@ -504,6 +504,26 @@ def test_a_game_past_the_turn_cap_is_unknown(capsys, monkeypatch, model):
 
 
 @pytest.mark.parametrize("model", ["montecarlo", "nonbacktracking"])
+def test_a_cut_game_names_what_cut_it(capsys, monkeypatch, model):
+    # a game cut short by the spent budget names the budget; one that
+    # passes the turn cap with budget to spare names the cap
+    from spinwreath import analysis
+
+    code, out, err = run(capsys, "expect", "Z2 wr C8", "--model", model,
+                         "--budget", "50", "--json")
+    assert code == 4
+    message = json.loads(out)["payload"]["message"]
+    assert message.startswith("the budget of 50 turns ran out ")
+    assert message in err and "unwon" not in message
+    monkeypatch.setattr(analysis, "MAX_TURNS", 2)
+    code, out, err = run(capsys, "expect", "Z2 wr C4", "--model", model,
+                         "--trials", "50", "--seed", "1", "--json")
+    assert code == 4
+    assert json.loads(out)["payload"]["message"] == \
+        "a simulated game was still unwon after 2 turns"
+
+
+@pytest.mark.parametrize("model", ["montecarlo", "nonbacktracking"])
 def test_sampled_play_counts_each_turn_as_a_state(capsys, model):
     code, out, _ = run(capsys, "expect", "Z2 wr C4", "--model", model,
                        "--trials", "200", "--seed", "3", "--json")

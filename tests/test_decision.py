@@ -141,8 +141,7 @@ def test_census_slice_certificates_validate():
     certified = set()
     for puzzle in CENSUS_SLICE:
         ctx = parse_puzzle(puzzle)
-        cert = find_nonexistence_certificate(ctx,
-                                             stats=SearchStats(limit=2000))
+        cert = find_nonexistence_certificate(ctx)
         if cert is not None:
             assert validate_certificate(ctx, cert), puzzle
             certified.add(puzzle)
@@ -367,9 +366,8 @@ def test_the_reductions_prove_s3_wr_c2_by_the_sylow_leaf():
     # |S3| = 6 is not a power of 2, so the base fact for two swapped
     # copies proves S3 wr C2 before any quotient, and nothing is searched
     ctx = WreathContext(g_group=groups.symmetric(3), action=swap_action())
-    stats = SearchStats()
-    cert = find_nonexistence_certificate(ctx, stats=stats)
-    assert cert == SylowSwap(order=6) and stats.states_explored == 0
+    cert = find_nonexistence_certificate(ctx)
+    assert cert == SylowSwap(order=6)
     result = decide_existence(ctx)
     assert result.verdict == "no" and result.states_explored == 0
     assert result.certificate == cert and validate_certificate(ctx, cert)
@@ -377,13 +375,10 @@ def test_the_reductions_prove_s3_wr_c2_by_the_sylow_leaf():
 
 def test_the_reductions_search_no_sub_context_the_theorem_solves(
         monkeypatch):
-    # p-groups for one prime have strategies, so no leaf below them can
-    # hold a certificate: Z8 wr C4's quotients and restrictions are all
-    # such groups and cost no state, where a leaf search spent 1,792
-    stats = SearchStats(limit=2000)
-    assert find_nonexistence_certificate(parse_puzzle("Z8 wr C4"),
-                                         stats=stats) is None
-    assert stats.states_explored == 0
+    # p-groups for one prime have strategies, so no reduction below them
+    # can hold a certificate: Z8 wr C4's quotients and restrictions are all
+    # such groups
+    assert find_nonexistence_certificate(parse_puzzle("Z8 wr C4")) is None
     searched = []
 
     def spy(ctx, **kwargs):
@@ -476,10 +471,6 @@ def test_no_belief_search_explores_more_states_than_its_budget(puzzle, budget,
     assert decide_existence(
         ctx, stats=SearchStats(limit=budget)).states_explored <= budget
 
-    stats = SearchStats(limit=budget)
-    find_nonexistence_certificate(ctx, stats=stats)
-    assert stats.states_explored <= budget
-
     # every spin period's decision counts into one total
     stats = SearchStats(limit=budget)
     try:
@@ -516,7 +507,6 @@ def test_one_search_stats_caps_every_engine_above_k_64(puzzle, budget):
     ctx = parse_puzzle(text, win_set=win_set)
     stats = SearchStats(limit=budget)
     for engine in (lambda: decide_existence(ctx, stats=stats),
-                   lambda: find_nonexistence_certificate(ctx, stats=stats),
                    lambda: min_spin_period(ctx, 2, stats=stats),
                    lambda: enumerate_strategies(
                        ctx, minimal_length_bound(ctx), stats=stats),
@@ -526,6 +516,21 @@ def test_one_search_stats_caps_every_engine_above_k_64(puzzle, budget):
         except BudgetExceeded:
             assert stats.states_explored == budget
         assert stats.states_explored <= budget
+
+
+def test_the_reductions_search_nothing(monkeypatch):
+    # the reductions read group tables alone, never a belief state: each
+    # certificate, or None, comes back with both searches refused, past
+    # |G| = 64 and |H| = 64 too
+    def refuse(*args, **kwargs):
+        raise AssertionError("the reductions must not search")
+
+    monkeypatch.setattr(decision, "search_belief_path", refuse)
+    monkeypatch.setattr(decision, "decide_by_search", refuse)
+    for puzzle in CENSUS_SLICE + BUDGET_PUZZLES + ["D128 wr C3", "Z7 wr S5"]:
+        ctx = parse_puzzle(puzzle)
+        cert = find_nonexistence_certificate(ctx)
+        assert cert is None or validate_certificate(ctx, cert), puzzle
 
 
 def test_validator_reads_no_tables_and_no_kernel(monkeypatch):

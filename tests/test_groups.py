@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import random
 
 import pytest
 
@@ -100,14 +101,6 @@ def test_quotient_matches_order_arithmetic():
                 for b in range(g.order):
                     assert proj.map[g.mul[a][b]] == \
                         quot.mul[proj.map[a]][proj.map[b]]
-
-
-def test_sylow_subgroup_orders():
-    s4 = groups.symmetric(4)
-    assert len(groups.sylow_subgroup(s4, 2).members) == 8
-    assert len(groups.sylow_subgroup(s4, 3).members) == 3
-    z12 = groups.cyclic(12)
-    assert len(groups.sylow_subgroup(z12, 2).members) == 4
 
 
 def test_p_group_prime():
@@ -238,15 +231,44 @@ def test_lattice_matches_the_reference(name):
     normals = [m for m in reference if _reference_is_normal(g, m)]
     assert [s.members for s in groups.normal_subgroups(g)] == \
         [tuple(sorted(m)) for m in normals]
-    for p in (2, 3):
-        if g.order % p:
-            continue
-        p_part = p
-        while g.order % (p_part * p) == 0:
-            p_part *= p
-        sylow = groups.sylow_subgroup(g, p)
-        target = next(m for m in reference if len(m) == p_part)
-        assert sylow.members == tuple(sorted(target))
+
+
+def _relabelled(g, seed):
+    """G with its elements other than the identity renumbered at random,
+    so that ``generating_set`` picks other generators."""
+    old = list(range(1, g.order))
+    random.Random(seed).shuffle(old)
+    old = [0] + old  # new element i is old[i]
+    new = {x: i for i, x in enumerate(old)}
+    return groups.from_table([[new[g.mul[a][b]] for b in old] for a in old],
+                             name=g.name)
+
+
+@pytest.mark.parametrize("name", sorted(_LATTICE_GROUPS))
+def test_p_quotient_kernel_is_the_least_elementary_abelian_kernel(name):
+    # G′G^p is the intersection of the normal N with G/N elementary abelian
+    # of exponent p (N = G included, so a p not dividing |G| gives G).  In
+    # the relabelled A4 x Z3 the commutators and cubes of the generators
+    # do not close to a normal subgroup, so the conjugates are needed
+    for g in (_LATTICE_GROUPS[name], _relabelled(_LATTICE_GROUPS[name], 0)):
+        for p in (2, 3, 5):
+            kernel = frozenset(g.elements())
+            for n in groups.normal_subgroups(g):
+                quot, _reps, _proj = groups.quotient(g, n)
+                if quot.is_abelian() and all(
+                        quot.element_order(x) in (1, p)
+                        for x in quot.elements()):
+                    kernel &= frozenset(n.members)
+            assert groups.p_quotient_kernel(g, p).members == \
+                tuple(sorted(kernel)), p
+
+
+@pytest.mark.parametrize("name", sorted(_LATTICE_GROUPS) + ["A5"])
+def test_prime_order_subgroups_are_those_of_the_lattice(name):
+    g = _LATTICE_GROUPS.get(name) or groups.alternating(5)
+    assert groups.prime_order_subgroups(g) == [
+        tuple(sorted(s)) for s in groups.all_subgroups(g)
+        if groups.prime_factors(len(s)) == [len(s)]]
 
 
 @pytest.mark.parametrize("g,subgroups,normal", [
