@@ -280,8 +280,8 @@ def _cmd_classify(args, ctx, stats) -> Answer:
         # the leaf's own hypotheses fail (Z4 wr C3, say): a reduction to a
         # context where they hold certifies the same "no"
         result = dataclasses.replace(
-            result,
-            certificate=decision.find_nonexistence_certificate(ctx))
+            result, certificate=decision.find_nonexistence_certificate(
+                ctx, stats=stats))
     payload = {"context": ctx.name, "message": result.message}
     if result.certificate is not None:
         payload["certificate"] = render_certificate(result.certificate)

@@ -7,15 +7,18 @@ reductions look for a certificate of nonexistence: the switch quotient
 G -> G/(G′G^p) for each prime p dividing |G|, and the restriction of the
 spins to each cyclic subgroup of H of prime order q on each of its
 q-cycles.  A quotient is elementary abelian and a restriction is C_q, so
-the reductions stop after two levels by themselves.  Last comes one belief
-search of the whole context, ``decide_by_search``, the only search.  An
-independent checker validates certificates by every hypothesis.
+these stop after two levels by themselves.  A small sub-context they
+reach and cannot reduce is decided by a belief search
+(``decide_by_search``); the quotient by the center, tried last, only
+leads to such a search, and Z(G) < G, so that chain ends too.  Last comes
+one belief search of the whole context.  An independent checker
+validates certificates by every hypothesis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import partial, reduce
 from itertools import compress, product
 from operator import or_
 from typing import Optional, Tuple, Union
@@ -38,6 +41,8 @@ from .groups import (
 )
 from .strategies import Strategy, verify
 from .synthesis import SearchStats, construct_pgroup, search_belief_path
+
+EXHAUSTIVE_LEAF_K_CAP = 2 ** 12
 
 
 # ---------------------------------------------------------------------------
@@ -245,53 +250,82 @@ def _is_elementary_abelian(g: FiniteGroup) -> Optional[int]:
 # nonexistence certificates
 # ---------------------------------------------------------------------------
 
-def find_nonexistence_certificate(ctx: WreathContext
+def find_nonexistence_certificate(ctx: WreathContext,
+                                  *, stats: Optional[SearchStats] = None
                                   ) -> Optional[Certificate]:
-    """A base fact, or a switch quotient or orbit restriction (see the
-    module docstring) down to one; nothing is searched.  G/(G′G^p) has no
-    proper quotient of its kind and C_q no proper spin subgroup but 1, so a
-    certificate holds at most a quotient and a restriction, in either
-    order.  A sub-context of p-groups for one prime, either possibly
-    trivial, has a strategy by the theorem and is skipped.
+    """A base fact, or a chain of reductions (see the module docstring)
+    down to one, or down to a sub-context of at most
+    ``EXHAUSTIVE_LEAF_K_CAP`` states that they cannot reduce, decided by a
+    belief search: A4 wr C3 below A4 wr C9.  A sub-context of p-groups for
+    one prime, either possibly trivial, has a strategy by the theorem and
+    is skipped: Z8 wr C4 costs no state.
 
     Only valid for ordinary group contexts with the default winning state.
+    The whole context is never searched here (``decide_existence`` does
+    that).  The leaves count their belief states into ``stats``; a leaf
+    that runs out of budget gives up, so the search returns None rather
+    than raise.
     """
     if ctx.loop_mode or ctx.win_set != frozenset({0}):
         return None
-    return _reduce(ctx.g_group, ctx.action)
+    stats = stats if stats is not None else SearchStats()
+    return _reduce(ctx.g_group, ctx.action, stats)
 
 
-def _reduce(g: FiniteGroup, action: GroupAction) -> Optional[Certificate]:
-    h = action.h_group
-    if same_prime(g, h):  # solvable: it has no certificate
+def _reduce(g: FiniteGroup, action: GroupAction,
+            stats: SearchStats) -> Optional[Certificate]:
+    """A base fact, or a reduction to a sub-context with a certificate."""
+    if same_prime(g, action.h_group):  # solvable: it has no certificate
         return None
     leaf = _abelian_leaf(g, action) or _sylow_leaf(g, action)
     if leaf is not None:
         return leaf
+    for node, sub_g, sub_action in _sub_contexts(g, action):
+        child = (_reduce(sub_g, sub_action, stats)
+                 or _exhaust(sub_g, sub_action, stats))
+        if child is not None:
+            return node(child=child)
+    return None
 
-    for p in prime_factors(g.order):
-        kernel = groups.p_quotient_kernel(g, p)
-        if 1 < kernel.order < g.order:
-            quot, _reps, proj = quotient(g, kernel)
-            child = _reduce(quot, action)
-            if child is not None:
-                return SwitchQuotient(phi=proj, child=child)
 
+def _sub_contexts(g: FiniteGroup, action: GroupAction):
+    """Each smaller context, lazily, with the certificate node that takes
+    its certificate as ``child``: the p-quotients, the prime-order
+    restrictions, and last the quotient by Z(G).  A base fact, p-quotient
+    or restriction of G/Z(G) is one of G already, so Z(G) only leads to a
+    smaller leaf search, as from A4 x Z3 wr C3 to A4 wr C3."""
+    def quotients(kernels):
+        for kernel in kernels:
+            if 1 < kernel.order < g.order:
+                quot, _reps, proj = quotient(g, kernel)
+                yield partial(SwitchQuotient, phi=proj), quot, action
+
+    yield from quotients(groups.p_quotient_kernel(g, p)
+                         for p in prime_factors(g.order))
     # disjoint orbits sort by their least position
+    h = action.h_group
     for members in prime_order_subgroups(h):
         if len(members) == h.order:
             continue
         for orbit in sorted({_orbit(action, members, w)
                              for w in range(action.omega_size)}):
-            if len(orbit) == 1:
-                continue
-            sub_action = _restricted_action(action, members, orbit)
-            child = _reduce(g, sub_action)
-            if child is not None:
-                return OrbitRestriction(embedding=_embedding_hom(h, members),
-                                        omega=orbit[0], orbit=orbit,
-                                        child=child)
-    return None
+            if len(orbit) > 1:
+                yield (partial(OrbitRestriction,
+                               embedding=_embedding_hom(h, members),
+                               omega=orbit[0], orbit=orbit),
+                       g, _restricted_action(action, members, orbit))
+    yield from quotients([groups.center(g)])
+
+
+def _exhaust(g: FiniteGroup, action: GroupAction,
+             stats: SearchStats) -> Optional[Certificate]:
+    """Leaf: ``decide_by_search``'s certificate for a sub-context of at
+    most ``EXHAUSTIVE_LEAF_K_CAP`` states, not of p-groups for one prime."""
+    if (same_prime(g, action.h_group)
+            or g.order ** action.omega_size > EXHAUSTIVE_LEAF_K_CAP):
+        return None
+    ctx = WreathContext(g_group=g, action=action, allow_non_faithful=True)
+    return decide_by_search(ctx, stats=stats).certificate
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +454,9 @@ def decide_existence(ctx: WreathContext,
     at any order of G (a broken one raises ``BaseCaseVerificationFailed``),
     then the reductions of ``find_nonexistence_certificate``.  What is left
     goes to one ``decide_by_search``.  ``certify`` validates this result's
-    "no".  The reductions enter no belief state, so ``stats`` counts that
-    search alone, and its ``limit`` caps the belief states of the decision.
+    "no".
+    The certificate leaves and the search count into one ``SearchStats``,
+    so its ``limit`` caps the belief states of the whole decision.
     """
     stats = stats if stats is not None else SearchStats()
     if spin_period in (None, 1) and ctx.win_set == frozenset({0}) \
@@ -432,7 +467,7 @@ def decide_existence(ctx: WreathContext,
                                   message="p-group construction")
         except (NotSamePrime, NonFaithfulAction):
             pass
-        cert = find_nonexistence_certificate(ctx)
+        cert = find_nonexistence_certificate(ctx, stats=stats)
         if cert is not None:
             return DecisionResult(verdict="no", certificate=cert,
                                   states_explored=stats.states_explored,

@@ -463,6 +463,15 @@ def p_quotient_kernel(g: FiniteGroup, p: int) -> Subgroup:
     return Subgroup(parent=g, members=tuple(sorted(members)))
 
 
+def center(g: FiniteGroup) -> Subgroup:
+    """Z(G): the elements that commute with each generator of G."""
+    _require_group(g, "center")
+    mul, g_gens = g.mul, generating_set(g)
+    return Subgroup(parent=g, members=tuple(
+        z for z in range(g.order) if all(mul[z][x] == mul[x][z]
+                                         for x in g_gens)))
+
+
 def prime_order_subgroups(g: FiniteGroup) -> list:
     """The cyclic subgroups of prime order, each a sorted tuple of its
     members, by order and then members: one pass over the elements."""

@@ -366,8 +366,9 @@ def test_the_reductions_prove_s3_wr_c2_by_the_sylow_leaf():
     # |S3| = 6 is not a power of 2, so the base fact for two swapped
     # copies proves S3 wr C2 before any quotient, and nothing is searched
     ctx = WreathContext(g_group=groups.symmetric(3), action=swap_action())
-    cert = find_nonexistence_certificate(ctx)
-    assert cert == SylowSwap(order=6)
+    stats = SearchStats()
+    cert = find_nonexistence_certificate(ctx, stats=stats)
+    assert cert == SylowSwap(order=6) and stats.states_explored == 0
     result = decide_existence(ctx)
     assert result.verdict == "no" and result.states_explored == 0
     assert result.certificate == cert and validate_certificate(ctx, cert)
@@ -375,10 +376,13 @@ def test_the_reductions_prove_s3_wr_c2_by_the_sylow_leaf():
 
 def test_the_reductions_search_no_sub_context_the_theorem_solves(
         monkeypatch):
-    # p-groups for one prime have strategies, so no reduction below them
-    # can hold a certificate: Z8 wr C4's quotients and restrictions are all
-    # such groups
-    assert find_nonexistence_certificate(parse_puzzle("Z8 wr C4")) is None
+    # p-groups for one prime have strategies, so no leaf below them can
+    # hold a certificate: Z8 wr C4's quotients and restrictions are all
+    # such groups and cost no state
+    stats = SearchStats(limit=2000)
+    assert find_nonexistence_certificate(parse_puzzle("Z8 wr C4"),
+                                         stats=stats) is None
+    assert stats.states_explored == 0
     searched = []
 
     def spy(ctx, **kwargs):
@@ -471,6 +475,10 @@ def test_no_belief_search_explores_more_states_than_its_budget(puzzle, budget,
     assert decide_existence(
         ctx, stats=SearchStats(limit=budget)).states_explored <= budget
 
+    stats = SearchStats(limit=budget)
+    find_nonexistence_certificate(ctx, stats=stats)
+    assert stats.states_explored <= budget
+
     # every spin period's decision counts into one total
     stats = SearchStats(limit=budget)
     try:
@@ -507,6 +515,7 @@ def test_one_search_stats_caps_every_engine_above_k_64(puzzle, budget):
     ctx = parse_puzzle(text, win_set=win_set)
     stats = SearchStats(limit=budget)
     for engine in (lambda: decide_existence(ctx, stats=stats),
+                   lambda: find_nonexistence_certificate(ctx, stats=stats),
                    lambda: min_spin_period(ctx, 2, stats=stats),
                    lambda: enumerate_strategies(
                        ctx, minimal_length_bound(ctx), stats=stats),
@@ -518,8 +527,9 @@ def test_one_search_stats_caps_every_engine_above_k_64(puzzle, budget):
         assert stats.states_explored <= budget
 
 
-def test_the_reductions_search_nothing(monkeypatch):
-    # the reductions read group tables alone, never a belief state: each
+def test_the_reductions_search_nothing_the_tables_decide(monkeypatch):
+    # on these contexts every certificate comes from the group tables, and
+    # every sub-context without one is of p-groups for one prime: each
     # certificate, or None, comes back with both searches refused, past
     # |G| = 64 and |H| = 64 too
     def refuse(*args, **kwargs):
@@ -531,6 +541,41 @@ def test_the_reductions_search_nothing(monkeypatch):
         ctx = parse_puzzle(puzzle)
         cert = find_nonexistence_certificate(ctx)
         assert cert is None or validate_certificate(ctx, cert), puzzle
+
+
+def test_a_sub_context_the_tables_cannot_reduce_is_searched(monkeypatch):
+    # with both base facts switched off, Z2 wr C6 is proved by a leaf
+    # search of Z2 wr C3, its restriction to C3, and Z2 x S3 wr C2, whose
+    # p-quotients are 2-groups like C2, by one of S3 wr C2, its quotient by
+    # the center
+    monkeypatch.setattr(decision, "_abelian_leaf", lambda g, action: None)
+    monkeypatch.setattr(decision, "_sylow_leaf", lambda g, action: None)
+    for puzzle, node, sub_order in (("Z2 wr C6", OrbitRestriction, 2),
+                                    ("Z2 x S3 wr C2", SwitchQuotient, 6)):
+        ctx = parse_puzzle(puzzle)
+        stats = SearchStats()
+        cert = find_nonexistence_certificate(ctx, stats=stats)
+        assert isinstance(cert, node), puzzle
+        sub_g = cert.phi.target if node is SwitchQuotient else ctx.g_group
+        assert sub_g.order == sub_order, puzzle
+        assert isinstance(cert.child, ExhaustiveBeliefSearch), puzzle
+        assert 0 < stats.states_explored, puzzle
+        assert validate_certificate(ctx, cert), puzzle
+
+
+def test_a4_leaf_below_a_restriction_and_the_center():
+    # A4 x Z3 has no p-quotient but Z3 x Z3, of the spins' prime, and C9
+    # no prime-order subgroup but C3: the certificate restricts to C3,
+    # divides out the center Z3 and searches A4 wr C3, |K| = 1,728
+    ctx = parse_puzzle("A4 x Z3 wr C9")
+    result = decide_existence(ctx, stats=SearchStats(limit=2000))
+    assert result.verdict == "no" and result.states_explored == 1966
+    cert = result.certificate
+    assert isinstance(cert, OrbitRestriction) and cert.orbit == (0, 3, 6)
+    assert isinstance(cert.child, SwitchQuotient)
+    assert cert.child.phi.target.order == 12
+    assert isinstance(cert.child.child, ExhaustiveBeliefSearch)
+    assert validate_certificate(ctx, cert)
 
 
 def test_validator_reads_no_tables_and_no_kernel(monkeypatch):

@@ -263,6 +263,16 @@ def test_p_quotient_kernel_is_the_least_elementary_abelian_kernel(name):
                 tuple(sorted(kernel)), p
 
 
+@pytest.mark.parametrize("name", sorted(_LATTICE_GROUPS))
+def test_center_commutes_with_every_element(name):
+    # Z(G) from a generating set against every pair, in a relabelled copy
+    # too
+    for g in (_LATTICE_GROUPS[name], _relabelled(_LATTICE_GROUPS[name], 1)):
+        assert groups.center(g).members == tuple(
+            z for z in g.elements()
+            if all(g.mul[z][x] == g.mul[x][z] for x in g.elements()))
+
+
 @pytest.mark.parametrize("name", sorted(_LATTICE_GROUPS) + ["A5"])
 def test_prime_order_subgroups_are_those_of_the_lattice(name):
     g = _LATTICE_GROUPS.get(name) or groups.alternating(5)
