@@ -12,6 +12,8 @@ from .errors import (ContextMismatch, ContextTooLarge, InputStrategyInvalid,
 from .groups import FiniteGroup
 
 K_SIZE_HARD_CAP = 2 ** 62
+# the belief kernel's |Omega| |G| digit masks of |K| bits each, in bits
+KERNEL_MASK_BITS_CAP = 2 ** 31
 DENSE_TABLE_CAP = 4096
 
 
@@ -32,10 +34,14 @@ class GroupAction:
         ident = tuple(range(m))
         if self.act[0] != ident:
             raise ValueError("identity of H must act trivially")
-        for a in range(h.order):
-            for b in range(h.order):
-                composed = tuple(self.act[a][self.act[b][w]] for w in range(m))
-                if self.act[h.mul[a][b]] != composed:
+        if not h.is_associative:
+            raise ValueError("H must be a group to act")
+        # act(a s) = act(a) act(s) for every a and each generator s gives
+        # act(a w) = act(a) act(w) for every w, by induction on a word for w
+        for s in groups.generating_set(h):
+            for a in range(h.order):
+                composed = tuple(self.act[a][x] for x in self.act[s])
+                if self.act[h.mul[a][s]] != composed:
                     raise ValueError("action table is not compatible with H")
 
     def kernel(self) -> tuple:
@@ -180,32 +186,28 @@ class WreathContext:
             idx = idx * n + c
         return idx
 
+    @cached_property
+    def _weights(self) -> Tuple[int, ...]:  # of each coordinate's digit
+        n, m = self.g_group.order, self.omega_size
+        return tuple(n ** (m - 1 - w) for w in range(m))
+
     def decode(self, idx: int) -> Tuple[int, ...]:
         n = self.g_group.order
-        out = [0] * self.omega_size
-        for w in range(self.omega_size - 1, -1, -1):
-            idx, out[w] = divmod(idx, n)
-        return tuple(out)
+        return tuple(idx // w % n for w in self._weights)
 
     # -- belief kernel -------------------------------------------------------
 
     @cached_property
     def belief_kernel(self) -> "BeliefKernel":
+        bits = self.omega_size * self.g_group.order * self.k_size
+        if bits > KERNEL_MASK_BITS_CAP:
+            raise ContextTooLarge(f"the belief kernel's masks of {self.name} "
+                                  f"would take {bits} bits, over 2^31")
         return BeliefKernel(self.g_group, self.action, self.win_set)
 
     # -- dense tables for small K -------------------------------------------
-    # Each is a coordinate map per row.  Read element by element through
-    # k_mul / k_act / k_inv by verify_naive and the wreath arithmetic.
-    # Monte Carlo play makes its own move rows and reads _k_act_table (|H|
-    # rows) up to the cap, and k_mul / k_act above it, where they build no
-    # table.  The belief kernel, the belief search, the exact expectation,
-    # the enumeration and the certificate validator never build them;
-    # orbit_masks is read only by tests and by the table timing of
-    # perfbench/spans.py.
-
-    @cached_property
-    def _dense(self) -> bool:
-        return self.k_size <= DENSE_TABLE_CAP
+    # Sampled play reads _k_act_table's spin rows; the other builders serve
+    # only perfbench/spans.py and tests until ROADMAP items 5 and 9.
 
     @cached_property
     def _k_mul_table(self):
@@ -237,34 +239,26 @@ class WreathContext:
             out.append(mask)
         return tuple(out)
 
-    # -- base arithmetic -----------------------------------------------------
+    # -- base arithmetic: digit by digit, with no tuple built ----------------
 
     def k_mul(self, a: int, b: int) -> int:
-        if self._dense:
-            return self._k_mul_table[a][b]
-        # digit by digit, least significant first, with no tuple built
         n, mul = self.g_group.order, self.g_group.mul
-        c, weight = 0, 1
-        for _ in range(self.omega_size):
-            a, x = divmod(a, n)
-            b, y = divmod(b, n)
-            c += mul[x][y] * weight
-            weight *= n
+        c = 0
+        for w in self._weights:
+            c += mul[a // w % n][b // w % n] * w
         return c
 
     def k_inv(self, a: int) -> int:
-        if self._dense:
-            return self._k_inv_table[a]
-        inv = self.g_group.inv
-        return self.encode([inv[x] for x in self.decode(a)])
+        n, inv = self.g_group.order, self.g_group.inv
+        return sum(inv[a // w % n] * w for w in self._weights)
 
     def k_act(self, h: int, a: int) -> int:
         """Coordinate w of the result is coordinate act[h^-1][w] of the input."""
-        if self._dense:
-            return self._k_act_table[h][a]
-        row = self.action.act[self.action.h_group.inv[h]]
-        coords = self.decode(a)
-        return self.encode([coords[row[w]] for w in range(self.omega_size)])
+        n, weight = self.g_group.order, self._weights
+        c = 0
+        for v, w in zip(self.action.act[self.action.h_group.inv[h]], weight):
+            c += a // weight[v] % n * w
+        return c
 
     def require_same(self, other: "WreathContext"):
         if (self.g_group != other.g_group or self.action != other.action

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from .actions import WreathContext, coordinate_map, orbit_least
+from .actions import (DENSE_TABLE_CAP, WreathContext, coordinate_map,
+                      orbit_least)
 from .errors import BudgetExceeded, ContextMismatch, ContextTooSmall
 from .strategies import (Strategy, initial_belief, minimal_length_bound,
                          require_moves_in_k)
@@ -195,7 +196,7 @@ def _game_lengths(ctx: WreathContext, rng: random.Random,
             shift[ctx.encode([g] * m) - 1] = k * g
             undo[k * g] = ctx.encode([inv[g]] * m) - 1
 
-    if ctx._dense:
+    if k <= DENSE_TABLE_CAP:
         mul = ctx.g_group.mul
         # the move b with s * b = w has digits divide[s_i][w_i]
         divide = [[0] * n for _ in range(n)]

@@ -26,7 +26,7 @@ from typing import Optional, Tuple, Union
 from . import groups
 from .actions import GroupAction, WreathContext, coordinate_map
 from .errors import (BaseCaseVerificationFailed, BudgetExceeded,
-                     NonFaithfulAction, NotSamePrime)
+                     ContextTooLarge, NonFaithfulAction, NotSamePrime)
 from .groups import (
     FiniteGroup,
     Homomorphism,
@@ -305,11 +305,11 @@ def _sub_contexts(g: FiniteGroup, action: GroupAction):
     # disjoint orbits sort by their least position
     h = action.h_group
     for members in prime_order_subgroups(h):
-        if len(members) == h.order:
-            continue
         for orbit in sorted({_orbit(action, members, w)
                              for w in range(action.omega_size)}):
-            if len(orbit) > 1:
+            # H itself on all of Omega is the context, not a smaller one
+            if 1 < len(orbit) and (len(members) < h.order
+                                   or len(orbit) < action.omega_size):
                 yield (partial(OrbitRestriction,
                                embedding=_embedding_hom(h, members),
                                omega=orbit[0], orbit=orbit),
@@ -485,7 +485,8 @@ def decide_by_search(ctx: WreathContext, *, max_depth: Optional[int] = None,
     certificate carrying the search's final antichain when spins come every
     turn.  Under a spin period above 1 those masks are not closed under the
     every-turn step the validator checks, so that "no" has no certificate.
-    A spent ``stats.limit`` or a ``max_depth`` cut gives "unknown".  Loop-mode
+    A spent ``stats.limit``, a ``max_depth`` cut or a K too large for the
+    kernel's masks (``ContextTooLarge``) gives "unknown".  Loop-mode
     verdicts are flagged conjectural.
     """
     stats = stats if stats is not None else SearchStats()
@@ -500,6 +501,8 @@ def decide_by_search(ctx: WreathContext, *, max_depth: Optional[int] = None,
                                   spin_period=spin_period, stats=stats)
     except BudgetExceeded:
         return result("unknown", "belief search budget exceeded")
+    except ContextTooLarge as exc:
+        return result("unknown", str(exc))
     if path is not None:
         strat = Strategy(ctx=ctx, moves=path)
         if not verify(ctx, strat, spin_period=spin_period).valid:

@@ -89,8 +89,9 @@ class VerificationReport:
         alone is empty after i steps; None when the strategy never empties it.
         """
         out: Dict[int, Optional[int]] = {}
+        step = self.ctx.belief_kernel.step
         for s in bits(initial_belief(self.ctx)):
-            used, mask = _run_belief(self.ctx, 1 << s, self.strategy.moves,
+            used, mask = _run_belief(step, 1 << s, self.strategy.moves,
                                      self.spin_period)
             out[s] = None if mask else used
         return out
@@ -102,13 +103,12 @@ def minimal_length_bound(ctx: WreathContext) -> int:
     return -(-unsolved // len(ctx.win_set))
 
 
-def _run_belief(ctx: WreathContext, mask: int, moves: Sequence[int],
+def _run_belief(step, mask: int, moves: Sequence[int],
                 spin_period: Optional[int]) -> Tuple[int, int]:
     """Step a belief mask through the moves; return (moves made, final mask).
 
     Stops at the first move after which the mask is empty.
     """
-    step = ctx.belief_kernel.step
     i = 0
     for i, move in enumerate(moves, start=1):
         mask = step(mask, move, spin_period is None or i % spin_period == 0)
@@ -140,10 +140,11 @@ def verify(ctx: WreathContext, strategy: Strategy,
     """
     if strategy.ctx.k_size != ctx.k_size:
         raise ContextMismatch("strategy was built for a different context")
-    # the kernel refuses a move outside K the first time it steps it; the
-    # moves after the belief set empties are never stepped
-    used, mask = _run_belief(ctx, initial_belief(ctx), strategy.moves,
-                             spin_period)
+    # the kernel, read first, refuses a K too large for its masks, and a
+    # move outside K the first time it steps it; the moves after the belief
+    # set empties are never stepped
+    used, mask = _run_belief(ctx.belief_kernel.step, initial_belief(ctx),
+                             strategy.moves, spin_period)
     if used < len(strategy.moves):
         require_moves_in_k(strategy.moves[used:], ctx.k_size)
     valid = mask == 0

@@ -84,6 +84,46 @@ def test_action_compatibility_rejected():
     assert not kernel_only.is_faithful()
 
 
+def _every_pair_compatible(h, act) -> bool:
+    m = len(act[0])
+    return act[0] == tuple(range(m)) and all(
+        act[h.mul[a][b]] == tuple(act[a][act[b][w]] for w in range(m))
+        for a in range(h.order) for b in range(h.order))
+
+
+@pytest.mark.parametrize("action", [
+    cyclic_rotation_action(4), natural_symmetric_action(3),
+    dihedral_action(8), default_action(parse_expr("Z2 wr A4").h_term),
+], ids=["C4", "S3", "D8", "A4"])
+def test_the_generator_check_agrees_with_every_pair(action):
+    # GroupAction checks act(a s) = act(a) act(s) for the generators s only
+    h, m, act = action.h_group, action.omega_size, action.act
+    rng = random.Random(7)
+    tables = [act]
+    for i in range(h.order):
+        for row in (act[(i + 1) % h.order], tuple(rng.sample(range(m), m))):
+            tables.append(act[:i] + (row,) + act[i + 1:])
+    for i, j in itertools.combinations(range(h.order), 2):
+        swapped = list(act)
+        swapped[i], swapped[j] = act[j], act[i]
+        tables.append(tuple(swapped))
+    outcomes = set()
+    for table in tables:
+        ok = _every_pair_compatible(h, table)
+        outcomes.add(ok)
+        if ok:
+            GroupAction(h_group=h, omega_size=m, act=table)
+        else:
+            with pytest.raises(ValueError):
+                GroupAction(h_group=h, omega_size=m, act=table)
+    assert outcomes == {True, False}
+
+
+def test_a_loop_cannot_act():
+    with pytest.raises(ValueError, match="group"):
+        GroupAction(h_group=groups.loop5(), omega_size=1, act=((0,),) * 5)
+
+
 def test_non_faithful_context_rejected():
     h = groups.cyclic(4)
     act = tuple((tuple((w + t) % 2 for w in range(2))) for t in range(4))

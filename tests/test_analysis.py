@@ -586,7 +586,7 @@ def test_counting_up_to_spins():
     four = ctx_of(groups.cyclic(2), 4)
     result = analysis.enumerate_strategies(four, 15, up_to_h=True)
     assert (result.count, result.canonical_count) == (2048, 512)
-    # the count reads no dense table (the oracle below builds them)
+    # the count reads no dense table
     for table in ("_k_mul_table", "_k_act_table", "_k_inv_table",
                   "orbit_masks"):
         assert table not in four.__dict__

@@ -1,4 +1,5 @@
 import json
+import time
 import tracemalloc
 
 import pytest
@@ -440,6 +441,35 @@ def test_json_prints_a_record_on_every_verdict_exit(tmp_path, capsys):
         assert doc["payload"] == {"context": argv[1],
                                   "message": err.split(": ", 1)[1].rstrip()}
         assert doc["budget"]["states_explored"] == states
+
+
+def test_h_itself_restricted_to_an_orbit_says_no(tmp_path, capsys):
+    # C2 as (01)(23) on four S3 switches restricts to S3 wr C2 on {0,1}
+    action = tmp_path / "c2x2.action"
+    action.write_text("action C2 4\n0 1 2 3\n1 0 3 2\n")
+    code, out, _ = run(capsys, "decide", f"S3 wr C2 on @{action}",
+                       "--budget", "3000", "--json")
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["payload"]["validated"] is True
+    assert doc["budget"]["states_explored"] == 0
+
+
+def test_a_kernel_too_large_for_its_masks(tmp_path, capsys):
+    # decide says unknown with a record; a command with no search to give
+    # up refuses with the typed error
+    started = time.perf_counter()
+    code, out, _ = run(capsys, "decide", "A5 wr C9", "--budget", "100",
+                       "--json")
+    assert time.perf_counter() - started < 2
+    assert code == 4
+    doc = json.loads(out)
+    assert doc["verdict"] == "unknown"
+    assert "belief kernel" in doc["payload"]["message"]
+    moves = tmp_path / "one.strategy"
+    moves.write_text("strategy A5 wr C9 1\n" + "1 " * 9 + "\n")
+    code, _, err = run(capsys, "verify", "A5 wr C9", "--strategy", str(moves))
+    assert code == 2 and "belief kernel" in err and "Traceback" not in err
 
 
 def test_enumerate_palindromic_s3(capsys):

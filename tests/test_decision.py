@@ -221,6 +221,19 @@ def test_the_sylow_leaf_reaches_an_involution_of_h():
     assert validate_certificate(ctx, cert)
 
 
+def test_h_itself_restricts_to_an_orbit_when_intransitive():
+    # C2 as (01)(23): its restriction to {0,1} is S3 wr C2
+    action = GroupAction(h_group=z(2), omega_size=4,
+                         act=((0, 1, 2, 3), (1, 0, 3, 2)))
+    ctx = WreathContext(g_group=groups.symmetric(3), action=action)
+    result = decide_existence(ctx, stats=SearchStats(limit=3000))
+    assert result.verdict == "no" and result.states_explored == 0
+    cert = result.certificate
+    assert isinstance(cert, OrbitRestriction) and cert.orbit == (0, 1)
+    assert cert.child == SylowSwap(order=6)
+    assert validate_certificate(ctx, cert)
+
+
 # C2 fixing both positions: no swap
 FIXED_C2 = GroupAction(h_group=z(2), omega_size=2, act=((0, 1), (0, 1)))
 

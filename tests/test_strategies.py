@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from spinwreath import catalog, groups
 from spinwreath.actions import (DENSE_TABLE_CAP, GroupAction, WreathContext,
-                                cyclic_rotation_action, dihedral_action,
-                                natural_symmetric_action, permutation_action,
-                                regular_action, spin_transversals,
-                                trivial_action)
+                                WreathElement, cyclic_rotation_action,
+                                dihedral_action, natural_symmetric_action,
+                                permutation_action, regular_action,
+                                spin_transversals, trivial_action,
+                                wreath_identity, wreath_inverse,
+                                wreath_multiply)
 from spinwreath.analysis import enumerate_strategies
 from spinwreath.errors import BudgetExceeded, InputStrategyInvalid
 from spinwreath.strategies import (Strategy, bits, initial_belief, interleave,
@@ -278,7 +280,14 @@ def test_dense_tables_match_their_definitions(label):
 def test_belief_consumers_build_no_dense_tables(g_order, n):
     ctx = WreathContext(g_group=groups.cyclic(g_order),
                         action=cyclic_rotation_action(n))
+    assert ctx.k_size <= DENSE_TABLE_CAP
     verify(ctx, Strategy(ctx=ctx, moves=tuple(range(1, 40))))
+    # the element-by-element readers work on digits too
+    verify_naive(ctx, Strategy(ctx=ctx, moves=(1, 2, 3)))
+    a, b = WreathElement(ctx, 5, 1), WreathElement(ctx, ctx.k_size - 3, 1)
+    assert wreath_multiply(a, wreath_inverse(a)) == wreath_identity(ctx)
+    assert wreath_inverse(wreath_multiply(a, b)) == wreath_multiply(
+        wreath_inverse(b), wreath_inverse(a))
     with pytest.raises(BudgetExceeded):
         search_belief_path(ctx, stats=SearchStats(limit=20))
     with pytest.raises(BudgetExceeded):
