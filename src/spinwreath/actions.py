@@ -311,14 +311,16 @@ class BeliefKernel:
     element g take one masked shift per distinct distance.  Inversion permutes
     every coordinate's digit the same way, so the inverses of a whole mask
     take one pass of masked shifts too.  A spin permutes coordinates; each
-    coordinate transposition is |G|-1 delta swaps (Warren, Hacker's Delight,
-    ch. 7).  The spin closure runs through the levels of
+    coordinate transposition trades the digits' prime sub-digits one at a
+    time, sum(p - 1) delta swaps over the prime factors p of |G| with
+    multiplicity (Warren, Hacker's Delight, ch. 7): 5 rather than |G| - 1
+    = 31 for |G| = 32.  The spin closure runs through the levels of
     ``spin_transversals``: a mask closed under H_{i-1} ORed with its images
     under the rows of T_i is closed under H_i = H_{i-1} T_i, so the levels
     together reach every row of the action while taking sum(|T_i| - 1)
     images rather than one per row, (p-1) log_p |H| for a p-group H.  The
     shift masks are built on first use of each (w, g) and of inversion; the
-    masks together are O(|Omega| |G|^2) of |K| bits, plus |G|-1 per
+    masks together are O(|Omega| |G|^2) of |K| bits, plus sum(p - 1) per
     coordinate transposition of each transversal row.
     """
 
@@ -375,8 +377,20 @@ class BeliefKernel:
                 tuple((-d * wt, sel) for d, sel in by_distance.items() if d < 0))
 
     def _swaps(self, row) -> tuple:
-        """Delta swaps that put input coordinate row[w] at coordinate w."""
+        """Delta swaps that put input coordinate row[w] at coordinate w.
+
+        A digit x of G is read as prime sub-digits, |G| = f_1 f_2 ... f_r in
+        mixed radix (sub-digit i is x // u_i % f_i, u_i = f_1 ... f_(i-1)),
+        and two coordinates trade one sub-digit at a time, f_i - 1 swaps
+        each: sum(f_i - 1) per transposition rather than |G| - 1.
+        """
         n, digit = self._n, self._digit
+        radices = []  # the prime factors of |G| with multiplicity
+        for p in groups.prime_factors(n):
+            q = n
+            while q % p == 0:
+                radices.append(p)
+                q //= p
         out = []
         held = list(range(self._m))  # held[w]: input coordinate now at w
         for a in range(self._m):
@@ -384,14 +398,21 @@ class BeliefKernel:
             if b == a:
                 continue
             held[a], held[b] = held[b], held[a]
-            # a < b, so digit a has the larger weight: the bit with digits
+            # a < b, so digit a has the larger weight: the bit with sub-digits
             # (x, x+k) at (a, b) trades places with the one with (x+k, x)
             delta = self._weight[a] - self._weight[b]
-            for k in range(1, n):
-                sel = 0
-                for x in range(n - k):
-                    sel |= digit[a][x] & digit[b][x + k]
-                out.append((k * delta, sel))
+            u = 1
+            for f in radices:
+                sub_a, sub_b = [0] * f, [0] * f
+                for x in range(n):
+                    sub_a[x // u % f] |= digit[a][x]
+                    sub_b[x // u % f] |= digit[b][x]
+                for k in range(1, f):
+                    sel = 0
+                    for x in range(f - k):
+                        sel |= sub_a[x] & sub_b[x + k]
+                    out.append((k * u * delta, sel))
+                u *= f
         return tuple(out)
 
     def step(self, mask: int, move: int, spin: bool = True) -> int:

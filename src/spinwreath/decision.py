@@ -17,7 +17,7 @@ validates certificates by every hypothesis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial, reduce
 from itertools import compress, product
 from operator import or_
@@ -176,7 +176,15 @@ def _restricted_action(action: GroupAction, members: Tuple[int, ...],
 
 
 def _embedding_hom(h: FiniteGroup, members: Tuple[int, ...]) -> Homomorphism:
+    """The inclusion of a subgroup of H, named H when it is all of H and
+    else by its generators, as H labels them, and its order."""
     h0 = subgroup_as_group(Subgroup(parent=h, members=members))
+    if len(members) == h.order:
+        h0 = replace(h0, name=h.name)
+    else:
+        gens = ", ".join(h.label(members[x])
+                         for x in groups.generating_set(h0))
+        h0 = replace(h0, name=f"<{gens}> of order {len(members)}")
     return Homomorphism(source=h0, target=h, map=tuple(members))
 
 

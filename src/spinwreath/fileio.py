@@ -13,7 +13,7 @@ from . import groups
 from .actions import GroupAction, WreathContext
 from .errors import FileFormatInvalid
 from .groups import FiniteGroup
-from .strategies import Strategy, strategy_from_coords
+from .strategies import Strategy
 
 
 def _content_lines(text: str) -> List[str]:
@@ -217,13 +217,18 @@ def parse_strategy(text: str, ctx: WreathContext) -> Strategy:
         raise FileFormatInvalid(
             f"strategy file declares {n} moves but has {len(rows)} rows"
         )
-    order = ctx.g_group.order
-    for row in rows:
-        if len(row) != ctx.omega_size or any(not 0 <= c < order for c in row):
+    order, m = ctx.g_group.order, ctx.omega_size
+    moves = []
+    for row in rows:  # never empty: each content line has a token
+        if len(row) != m or min(row) < 0 or max(row) >= order:
             raise FileFormatInvalid(
-                f"each move needs {ctx.omega_size} indices in 0..{order - 1}"
+                f"each move needs {m} indices in 0..{order - 1}"
             )
-    return strategy_from_coords(ctx, rows)
+        move = 0
+        for c in row:  # ctx.encode, inline
+            move = move * order + c
+        moves.append(move)
+    return Strategy(ctx=ctx, moves=tuple(moves))
 
 
 def load_strategy(path: str, ctx: WreathContext) -> Strategy:

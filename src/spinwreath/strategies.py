@@ -130,9 +130,10 @@ def verify(ctx: WreathContext, strategy: Strategy,
     """Belief-state verification: one ``BeliefKernel`` step per move.
 
     A step costs at most |Omega| |G| masked shifts for the move, then at
-    most (|Omega|-1)(|G|-1) delta swaps for each transversal row of the
-    spin closure, sum(|T_i| - 1) rows in all, (p-1) log_p |H| for a p-group
-    H; every shift or swap is a few operations on |K|-bit integers.
+    most (|Omega|-1) sum(p-1) delta swaps, over the prime factors p of |G|
+    with multiplicity, for each transversal row of the spin closure,
+    sum(|T_i| - 1) rows in all, (p-1) log_p |H| for a p-group H; every shift
+    or swap is a few operations on |K|-bit integers.
 
     With ``spin_period = r`` the adversary may spin only on turns i with
     i % r == 0; moves on other turns face no spin.  A move outside

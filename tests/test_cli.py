@@ -453,6 +453,20 @@ def test_h_itself_restricted_to_an_orbit_says_no(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["payload"]["validated"] is True
     assert doc["budget"]["states_explored"] == 0
+    # all of H is named as H, not by its members
+    assert doc["payload"]["certificate"] == (
+        "OrbitRestriction(omega=0, orbit={0,1}, Z2 <= Z2)\n"
+        "  SylowSwap(|G|=6)")
+
+
+def test_a_restricted_spin_group_is_named_by_a_generator(capsys):
+    # the subgroup's generator, as A6 labels it, moves the orbit's points
+    # (positions 2 and 3 are points 3 and 4 of the 1-based label)
+    code, out, _ = run(capsys, "decide", "Z3 wr A6", "--json")
+    assert code == 3
+    assert json.loads(out)["payload"]["certificate"] == (
+        "OrbitRestriction(omega=2, orbit={2,3}, <(3 4)(5 6)> of order 2 "
+        "<= A6)\n  AbelianClassification(p=3, q=2)")
 
 
 def test_a_kernel_too_large_for_its_masks(tmp_path, capsys):

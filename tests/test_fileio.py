@@ -146,3 +146,20 @@ def test_malformed_strategy_files_are_rejected(text):
                         action=cyclic_rotation_action(2))
     with pytest.raises(FileFormatInvalid):
         fileio.parse_strategy(text, ctx)
+
+
+@pytest.mark.parametrize("rows,message", [
+    ("1 0\n1 x", "strategy move: expected integers, got '1 x'"),
+    ("1 0\n1 1 1", "each move needs 2 indices in 0..2"),
+    ("1 0\n1", "each move needs 2 indices in 0..2"),
+    ("1 0\n3 0", "each move needs 2 indices in 0..2"),
+    ("1 0\n0 -1", "each move needs 2 indices in 0..2"),
+    ("1 0\n1 2\n2 2", "strategy file declares 2 moves but has 3 rows"),
+    ("1 0", "strategy file declares 2 moves but has 1 rows"),
+])
+def test_strategy_row_errors_name_the_fault(rows, message):
+    ctx = WreathContext(g_group=groups.cyclic(3),
+                        action=cyclic_rotation_action(2))
+    with pytest.raises(FileFormatInvalid) as exc:
+        fileio.parse_strategy(f"strategy Z3wrC2 2\n{rows}\n", ctx)
+    assert str(exc.value) == message

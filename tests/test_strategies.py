@@ -129,6 +129,11 @@ def _kernel_contexts():
         WreathContext(g_group=z(2), action=permutation_action(
             groups.alternating(5), "A5-natural")),
     ]
+    # |G| with a repeated prime: a transposition swaps prime sub-digits one
+    # at a time (Z2 x Z2 x Z2 wr C2 is above)
+    contexts += [WreathContext(g_group=g, action=swap_action())
+                 for g in (z(8), z(9), groups.dihedral(8),
+                           groups.alternating(4))]
     return {f"{ctx.g_group.name}-{ctx.action.name}-win{sorted(ctx.win_set)}": ctx
             for ctx in contexts}
 
@@ -205,6 +210,40 @@ def test_each_coset_is_represented_by_its_cheapest_row(action, swaps):
     kernel = WreathContext(g_group=groups.cyclic(2),
                            action=action).belief_kernel
     assert sum(len(row) for level in kernel._levels for row in level) == swaps
+
+
+@pytest.mark.parametrize("g,swaps", [
+    (groups.cyclic(32), 5), (groups.cyclic(16), 4), (groups.cyclic(9), 4),
+    (groups.cyclic(6), 3), (groups.symmetric(4), 5), (groups.cyclic(5), 4),
+])
+def test_a_transposition_takes_p_minus_one_swaps_per_prime_factor(g, swaps):
+    # sum(p - 1) over the prime factors of |G| with multiplicity, where
+    # one swap per nonzero digit distance would take |G| - 1
+    kernel = WreathContext(g_group=g, action=swap_action()).belief_kernel
+    assert len(kernel._swaps((1, 0))) == swaps
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_prime_switches_keep_one_swap_per_digit_distance(p):
+    # for prime |G| the one sub-digit is the digit: (k (w_a - w_b), the
+    # bits with digits (x, x + k) at (a, b)) for k = 1..p-1
+    ctx = WreathContext(g_group=groups.cyclic(p),
+                        action=cyclic_rotation_action(3))
+    kernel = ctx.belief_kernel
+    digit, weight = kernel._digit, ctx._weights
+    for row in ctx.action.act:
+        expected = []
+        held = [0, 1, 2]
+        for a in range(3):
+            b = held.index(row[a])
+            if b != a:
+                held[a], held[b] = held[b], held[a]
+                expected += [(k * (weight[a] - weight[b]),
+                              functools.reduce(int.__or__, (
+                                  digit[a][x] & digit[b][x + k]
+                                  for x in range(p - k))))
+                             for k in range(1, p)]
+        assert kernel._swaps(row) == tuple(expected)
 
 
 @pytest.mark.parametrize("label", sorted(KERNEL_CONTEXTS))
